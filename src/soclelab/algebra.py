@@ -267,21 +267,25 @@ class CenterAlgebra:
 
         Returns (coset representative, dimension) for cosets with nonzero
         block, sorted by representative. The blocks must sum to the socle.
+
+        A central element is supported in a coset iff every class in its
+        support lies wholly inside that coset, so each block is the socle
+        intersected with the span of those classes, in class coordinates.
         """
-        soc_full = self._full_subspace(self.socle())
+        soc = self.socle()
         cid = self.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(axis=0)
-        reps = np.unique(cid)
+        by_class = cid[self._by_class]
+        lo = np.minimum.reduceat(by_class, self._starts)
+        whole = lo == np.maximum.reduceat(by_class, self._starts)
+        unit = np.eye(self.k, dtype=np.int64)
         out = []
         total = 0
-        for r in map(int, reps):
-            cols = np.flatnonzero(cid == r)
-            coord = np.zeros((cols.size, self.n), dtype=np.int64)
-            coord[np.arange(cols.size), cols] = 1
-            block = soc_full.intersect(Subspace(self.p, self.n, coord))
+        for r in map(int, np.unique(lo[whole])):
+            block = soc.intersect(Subspace(self.p, self.k, unit[whole & (lo == r)]))
             if block.dim:
                 out.append((r, block.dim))
                 total += block.dim
-        if total != soc_full.dim:
+        if total != soc.dim:
             raise ConsistencyError("socle does not split along Sylow cosets")
         return out
 

@@ -146,23 +146,25 @@ class FiniteGroup:
     # -- generation and closure ------------------------------------------
 
     def subgroup_closure(self, gens) -> np.ndarray:
-        """Sorted elements of the subgroup generated by gens."""
-        n = self.order
-        seen = np.zeros(n, dtype=bool)
+        """Sorted elements of the subgroup generated by gens.
+
+        Generators already in the closure add nothing and are skipped, as in
+        Dimino's algorithm; each kept one grows the closure to a fixed point
+        under right multiplication by all kept generators.
+        """
+        seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
-        gl = sorted({int(g) for g in gens} - {0})
-        frontier = [0]
         t = self.table
-        while frontier:
-            new = []
-            for x in frontier:
-                row = t[x]
-                for g in gl:
-                    y = int(row[g])
-                    if not seen[y]:
-                        seen[y] = True
-                        new.append(y)
-            frontier = new
+        kept: list[int] = []
+        for g in sorted({int(x) for x in gens} - {0}):
+            if seen[g]:
+                continue
+            kept.append(g)
+            frontier = np.flatnonzero(seen)
+            while frontier.size:
+                prods = t[frontier[:, None], kept].ravel()
+                frontier = np.unique(prods[~seen[prods]])
+                seen[frontier] = True
         return np.flatnonzero(seen)
 
     def generators(self) -> list[int]:
@@ -297,8 +299,7 @@ class FiniteGroup:
         mask = np.zeros(self.order, dtype=bool)
         mask[elems] = True
         t, inv = self.table, self.inv
-        keep = [g for g in range(self.order) if mask[t[t[g, elems], inv[g]]].all()]
-        return np.array(keep, dtype=np.int64)
+        return np.flatnonzero(mask[t[t[:, elems], inv[:, None]]].all(axis=1))
 
     def derived_subgroup(self) -> np.ndarray:
         if "derived" not in self._memo:
@@ -330,21 +331,6 @@ class FiniteGroup:
 
     def sub_center(self, elems) -> np.ndarray:
         return self.centralizer(elems, within=elems)
-
-    def sub_frattini_p(self, elems) -> np.ndarray:
-        """Frattini subgroup of a p-subgroup: generated by p-th powers and commutators."""
-        elems = np.asarray(elems)
-        orders = self.element_orders()[elems]
-        primes = {q for o in map(int, orders) for q in _prime_factors(o)}
-        if len(primes) > 1:
-            raise UnsupportedInputError("not a p-group")
-        if not primes:
-            return np.array([0], dtype=np.int64)
-        p = primes.pop()
-        gens = self.sub_generators(elems)
-        seed = {self.power(g, p) for g in gens}
-        seed |= {self.commutator(a, b) for a in gens for b in gens}
-        return self.normal_closure(seed, conjugators=gens)
 
     # -- Sylow and Hall ----------------------------------------------------
 
@@ -465,12 +451,6 @@ class FiniteGroup:
         """Smallest normal subgroup with p-group quotient: closure of all p'-elements."""
         orders = self.element_orders()
         seed = [x for x in range(self.order) if int(orders[x]) % p != 0]
-        return self.subgroup_closure(seed)
-
-    def p_prime_residual(self, p: int) -> np.ndarray:
-        orders = self.element_orders()
-        seed = [x for x in range(self.order)
-                if int(orders[x]) == int_p_part(int(orders[x]), p)]
         return self.subgroup_closure(seed)
 
     # -- quotients ---------------------------------------------------------

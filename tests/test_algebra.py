@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from soclelab.algebra import CenterAlgebra
+from soclelab.catalog import catalog_groups
+from soclelab.errors import ConsistencyError
 from soclelab.families import parse_family
 from soclelab.fplin import Subspace, kernel_basis
-from soclelab.groups import direct_product
+from soclelab.groups import direct_product, prime_factors
 
 
 def fg_mul(g, u, v, p):
@@ -226,6 +228,43 @@ def test_socle_coset_blocks_sum():
     alg = CenterAlgebra(g, 2)
     blocks = alg.socle_coset_decomposition(g.sylow_subgroup(2))
     assert len(blocks) == 7 and all(d == 1 for _, d in blocks)
+
+
+def element_socle_blocks(alg, sylow_elems):
+    """Socle blocks per Sylow coset, intersected in element coordinates."""
+    soc_full = Subspace(alg.p, alg.n, [alg.expand(b) for b in alg.socle().basis])
+    cid = alg.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(axis=0)
+    out = []
+    total = 0
+    for r in map(int, np.unique(cid)):
+        cols = np.flatnonzero(cid == r)
+        coord = np.zeros((cols.size, alg.n), dtype=np.int64)
+        coord[np.arange(cols.size), cols] = 1
+        block = soc_full.intersect(Subspace(alg.p, alg.n, coord))
+        if block.dim:
+            out.append((r, block.dim))
+            total += block.dim
+    if total != soc_full.dim:
+        raise ConsistencyError("socle does not split along Sylow cosets")
+    return out
+
+
+NORMAL_SYLOW = [(spec, g, p) for spec, g in catalog_groups() if g.order <= 288
+                for p in prime_factors(g.order) if g.is_normal(g.sylow_subgroup(p))]
+
+
+@pytest.mark.parametrize("spec,g,p", NORMAL_SYLOW,
+                         ids=[f"{s}-{p}" for s, _, p in NORMAL_SYLOW])
+def test_socle_blocks_match_element_coordinates(spec, g, p):
+    alg = CenterAlgebra(g, p)
+    syl = g.sylow_subgroup(p)
+    try:
+        want = element_socle_blocks(alg, syl)
+    except ConsistencyError:  # the socle need not split along a central Sylow factor
+        with pytest.raises(ConsistencyError):
+            alg.socle_coset_decomposition(syl)
+        return
+    assert alg.socle_coset_decomposition(syl) == want
 
 
 def test_push_through_quotient_is_projection():

@@ -3,11 +3,55 @@
 import numpy as np
 import pytest
 
+from soclelab.catalog import catalog_groups
 from soclelab.errors import UnsupportedInputError
 from soclelab.families import parse_family
 from soclelab.groups import (FiniteGroup, central_product, direct_product,
                              find_isomorphism, groups_isomorphic, int_p_part,
                              prime_factors)
+
+
+def reference_closure(g, gens):
+    """Breadth-first closure, one element and one generator at a time."""
+    seen = np.zeros(g.order, dtype=bool)
+    seen[0] = True
+    gl = sorted({int(x) for x in gens} - {0})
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            row = g.table[x]
+            for s in gl:
+                y = int(row[s])
+                if not seen[y]:
+                    seen[y] = True
+                    new.append(y)
+        frontier = new
+    return np.flatnonzero(seen)
+
+
+def reference_generators(g):
+    gens, cl = [], np.array([0])
+    while cl.size < g.order:
+        mask = np.zeros(g.order, dtype=bool)
+        mask[cl] = True
+        gens.append(int(np.flatnonzero(~mask)[0]))
+        cl = reference_closure(g, gens)
+    return gens
+
+
+def reference_normalizer(g, elems):
+    elems = np.asarray(elems, dtype=np.int64)
+    mask = np.zeros(g.order, dtype=bool)
+    mask[elems] = True
+    t, inv = g.table, g.inv
+    keep = [x for x in range(g.order) if mask[t[t[x, elems], inv[x]]].all()]
+    return np.array(keep, dtype=np.int64)
+
+
+def assert_same_elems(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def cyclic_table(n):
@@ -235,3 +279,55 @@ def test_fingerprint_separates_and_matches():
     a = parse_family("cyclic(6)")
     b, _, _ = direct_product(parse_family("cyclic(2)"), parse_family("cyclic(3)"))
     assert a.fingerprint() == b.fingerprint()
+
+
+SMALL_CATALOG = [(spec, g) for spec, g in catalog_groups() if g.order <= 200]
+
+
+def closure_generator_lists(g, rng):
+    """Generator lists with the identity, duplicates, redundant elements,
+    a whole subgroup, and nothing at all."""
+    n = g.order
+    lists = [[], [0], list(range(n)), [0, 0, 0]]
+    for size in (1, 2, 3, 6):
+        gens = [int(x) for x in rng.integers(0, n, size=size)]
+        lists.append(gens)
+        lists.append(gens + gens[::-1] + [0])
+        sub = reference_closure(g, gens)
+        lists.append([int(x) for x in sub])
+        extra = [int(x) for x in rng.choice(sub, size=min(3, sub.size))]
+        lists.append(gens + extra + [g.mul(gens[0], gens[-1])])
+    lists.append(np.asarray(rng.integers(0, n, size=4)))
+    return lists
+
+
+@pytest.mark.parametrize("spec,g", SMALL_CATALOG, ids=[s for s, _ in SMALL_CATALOG])
+def test_closure_matches_reference_bfs(spec, g):
+    rng = np.random.default_rng(g.order * 7919 + len(spec))
+    for gens in closure_generator_lists(g, rng):
+        assert_same_elems(g.subgroup_closure(gens), reference_closure(g, gens))
+
+
+def test_closure_residual_and_generators_at_order_448():
+    g = parse_family("twisted_affine(2,3,1)")
+    assert g.order == 448
+    assert g.generators() == reference_generators(g)
+    orders = g.element_orders()
+    for p in (2, 7):
+        seed = [x for x in range(g.order) if int(orders[x]) % p != 0]
+        assert_same_elems(g.p_residual(p), reference_closure(g, seed))
+
+
+def test_normalizer_matches_reference():
+    g = parse_family("sl2(3)")
+    syl3 = g.sylow_subgroup(3)
+    assert not g.is_normal(syl3)
+    for elems in (syl3, g.sylow_subgroup(2), g.center(), np.array([0]),
+                  np.arange(g.order)):
+        assert_same_elems(g.normalizer(elems), reference_normalizer(g, elems))
+    assert g.normalizer(syl3).size == 6
+    assert g.normalizer(g.sylow_subgroup(2)).size == g.order
+    s4 = parse_family("sym(4)")
+    for x in range(s4.order):
+        sub = s4.subgroup_closure([x])
+        assert_same_elems(s4.normalizer(sub), reference_normalizer(s4, sub))

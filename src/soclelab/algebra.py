@@ -133,20 +133,21 @@ class CenterAlgebra:
         self.__dict__["radical"] = rad
         return rad
 
+    def radical_vec(self, class_index: int) -> np.ndarray:
+        """Class sum minus (class size) times the identity, an element of
+        the augmentation ideal; the class sum itself when p divides the
+        class size."""
+        v = self.class_sum_vec(class_index)
+        v[0] = (v[0] - int(self.class_sizes[class_index])) % self.p
+        return v
+
     def radical_span_from_classes(self) -> Subspace:
-        """Span of the predicted radical basis: for each nontrivial class the
-        class sum itself when p divides the class size, otherwise the class
-        sum minus (class size) times the identity."""
-        rows = []
-        for j in range(1, self.k):
-            v = self.class_sum_vec(j)
-            sz = int(self.class_sizes[j])
-            if sz % self.p != 0:
-                v[0] = (-sz) % self.p
-            rows.append(v)
-        if not rows:
+        """Span of the predicted radical basis: the radical vector of each
+        nontrivial class."""
+        if self.k == 1:
             return Subspace(self.p, self.k)
-        return Subspace(self.p, self.k, np.array(rows))
+        return Subspace(self.p, self.k,
+                        np.array([self.radical_vec(j) for j in range(1, self.k)]))
 
     def socle(self) -> Subspace:
         """Annihilator of the radical inside the center."""
@@ -204,13 +205,15 @@ class CenterAlgebra:
 
     def socle_ideal_verdict(self) -> tuple[bool, bool]:
         """(direct test, containment criterion). Raises if they disagree."""
-        direct = self.socle_is_ideal_direct()
-        crit = self.socle_is_ideal_criterion()
-        if direct != crit:
-            raise ConsistencyError(
-                f"ideal tests disagree on {self.group.name} at p={self.p}: "
-                f"direct={direct} criterion={crit}")
-        return direct, crit
+        if "verdict" not in self.__dict__:
+            direct = self.socle_is_ideal_direct()
+            crit = self.socle_is_ideal_criterion()
+            if direct != crit:
+                raise ConsistencyError(
+                    f"ideal tests disagree on {self.group.name} at p={self.p}: "
+                    f"direct={direct} criterion={crit}")
+            self.__dict__["verdict"] = (direct, crit)
+        return self.__dict__["verdict"]
 
     # -- projections and class filters -----------------------------------------
 
@@ -231,11 +234,10 @@ class CenterAlgebra:
         vector under the quotient push.
         """
         g = self.group
-        second = g.second_derived()
-        qm = g.quotient(second)
+        qm = g.second_derived_quotient()
         target = CenterAlgebra(qm.group, self.p)
         inside = np.zeros(self.n, dtype=bool)
-        inside[second] = True
+        inside[qm.kernel] = True
         route_a: list[int] = []
         for j in range(1, self.k):
             c = self.classes[j]
@@ -247,14 +249,8 @@ class CenterAlgebra:
                 raise ConsistencyError("class does not map onto a quotient class evenly")
             if ratio % self.p != 0:
                 route_a.append(j)
-        route_b: list[int] = []
-        for j in range(1, self.k):
-            v = self.class_sum_vec(j)
-            sz = int(self.class_sizes[j])
-            if sz % self.p != 0:
-                v[0] = (-sz) % self.p
-            if self.push_through_quotient(v, qm, target).any():
-                route_b.append(j)
+        route_b = [j for j in range(1, self.k)
+                   if self.push_through_quotient(self.radical_vec(j), qm, target).any()]
         if route_a != route_b:
             raise ConsistencyError(
                 f"surviving-class routes disagree on {g.name} at p={self.p}")

@@ -15,6 +15,7 @@ import time
 
 from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError, UnsupportedInputError
+from .fplin import is_prime
 from .groups import FiniteGroup, prime_factors
 from .structure import (check_annihilator_reduction, check_quotient_decomposition,
                         characterize_socle_ideal, decompose_second_derived_quotient,
@@ -52,11 +53,11 @@ def _witness_summary(w: dict) -> dict:
 def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
                   theorems: str = "auto") -> dict:
     """Full analysis of one group at one prime. theorems: "none" computes
-    only dimensions and the ideal verdicts, "auto" and "all" also run the
-    structural checks ("all" lifts the exhaustive-check size cap)."""
+    only dimensions and the ideal verdicts; "auto" and its synonym "all"
+    also run the structural checks."""
     if theorems not in ("none", "auto", "all"):
         raise UnsupportedInputError(f"unknown theorems mode {theorems!r}")
-    if p < 2 or prime_factors(p) != [p]:
+    if not is_prime(p):
         raise UnsupportedInputError(f"p = {p} is not a prime")
 
     t0 = time.perf_counter()
@@ -119,13 +120,19 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
         return report
 
-    pattern_cap = 256 if theorems == "auto" else 1 << 30
     th = report["theorems"]
-
     dec = None
-    try:
+
+    def decomposition():
+        if dec is None:
+            raise InapplicableError("no quotient decomposition available")
+        return dec
+
+    def quotient_decomposition() -> dict:
+        nonlocal dec
         dec = decompose_second_derived_quotient(split, alg)
         entry = {
+            "status": "computed",
             "n": dec.n,
             "factor_sizes": [int(f.size) for f in dec.factors],
             "multipliers": [None if m is None else int(m)
@@ -134,22 +141,13 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
             "central_image_order": int(dec.central_image.size),
         }
         if direct:
-            entry["checks"] = check_quotient_decomposition(split, dec, pattern_cap)
+            entry["checks"] = check_quotient_decomposition(split, dec)
             entry["status"] = "passed"
-        else:
-            entry["status"] = "computed"
-    except InapplicableError as e:
-        entry = {"status": "inapplicable", "reason": str(e)}
-    except ConsistencyError as e:
-        failures.append(str(e))
-        entry = {"status": "failed", "reason": str(e)}
-    th["quotient_decomposition"] = entry
+        return entry
 
-    try:
-        if dec is None:
-            raise InapplicableError("no quotient decomposition available")
-        ch = characterize_socle_ideal(split, alg, dec)
-        th["ideal_characterization"] = {
+    def ideal_characterization() -> dict:
+        ch = characterize_socle_ideal(split, alg, decomposition())
+        return {
             "status": "passed",
             "affine_match": ch.affine_match,
             "affine_method": ch.affine_method,
@@ -160,53 +158,36 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
             "witness": None if ch.witness is None else _witness_summary(ch.witness),
             "notes": ch.notes,
         }
-    except InapplicableError as e:
-        th["ideal_characterization"] = {"status": "inapplicable", "reason": str(e)}
-    except ConsistencyError as e:
-        failures.append(str(e))
-        th["ideal_characterization"] = {"status": "failed", "reason": str(e)}
 
-    try:
-        if dec is None:
-            raise InapplicableError("no quotient decomposition available")
-        cs = split_into_central_factors(split, dec, alg)
-        th["central_split"] = {
+    def central_split() -> dict:
+        cs = split_into_central_factors(split, decomposition(), alg)
+        return {
             "status": "passed",
             "seeds": cs.seeds,
             "multipliers": cs.multipliers,
             "component_orders": cs.component_orders,
             "model_method": cs.model_method,
         }
-    except InapplicableError as e:
-        th["central_split"] = {"status": "inapplicable", "reason": str(e)}
-    except ConsistencyError as e:
-        failures.append(str(e))
-        th["central_split"] = {"status": "failed", "reason": str(e)}
 
-    try:
-        if dec is None:
-            raise InapplicableError("no quotient decomposition available")
-        ar = check_annihilator_reduction(split, dec, alg)
-        ar["status"] = "passed"
-        th["annihilator_reduction"] = ar
-    except InapplicableError as e:
-        th["annihilator_reduction"] = {"status": "inapplicable", "reason": str(e)}
-    except ConsistencyError as e:
-        failures.append(str(e))
-        th["annihilator_reduction"] = {"status": "failed", "reason": str(e)}
+    def annihilator_reduction() -> dict:
+        return {"status": "passed",
+                **check_annihilator_reduction(split, decomposition(), alg)}
 
-    try:
-        core, steps = reduce_to_core(group, p)
-        th["reduction"] = {
-            "status": "passed",
-            "core_order": int(core.order),
-            "steps": steps,
-        }
-    except InapplicableError as e:
-        th["reduction"] = {"status": "inapplicable", "reason": str(e)}
-    except ConsistencyError as e:
-        failures.append(str(e))
-        th["reduction"] = {"status": "failed", "reason": str(e)}
+    def reduction() -> dict:
+        core, steps = reduce_to_core(alg)
+        return {"status": "passed", "core_order": int(core.order), "steps": steps}
+
+    # each check's entry goes under its name; unmet preconditions make it
+    # inapplicable, a falsified verification makes it failed
+    for check in (quotient_decomposition, ideal_characterization, central_split,
+                  annihilator_reduction, reduction):
+        try:
+            th[check.__name__] = check()
+        except InapplicableError as e:
+            th[check.__name__] = {"status": "inapplicable", "reason": str(e)}
+        except ConsistencyError as e:
+            failures.append(str(e))
+            th[check.__name__] = {"status": "failed", "reason": str(e)}
 
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
     return report

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .analysis import SCHEMA_VERSION, analyze_group, default_prime
 from .catalog import CATALOG_SPECS
@@ -29,21 +28,6 @@ from .groups import prime_factors
 
 def _canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def _thread_count(n_items: int) -> int:
-    raw = os.environ.get("SOCLELAB_THREADS", "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise UnsupportedInputError(
-                f"SOCLELAB_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise UnsupportedInputError("SOCLELAB_THREADS must be >= 1")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_items))
 
 
 def _fmt_bool(v) -> str:
@@ -113,12 +97,12 @@ def _scan_table(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args, force_all: bool = False) -> int:
+def cmd_analyze(args) -> int:
     group, file_p = build_group(args.source, max_order=args.max_order)
     p = args.p if args.p is not None else (
         file_p if file_p is not None else default_prime(group))
-    mode = "all" if force_all else args.theorems
-    report = analyze_group(group, p, descriptor=args.source, theorems=mode)
+    report = analyze_group(group, p, descriptor=args.source,
+                           theorems=args.theorems)
     if args.format == "json":
         sys.stdout.write(_canonical_json(report))
     else:
@@ -144,25 +128,27 @@ def _expand_sources(items: list[str]) -> list[str]:
     return out
 
 
-def _scan_row(source: str, group, p: int, theorems: str) -> dict:
-    row = {
+def _scan_row(source: str, order, p, error: str | None = None) -> dict:
+    return {
         "source": source,
-        "order": int(group.order),
-        "p": int(p),
-        "status": "ok",
-        "error": None,
+        "order": order,
+        "p": p,
+        "status": "ok" if error is None else "error",
+        "error": error,
         "ideal": None,
         "socle_dim": None,
         "standing": None,
         "witness": None,
         "consistency_failures": [],
     }
+
+
+def _analyzed_row(source: str, group, p: int, theorems: str) -> dict:
     try:
         r = analyze_group(group, p, descriptor=source, theorems=theorems)
     except UnsupportedInputError as e:
-        row["status"] = "error"
-        row["error"] = str(e)
-        return row
+        return _scan_row(source, int(group.order), int(p), str(e))
+    row = _scan_row(source, int(group.order), int(p))
     row["ideal"] = r["ideal"]
     row["socle_dim"] = r["dims"]["socle"]
     row["standing"] = r["shape"]["reduced"]
@@ -179,19 +165,12 @@ def _scan_row(source: str, group, p: int, theorems: str) -> dict:
 
 def cmd_scan(args) -> int:
     sources = _expand_sources(args.sources)
-
-    jobs = []
-    error_rows = {}
-    for idx, source in enumerate(sources):
+    rows = []
+    for source in sources:
         try:
             group, file_p = build_group(source, max_order=args.max_order)
         except UnsupportedInputError as e:
-            error_rows[idx] = {
-                "source": source, "order": None,
-                "p": args.p, "status": "error", "error": str(e),
-                "ideal": None, "socle_dim": None, "standing": None,
-                "witness": None, "consistency_failures": [],
-            }
+            rows.append(_scan_row(source, None, args.p, str(e)))
             continue
         if args.p is not None:
             primes = [args.p]
@@ -199,30 +178,7 @@ def cmd_scan(args) -> int:
             primes = [file_p]
         else:
             primes = prime_factors(group.order) or [2]
-        for p in primes:
-            jobs.append((idx, source, group, p))
-
-    workers = _thread_count(max(1, len(jobs)))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(
-                lambda j: _scan_row(j[1], j[2], j[3], args.theorems), jobs))
-    else:
-        computed = [_scan_row(s, g, p, args.theorems) for _, s, g, p in jobs]
-
-    # reassemble in input order: error rows at their source position,
-    # job rows already ordered by (source index, prime)
-    rows = []
-    job_iter = iter(computed)
-    job_idx_iter = iter(j[0] for j in jobs)
-    pending = list(zip(job_idx_iter, job_iter))
-    cursor = 0
-    for idx in range(len(sources)):
-        if idx in error_rows:
-            rows.append(error_rows[idx])
-        while cursor < len(pending) and pending[cursor][0] == idx:
-            rows.append(pending[cursor][1])
-            cursor += 1
+        rows.extend(_analyzed_row(source, group, p, args.theorems) for p in primes)
 
     n_ideal = sum(1 for r in rows if r["ideal"] and r["ideal"]["direct"] is True)
     n_non = sum(1 for r in rows
@@ -273,9 +229,9 @@ def _add_common(sub, with_theorems: bool = True) -> None:
     if with_theorems:
         sub.add_argument("--theorems", choices=("all", "none", "auto"),
                          default="auto",
-                         help="which structural checks to run (auto skips "
-                              "checks whose preconditions fail; all also "
-                              "lifts the exhaustive-check size cap)")
+                         help="which structural checks to run (none skips "
+                              "them; auto runs every check whose "
+                              "preconditions hold; all is the same as auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +271,7 @@ def run(argv=None) -> int:
             return cmd_analyze(args)
         if args.command == "verify":
             args.theorems = "all"
-            return cmd_analyze(args, force_all=True)
+            return cmd_analyze(args)
         if args.command == "scan":
             return cmd_scan(args)
         if args.command == "construct":

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
 
-ASSOC_FULL_LIMIT = 512
-ASSOC_SAMPLES = 200_000
 ISO_ORDER_LIMIT = 512
+# table cells the associativity check gathers at once
+AXIOM_BLOCK_CELLS = 1 << 20
 
 
 def int_p_part(n: int, p: int) -> int:
@@ -68,16 +68,20 @@ class FiniteGroup:
         return inv
 
     def _check_axioms(self):
+        """Light's associativity test: (x s) y = x (s y) for all x, y and
+        each generator s. The elements s passing it are closed under the
+        product, and every element is a product of generators, so passing
+        for the generators is passing for all (Clifford and Preston, The
+        Algebraic Theory of Semigroups I, 1961, section 1.2)."""
         t, n = self.table, self.order
-        if n <= ASSOC_FULL_LIMIT:
-            for a in range(n):
-                if not np.array_equal(t[t[a]], t[a][t]):
-                    raise UnsupportedInputError(f"associativity fails at element {a}")
-        else:
-            rng = np.random.default_rng(0xC0FFEE)
-            a, b, c = rng.integers(0, n, size=(3, ASSOC_SAMPLES))
-            if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
-                raise UnsupportedInputError("associativity fails (sampled)")
+        step = max(1, AXIOM_BLOCK_CELLS // n)
+        for s in self.generators():
+            s_right = t[s]
+            for lo in range(0, n, step):
+                rows = t[lo:lo + step]
+                if not np.array_equal(t[rows[:, s]], rows[:, s_right]):
+                    raise UnsupportedInputError(
+                        f"associativity fails at generator {s}")
 
     # -- elementary operations ------------------------------------------
 
@@ -219,8 +223,8 @@ class FiniteGroup:
             gset = sorted(set(gset) | added)
             s = self.subgroup_closure(gset)
 
-    def subgroup(self, elems) -> "Subgroup":
-        elems = np.unique(np.asarray(elems, dtype=np.int64))
+    def _check_subgroup(self, elems: np.ndarray) -> None:
+        """Raise unless the sorted distinct elements form a subgroup."""
         mask = np.zeros(self.order, dtype=bool)
         mask[elems] = True
         if not mask[0]:
@@ -228,7 +232,6 @@ class FiniteGroup:
         prods = self.table[np.ix_(elems, elems)]
         if not mask[prods].all():
             raise UnsupportedInputError("element set is not closed under the product")
-        return Subgroup(self, elems)
 
     # -- conjugacy -------------------------------------------------------
 
@@ -317,6 +320,12 @@ class FiniteGroup:
         if "second_derived" not in self._memo:
             self._memo["second_derived"] = self.sub_derived(self.derived_subgroup())
         return self._memo["second_derived"]
+
+    def second_derived_quotient(self) -> "QuotientMap":
+        """The map onto G / G''."""
+        if "second_derived_quotient" not in self._memo:
+            self._memo["second_derived_quotient"] = self.quotient(self.second_derived())
+        return self._memo["second_derived_quotient"]
 
     def derived_series(self) -> list[np.ndarray]:
         series = [np.arange(self.order, dtype=np.int64)]
@@ -464,7 +473,7 @@ class FiniteGroup:
 
     def quotient(self, kernel_elems) -> "QuotientMap":
         k = np.unique(np.asarray(kernel_elems, dtype=np.int64))
-        self.subgroup(k)
+        self._check_subgroup(k)
         if not self.is_normal(k):
             raise UnsupportedInputError("quotient by a non-normal subgroup")
         coset_min = self.table[:, k].min(axis=1)
@@ -484,7 +493,7 @@ class FiniteGroup:
     def subgroup_as_group(self, elems, name: str | None = None):
         """Reindexed copy of a subgroup. Returns (group, parent_elements)."""
         elems = np.unique(np.asarray(elems, dtype=np.int64))
-        self.subgroup(elems)
+        self._check_subgroup(elems)
         sub_table = np.searchsorted(elems, self.table[np.ix_(elems, elems)])
         labels = None
         if self.labels is not None:
@@ -553,42 +562,6 @@ class ConjClass:
         return int(self.elems.size)
 
 
-class Subgroup:
-    """Subgroup of a FiniteGroup given by its sorted element array."""
-
-    __slots__ = ("parent", "elems", "_mask")
-
-    def __init__(self, parent: FiniteGroup, elems: np.ndarray):
-        self.parent = parent
-        e = np.unique(np.asarray(elems, dtype=np.int64))
-        e.flags.writeable = False
-        self.elems = e
-        m = np.zeros(parent.order, dtype=bool)
-        m[e] = True
-        m.flags.writeable = False
-        self._mask = m
-
-    @property
-    def order(self) -> int:
-        return int(self.elems.size)
-
-    def contains(self, x: int) -> bool:
-        return bool(self._mask[x])
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask
-
-    def is_normal(self) -> bool:
-        return self.parent.is_normal(self.elems)
-
-    def as_group(self, name: str | None = None) -> FiniteGroup:
-        return self.parent.subgroup_as_group(self.elems, name=name)[0]
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order} of {self.parent.name})"
-
-
 @dataclass(frozen=True, eq=False)
 class QuotientMap:
     parent: FiniteGroup
@@ -606,21 +579,19 @@ class QuotientMap:
         return np.flatnonzero(qmask[self.proj])
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime divisors of n, ascending."""
+    out = []
     d = 2
     while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
     if n > 1:
-        out.add(n)
+        out.append(n)
     return out
-
-
-def prime_factors(n: int) -> list[int]:
-    return sorted(_prime_factors(n))
 
 
 # -- homomorphisms and isomorphism search ---------------------------------

@@ -276,8 +276,7 @@ def _averaging_projector(q: FiniteGroup, p: int, basis: list[int],
     return proj
 
 
-def decompose_second_derived_quotient(split: SylowSplit,
-                                      alg: CenterAlgebra | None = None
+def decompose_second_derived_quotient(split: SylowSplit, alg: CenterAlgebra
                                       ) -> QuotientDecomposition:
     """Split the image of G' in Q = G/G'' as (minimal factors) x (central image).
 
@@ -299,15 +298,11 @@ def decompose_second_derived_quotient(split: SylowSplit,
         raise InapplicableError("complement order is divisible by p")
 
     def conditional_fail(msg: str):
-        nonlocal alg
-        if alg is None:
-            alg = CenterAlgebra(g, p)
-        if alg.socle_is_ideal_direct():
+        if alg.socle_ideal_verdict()[0]:
             raise ConsistencyError(msg)
         raise InapplicableError(msg + " (and the socle is not an ideal)")
 
-    second = g.second_derived()
-    qm = g.quotient(second)
+    qm = g.second_derived_quotient()
     q = qm.group
     der_im = np.unique(qm.proj[split.derived])
     zc = g.sub_center(split.derived)
@@ -420,33 +415,13 @@ def _find_multiplier(q: FiniteGroup, qm: QuotientMap, comp,
                      factors: list[np.ndarray], i: int) -> int | None:
     """Smallest complement element whose image cycles factor i transitively
     and centralizes every other factor."""
-    fac = factors[i]
-    nontriv = [int(t) for t in fac if int(t) != 0]
-    if not nontriv:
-        return None
-    t0 = nontriv[0]
-    want = set(nontriv)
     for h in sorted(int(x) for x in comp):
         if h == 0:
             continue
         hb = int(qm.proj[h])
-        orbit = {t0}
-        cur = t0
-        while True:
-            cur = q.conj(hb, cur)
-            if cur in orbit:
-                break
-            orbit.add(cur)
-        if orbit != want:
-            continue
-        ok = True
-        for j, other in enumerate(factors):
-            if j == i:
-                continue
-            if any(q.conj(hb, int(t)) != int(t) for t in other):
-                ok = False
-                break
-        if ok:
+        if (_acts_transitively(q, hb, factors[i])
+                and all(_fixes_set(q, hb, other)
+                        for j, other in enumerate(factors) if j != i)):
             return h
     return None
 
@@ -471,8 +446,8 @@ def _fixes_set(q: FiniteGroup, hb: int, elems: np.ndarray) -> bool:
     return bool((perm[elems] == elems).all())
 
 
-def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition,
-                                 pattern_cap: int = 256) -> dict:
+def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition
+                                 ) -> dict:
     """Verify every property the decomposition promises.
 
     Intended for groups where soc(ZFG) is an ideal, where all of these are
@@ -549,21 +524,18 @@ def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition,
                 shape_ok = False
     record("fixer_class_is_factor_translate", shape_ok)
 
-    if int(dec.factor_span.size) <= pattern_cap:
-        qcls = q.class_index_of()
-        pat_of_cid: dict[int, tuple] = {}
-        cid_of_pat: dict[tuple, int] = {}
-        ok = True
-        for e, parts in dec.factor_components.items():
-            pat = tuple(int(t) != 0 for t in parts)
-            cid = int(qcls[e])
-            if pat_of_cid.setdefault(cid, pat) != pat:
-                ok = False
-            if cid_of_pat.setdefault(pat, cid) != cid:
-                ok = False
-        record("support_pattern_matches_conjugacy", ok)
-    else:
-        checks["support_pattern_matches_conjugacy"] = True  # skipped, too large
+    qcls = q.class_index_of()
+    pat_of_cid: dict[int, tuple] = {}
+    cid_of_pat: dict[tuple, int] = {}
+    ok = True
+    for e, parts in dec.factor_components.items():
+        pat = tuple(int(t) != 0 for t in parts)
+        cid = int(qcls[e])
+        if pat_of_cid.setdefault(cid, pat) != pat:
+            ok = False
+        if cid_of_pat.setdefault(pat, cid) != cid:
+            ok = False
+    record("support_pattern_matches_conjugacy", ok)
 
     if fails:
         raise ConsistencyError(
@@ -1046,15 +1018,7 @@ def check_annihilator_reduction(split: SylowSplit, dec: QuotientDecomposition,
     image_ids = sorted({int(qalg.cls_of[int(qm.proj[int(alg.classes[ci].rep)])])
                         for ci in alg.surviving_pprime_classes()})
 
-    def radical_vec(ci: int) -> np.ndarray:
-        v = np.zeros(qalg.k, dtype=np.int64)
-        v[ci] = 1
-        sz = int(qalg.class_sizes[ci])
-        if sz % p != 0:
-            v[0] = (-sz) % p
-        return v
-
-    ann = qalg.annihilator([radical_vec(ci) for ci in image_ids])
+    ann = qalg.annihilator([qalg.radical_vec(ci) for ci in image_ids])
 
     in_span = all(qalg.lies_in_derived_coset_span(row) for row in ann.basis)
 
@@ -1062,7 +1026,7 @@ def check_annihilator_reduction(split: SylowSplit, dec: QuotientDecomposition,
     mvecs = []
     for ci in range(1, qalg.k):
         if set(int(x) for x in qalg.classes[ci].elems) <= central:
-            mvecs.append(radical_vec(ci))
+            mvecs.append(qalg.radical_vec(ci))
     for f in dec.factors:
         mvecs.append(qalg.subset_sum_vec(f))
     match = qalg.annihilator(mvecs) == ann
@@ -1086,20 +1050,20 @@ def check_annihilator_reduction(split: SylowSplit, dec: QuotientDecomposition,
 # reduction pipeline
 
 
-def reduce_to_core(group: FiniteGroup, p: int
-                   ) -> tuple[FiniteGroup, list[dict]]:
-    """Strip the parts of the group that provably do not affect whether the
+def reduce_to_core(alg: CenterAlgebra) -> tuple[FiniteGroup, list[dict]]:
+    """Strip the parts of alg.group that provably do not affect whether the
     socle is an ideal: quotient by the coprime core, then drop a central
     p-group factor when the group splits as (complement fixed points)
     times (p-residual) as a central product.
 
-    Each step recomputes the ideal verdict and insists it is preserved.
+    Each step computes the ideal verdict of the groups it builds and
+    insists that it matches the verdict of alg.
     Returns the reduced group and a step log. Groups without a normal Sylow
     subgroup and an abelian complement are out of scope (InapplicableError):
     with a nonabelian complement the coprime-core quotient genuinely can
     flip the verdict, so nothing is claimed there.
     """
-    g = group
+    g, p = alg.group, alg.p
     log: list[dict] = []
     syl = g.sylow_subgroup(p)
     if not g.is_normal(syl):
@@ -1115,7 +1079,7 @@ def reduce_to_core(group: FiniteGroup, p: int
         d, _ = CenterAlgebra(gr, p).socle_ideal_verdict()
         return d
 
-    v0 = verdict(g)
+    v0 = alg.socle_ideal_verdict()[0]
     pp = g.p_prime_core(p)
     if pp.size > 1:
         qm = g.quotient(pp)

@@ -55,6 +55,28 @@ def test_worked_example_order24():
     assert elapsed < 1.0
 
 
+def test_analysis_builds_one_algebra_and_one_direct_test(monkeypatch):
+    builds, direct_runs = {}, {}
+    init, direct = CenterAlgebra.__init__, CenterAlgebra.socle_is_ideal_direct
+
+    def counting_init(self, group, p):
+        builds[id(group)] = builds.get(id(group), 0) + 1
+        init(self, group, p)
+
+    def counting_direct(self):
+        direct_runs[id(self.group)] = direct_runs.get(id(self.group), 0) + 1
+        return direct(self)
+
+    monkeypatch.setattr(CenterAlgebra, "__init__", counting_init)
+    monkeypatch.setattr(CenterAlgebra, "socle_is_ideal_direct", counting_direct)
+    g = parse_family("central(SL2(3),SL2(3))")
+    r = analyze_group(g, 2)
+    assert r["theorems"]["reduction"]["status"] == "passed"
+    assert r["theorems"]["central_split"]["status"] == "passed"
+    assert builds[id(g)] == 1
+    assert direct_runs[id(g)] == 1
+
+
 def test_affine_frobenius_family():
     t0 = time.perf_counter()
     for q, p in [(3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)]:

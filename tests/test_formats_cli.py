@@ -189,6 +189,14 @@ def test_scan_row_error_continues(capsys, tmp_path):
     assert r["rows"][1]["ideal"]["direct"] is True
     assert r["summary"]["inapplicable"] == 1
 
+    # rows follow the sources, an error row in its source's place
+    code, out = run_cli(capsys, "scan", "sym(3)", str(bad), "q8")
+    assert code == 0
+    r = json.loads(out)
+    assert [(row["source"], row["p"], row["status"]) for row in r["rows"]] == [
+        ("sym(3)", 2, "ok"), ("sym(3)", 3, "ok"), (str(bad), None, "error"),
+        ("q8", 2, "ok")]
+
 
 def test_scan_directory(capsys, tmp_path):
     d = tmp_path / "grp"
@@ -206,19 +214,3 @@ def test_scan_table_output(capsys):
     code, out = run_cli(capsys, "scan", "q8", "--p", "2", "--format", "table")
     assert code == 0
     assert "consistency_failures=0" in out
-
-
-def test_scan_deterministic_under_threads(capsys, monkeypatch):
-    specs = ["sl2(3)", "q8", "dihedral(4)", "agl(1,4)"]
-    monkeypatch.setenv("SOCLELAB_THREADS", "4")
-    _, out_many = run_cli(capsys, "scan", *specs)
-    monkeypatch.setenv("SOCLELAB_THREADS", "1")
-    _, out_one = run_cli(capsys, "scan", *specs)
-    assert out_many == out_one
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SOCLELAB_THREADS", "zero")
-    assert cli.run(["scan", "q8"]) == 3
-    monkeypatch.setenv("SOCLELAB_THREADS", "0")
-    assert cli.run(["scan", "q8"]) == 3

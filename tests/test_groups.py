@@ -77,6 +77,41 @@ def test_axioms_reject_nonassociative():
         FiniteGroup(t)
 
 
+def swap_intercalate(t, r, c):
+    """Swap the entries of the 2x2 Latin subsquare of a cyclic table on rows
+    r, r + n/2 and columns c, c + n/2; the result is still a Latin square
+    with identity 0."""
+    h = len(t) // 2
+    t[[r, r + h], c], t[[r, r + h], c + h] = t[[r, r + h], c + h], t[[r, r + h], c]
+    return t
+
+
+def cubic_associative(t):
+    return all(np.array_equal(t[t[a]], t[a][t]) for a in range(len(t)))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_light_check_matches_cubic_check(n):
+    for r in range(1, n // 2):
+        for c in range(1, n // 2):
+            if r + c == n // 2:
+                continue  # the swap would move identity entries
+            t = swap_intercalate(cyclic_table(n), r, c)
+            if cubic_associative(t):
+                FiniteGroup(t)
+            else:
+                with pytest.raises(UnsupportedInputError, match="associativity"):
+                    FiniteGroup(t)
+
+
+def test_associativity_exact_above_order_512():
+    # one swapped intercalate breaks associativity at few triples; a check
+    # of 200k sampled triples accepts this loop of order 2000
+    t = swap_intercalate(cyclic_table(2000), 1, 2)
+    with pytest.raises(UnsupportedInputError, match="associativity"):
+        FiniteGroup(t)
+
+
 def test_cyclic_basics():
     g = FiniteGroup(cyclic_table(12))
     assert g.order == 12

@@ -82,6 +82,16 @@ class TestQuotientDecomposition:
         assert dec.factors[0].size == 9
         assert all(check_quotient_decomposition(split, dec).values())
 
+    def test_support_pattern_check_runs_and_names_itself(self):
+        _, alg, split = setup_triplet("central(sl2(3),sl2(3))", 2)
+        dec = decompose_second_derived_quotient(split, alg)
+        nonzero = next(e for e, parts in dec.factor_components.items()
+                       if any(parts))
+        dec.factor_components[0] = dec.factor_components[nonzero]
+        with pytest.raises(ConsistencyError,
+                           match="support_pattern_matches_conjugacy"):
+            check_quotient_decomposition(split, dec)
+
     def test_non_ideal_group_is_benignly_out_of_scope(self):
         _, alg, split = setup_triplet("q8q8_diag_c3", 2)
         with pytest.raises(InapplicableError, match="not an ideal"):
@@ -206,7 +216,7 @@ class TestAnnihilatorReduction:
 class TestReduceToCore:
     def test_identity_on_already_reduced(self):
         g = parse_family("sl2(3)")
-        core, steps = reduce_to_core(g, 2)
+        core, steps = reduce_to_core(CenterAlgebra(g, 2))
         assert core.order == 24
         applied = [s for s in steps if s.get("applied", True)
                    and s["step"] != "no_op"]
@@ -214,29 +224,29 @@ class TestReduceToCore:
 
     def test_strips_coprime_direct_factor(self):
         g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(3)"))
-        core, steps = reduce_to_core(g, 2)
+        core, steps = reduce_to_core(CenterAlgebra(g, 2))
         assert core.order == 24
         assert any(s["step"] == "quotient_by_coprime_core" for s in steps)
 
     def test_splits_central_p_factor(self):
         g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(2)"))
-        core, steps = reduce_to_core(g, 2)
+        core, steps = reduce_to_core(CenterAlgebra(g, 2))
         assert core.order == 24
         assert any(s["step"] == "central_split" for s in steps)
 
     def test_abelian_group_reduces_to_sylow(self):
         g = parse_family("cyclic(12)")
-        core, _ = reduce_to_core(g, 2)
+        core, _ = reduce_to_core(CenterAlgebra(g, 2))
         assert core.order in (4, 12)  # coprime core strips the 3-part
 
     def test_nonabelian_complement_out_of_scope(self):
         g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
         with pytest.raises(InapplicableError):
-            reduce_to_core(g, 5)
+            reduce_to_core(CenterAlgebra(g, 5))
 
     def test_no_normal_sylow_out_of_scope(self):
         with pytest.raises(InapplicableError):
-            reduce_to_core(parse_family("sym(4)"), 2)
+            reduce_to_core(CenterAlgebra(parse_family("sym(4)"), 2))
 
 
 def test_verdicts_invariant_under_reduction_steps():
@@ -245,7 +255,7 @@ def test_verdicts_invariant_under_reduction_steps():
                     ("direct(agl(1,4),cyclic(5))", 2),
                     ("direct(sl2(3),cyclic(2))", 2)]:
         g = parse_family(spec)
-        core, _ = reduce_to_core(g, p)
+        core, _ = reduce_to_core(CenterAlgebra(g, p))
         v_full, _ = CenterAlgebra(g, p).socle_ideal_verdict()
         v_core, _ = CenterAlgebra(core, p).socle_ideal_verdict()
         assert v_full == v_core

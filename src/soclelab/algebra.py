@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
-from .fplin import FpMatrix, Subspace, check_prime
+from .fplin import FpMatrix, Subspace, check_prime, kernel_basis
 from .groups import FiniteGroup, QuotientMap
 
 
@@ -28,11 +28,10 @@ class CenterAlgebra:
         self.cls_of = group.class_index_of()
         if self.classes[0].rep != 0:
             raise ConsistencyError("identity class is not first")
-        # P[g, j] = (g^-1) * rep_j ; central product (u v)(rep_j) needs it
-        t, inv = group.table, group.inv
-        self._prodidx = t[inv][:, self.reps]
         # element order grouped by class, for summing over classes at once
         self._by_class = np.argsort(self.cls_of, kind="stable")
+        # P[i, j] = g_i^-1 rep_j, with g_i the i-th element in class order
+        self._prodidx = group.table[group.inv[self._by_class][:, None], self.reps]
         sizes = np.array([c.size for c in self.classes], dtype=np.int64)
         self.class_sizes = sizes
         self._starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -75,37 +74,45 @@ class CenterAlgebra:
 
     def multiply(self, u, v) -> np.ndarray:
         """Product of two central elements, class basis in and out."""
-        uf = self.expand(u)
-        vf = self.expand(v)
-        w = uf @ vf[self._prodidx]
-        return w % self.p
+        uf = np.repeat(np.asarray(u, dtype=np.int64) % self.p, self.class_sizes)
+        s = np.flatnonzero(uf)  # only the support of u contributes
+        return uf[s] @ self.expand(v)[self._prodidx[s]] % self.p
 
     def power(self, u, e: int) -> np.ndarray:
-        acc = self.identity_vec()
+        """u^e, squaring from the top bit down: e = 2 takes one multiply."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         base = np.asarray(u, dtype=np.int64) % self.p
-        e = int(e)
-        while e:
-            if e & 1:
+        if not e:
+            return self.identity_vec()
+        acc = base
+        for bit in bin(int(e))[3:]:
+            acc = self.multiply(acc, acc)
+            if bit == "1":
                 acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            e >>= 1
         return acc
 
     def mult_matrix(self, b) -> FpMatrix:
-        """Matrix of x -> b*x on the center, class basis."""
-        bf = self.expand(b)
-        a = bf[self._prodidx]  # a[g, j'] = b(g^-1 rep_j')
-        s = np.add.reduceat(a[self._by_class], self._starts, axis=0) % self.p
-        return FpMatrix(self.p, s.T)
+        """Matrix of x -> b*x on the center, class basis: entry (j, c) sums
+        b(t) over the support of b where t^-1 rep_j lies in class c."""
+        bf = np.repeat(np.asarray(b, dtype=np.int64) % self.p, self.class_sizes)
+        s = np.flatnonzero(bf)
+        cells = self.cls_of[self._prodidx[s]] + np.arange(self.k) * self.k
+        m = np.bincount(cells.ravel(), weights=np.repeat(bf[s], self.k),
+                        minlength=self.k * self.k)  # exact: sums stay below 2**53
+        return FpMatrix(self.p, m.reshape(self.k, self.k).astype(np.int64))
 
     def annihilator(self, vectors) -> Subspace:
-        """Subspace of the center killing every given central vector."""
-        vecs = [np.asarray(v, dtype=np.int64) % self.p for v in vectors]
-        vecs = [v for v in vecs if v.any()]
-        if not vecs:
-            return Subspace(self.p, self.k, np.eye(self.k, dtype=np.int64))
-        stacked = np.vstack([self.mult_matrix(v).a for v in vecs])
-        return FpMatrix(self.p, stacked).kernel()
+        """Subspace of the center killing every given central vector, one
+        vector at a time in the coordinates of the kernel found so far."""
+        basis = np.eye(self.k, dtype=np.int64)
+        for v in vectors:
+            if not basis.shape[0]:
+                break
+            prod = self.mult_matrix(v).a @ basis.T % self.p
+            if prod.any():  # else v already kills the kernel so far
+                basis = kernel_basis(prod, self.p) @ basis % self.p
+        return Subspace(self.p, self.k, basis)
 
     # -- radical and socle -----------------------------------------------------
 
@@ -121,15 +128,17 @@ class CenterAlgebra:
         if "radical" in self.__dict__:
             return self.__dict__["radical"]
         m = 0
-        pm = 1
-        while pm < self.k:
-            pm *= self.p
+        while self.p ** m < self.k:
             m += 1
-        mat = self.power_map_matrix().matpow(m)
-        rad = mat.kernel()
-        for b in rad.basis:
-            if self.power(b, pm).any():
-                raise ConsistencyError("radical vector is not nilpotent")
+        rad = self.power_map_matrix().matpow(m).kernel()
+        # x -> x^p is linear: the radical is nilpotent iff m rounds of it,
+        # applied by multiply to a basis of each image, reach 0
+        image = rad
+        for _ in range(m):
+            image = Subspace(self.p, self.k,
+                             [self.power(b, self.p) for b in image.basis])
+        if image.dim:
+            raise ConsistencyError("radical vector is not nilpotent")
         self.__dict__["radical"] = rad
         return rad
 
@@ -225,6 +234,13 @@ class CenterAlgebra:
         np.add.at(out_full, qm.proj, a)
         return target.restrict(out_full % self.p)
 
+    def second_derived_quotient_algebra(self) -> "CenterAlgebra":
+        """The center algebra of G / G'' at the same prime, built once."""
+        if "quotient_algebra" not in self.__dict__:
+            self.__dict__["quotient_algebra"] = CenterAlgebra(
+                self.group.second_derived_quotient().group, self.p)
+        return self.__dict__["quotient_algebra"]
+
     def surviving_pprime_classes(self) -> list[int]:
         """Nontrivial classes whose radical vector survives the map to
         F(G / G''), computed two independent ways (must agree).
@@ -235,7 +251,7 @@ class CenterAlgebra:
         """
         g = self.group
         qm = g.second_derived_quotient()
-        target = CenterAlgebra(qm.group, self.p)
+        target = self.second_derived_quotient_algebra()
         inside = np.zeros(self.n, dtype=bool)
         inside[qm.kernel] = True
         route_a: list[int] = []

@@ -15,7 +15,7 @@ import time
 
 from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError, UnsupportedInputError
-from .fplin import is_prime
+from .fplin import P_LIMIT, is_prime
 from .groups import FiniteGroup, prime_factors
 from .structure import (check_annihilator_reduction, check_quotient_decomposition,
                         characterize_socle_ideal, decompose_second_derived_quotient,
@@ -57,8 +57,8 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
     also run the structural checks."""
     if theorems not in ("none", "auto", "all"):
         raise UnsupportedInputError(f"unknown theorems mode {theorems!r}")
-    if not is_prime(p):
-        raise UnsupportedInputError(f"p = {p} is not a prime")
+    if p >= P_LIMIT or not is_prime(p):
+        raise UnsupportedInputError(f"p = {p} is not a prime below 2**16")
 
     t0 = time.perf_counter()
     failures: list[str] = []

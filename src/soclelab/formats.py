@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnsupportedInputError
 from .families import DEFAULT_MAX_ORDER, _perm_table, parse_family
-from .fplin import is_prime
+from .fplin import P_LIMIT, is_prime
 from .groups import FiniteGroup, SemidirectSpec, semidirect_product
 
 
@@ -27,22 +27,15 @@ def _fail(line_no: int, col: int, msg: str):
 
 
 def _reindex_identity_first(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    ar = np.arange(n)
-    ident = None
-    for e in range(n):
-        if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
-            ident = e
-            break
-    if ident is None:
+    ar = np.arange(table.shape[0])
+    idents = np.flatnonzero((table == ar).all(axis=1)
+                            & (table == ar[:, None]).all(axis=0))
+    if not idents.size:
         raise UnsupportedInputError("table has no two-sided identity")
-    if ident == 0:
+    if idents[0] == 0:
         return table
-    order = [ident] + [x for x in range(n) if x != ident]
-    pos = np.empty(n, dtype=np.int64)
-    for new, old in enumerate(order):
-        pos[old] = new
-    return pos[table[np.ix_(order, order)]]
+    order = np.concatenate([idents[:1], np.delete(ar, idents[0])])
+    return np.argsort(order)[table[np.ix_(order, order)]]
 
 
 def parse_group_text(text: str, max_order: int = DEFAULT_MAX_ORDER,
@@ -76,31 +69,52 @@ def _parse_cayley(lines, head, max_order, name):
             p_hint = int(head[2])
         except ValueError:
             _fail(1, 1, "prime hint is not an integer")
+        if p_hint >= P_LIMIT:
+            _fail(1, 1, f"{p_hint} is not a prime below 2**16")
         if not is_prime(p_hint):
             _fail(1, 1, f"{p_hint} is not prime")
     if n < 1:
         _fail(1, 1, "order must be positive")
     if n > max_order:
         _fail(1, 1, f"order {n} exceeds the cap {max_order}")
-    rows = []
     body = [(i + 1, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
     if len(body) != n:
         _fail(len(lines), 1, f"expected {n} table rows, found {len(body)}")
-    for line_no, ln in body:
-        parts = ln.split()
-        if len(parts) != n:
-            _fail(line_no + 1, 1, f"expected {n} entries, found {len(parts)}")
-        try:
-            row = [int(x) for x in parts]
-        except ValueError:
-            bad = next(i for i, x in enumerate(parts) if not _is_int(x))
-            _fail(line_no + 1, bad + 1, "entry is not an integer")
-        if any(x < 0 or x >= n for x in row):
-            bad = next(i for i, x in enumerate(row) if x < 0 or x >= n)
-            _fail(line_no + 1, bad + 1, "entry out of range")
-        rows.append(row)
-    table = _reindex_identity_first(np.array(rows, dtype=np.int64))
-    return FiniteGroup(table, name=name), p_hint
+    table = _plain_table(body, n)
+    if table is None:
+        rows = []
+        for line_no, ln in body:
+            parts = ln.split()
+            if len(parts) != n:
+                _fail(line_no + 1, 1, f"expected {n} entries, found {len(parts)}")
+            try:
+                row = [int(x) for x in parts]
+            except ValueError:
+                bad = next(i for i, x in enumerate(parts) if not _is_int(x))
+                _fail(line_no + 1, bad + 1, "entry is not an integer")
+            if any(x < 0 or x >= n for x in row):
+                bad = next(i for i, x in enumerate(row) if x < 0 or x >= n)
+                _fail(line_no + 1, bad + 1, "entry out of range")
+            rows.append(row)
+        table = np.array(rows, dtype=np.int64)
+    return FiniteGroup(_reindex_identity_first(table), name=name), p_hint
+
+
+def _plain_table(body, n):
+    """The table if numpy reads each row as n entries below n, else None.
+    Any sign also gives None: fromstring reads a lone sign as 0."""
+    import warnings
+    if any("+" in ln or "-" in ln for _, ln in body):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:  # ragged rows also raise ValueError
+            table = np.array([np.fromstring(ln, dtype=np.int64, sep=" ")
+                              for _, ln in body])
+        except (ValueError, DeprecationWarning):
+            return None
+    # an entry too large for int64 reads as 2**63 - 1
+    return table if table.shape == (n, n) and table.max() < n else None
 
 
 def _is_int(s: str) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _PRIME_CACHE: dict[int, bool] = {}
+P_LIMIT = 1 << 16  # p stays below it, so int64 sums of residue products are exact
 
 
 def is_prime(n: int) -> bool:
@@ -21,7 +22,7 @@ def is_prime(n: int) -> bool:
 
 def check_prime(p) -> int:
     p = int(p)
-    if not is_prime(p) or p >= 1 << 16:
+    if p >= P_LIMIT or not is_prime(p):
         raise ValueError(f"p must be a prime below 2**16, got {p}")
     return p
 

@@ -1005,15 +1005,14 @@ def check_annihilator_reduction(split: SylowSplit, dec: QuotientDecomposition,
     Applies when the group has the reduced shape and the socle is an ideal;
     a failure then raises ConsistencyError.
     """
-    g, p = split.group, split.p
     if not split.reduced:
         raise InapplicableError("annihilator reduction needs the reduced shape")
     direct, _ = alg.socle_ideal_verdict()
     if not direct:
         raise InapplicableError("annihilator reduction needs the socle to be an ideal")
 
-    q, qm = dec.quotient, dec.qmap
-    qalg = CenterAlgebra(q, p)
+    qm = dec.qmap
+    qalg = alg.second_derived_quotient_algebra()
 
     image_ids = sorted({int(qalg.cls_of[int(qm.proj[int(alg.classes[ci].rep)])])
                         for ci in alg.surviving_pprime_classes()})

@@ -77,6 +77,23 @@ def test_analysis_builds_one_algebra_and_one_direct_test(monkeypatch):
     assert direct_runs[id(g)] == 1
 
 
+def test_analysis_builds_the_second_derived_quotient_algebra_once(monkeypatch):
+    builds = {}
+    init = CenterAlgebra.__init__
+
+    def counting_init(self, group, p):
+        builds[id(group)] = builds.get(id(group), 0) + 1
+        init(self, group, p)
+
+    monkeypatch.setattr(CenterAlgebra, "__init__", counting_init)
+    g = parse_family("sl2(3)")
+    r = analyze_group(g, 2)
+    # both the surviving-class filter and the annihilator reduction use G/G''
+    assert r["theorems"]["ideal_characterization"]["status"] == "passed"
+    assert r["theorems"]["annihilator_reduction"]["status"] == "passed"
+    assert builds[id(g.second_derived_quotient().group)] == 1
+
+
 def test_affine_frobenius_family():
     t0 = time.perf_counter()
     for q, p in [(3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)]:

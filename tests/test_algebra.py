@@ -13,7 +13,7 @@ from soclelab.algebra import CenterAlgebra
 from soclelab.catalog import catalog_groups
 from soclelab.errors import ConsistencyError
 from soclelab.families import parse_family
-from soclelab.fplin import Subspace, kernel_basis
+from soclelab.fplin import FpMatrix, Subspace, kernel_basis
 from soclelab.groups import direct_product, prime_factors
 
 
@@ -104,6 +104,32 @@ def test_multiply_matches_convolution(spec, p):
         assert np.array_equal(alg.multiply(u, v), alg.multiply(v, u))
     assert np.array_equal(alg.multiply(alg.identity_vec(), u) % p, u % p)
 
+
+@pytest.mark.parametrize("spec, p", SMALL)
+def test_multiply_of_class_sums_matches_convolution(spec, p):
+    """Sparse factors: multiply sums over the support of its first factor."""
+    g = parse_family(spec)
+    alg = CenterAlgebra(g, p)
+    for i, j in itertools.product(range(alg.k), repeat=2):
+        u, v = alg.class_sum_vec(i), alg.class_sum_vec(j)
+        slow = fg_mul(g, alg.expand(u), alg.expand(v), p)
+        assert np.array_equal(alg.expand(alg.multiply(u, v)), slow)
+    zero = alg.multiply(alg.zero(), alg.identity_vec())
+    assert zero.dtype == np.int64 and not zero.any()
+
+@pytest.mark.parametrize("spec, p", SMALL)
+def test_mult_matrix_matches_convolution(spec, p):
+    """Column c of the matrix of x -> b*x is b times the c-th class sum."""
+    g = parse_family(spec)
+    alg = CenterAlgebra(g, p)
+    rng = np.random.default_rng(sum(map(ord, spec)) + p)
+    dense = [rng.integers(-p, 2 * p, size=alg.k) for _ in range(3)]
+    for b in [alg.class_sum_vec(i) for i in range(alg.k)] + dense:
+        m = alg.mult_matrix(b).a
+        for c in range(alg.k):
+            slow = fg_mul(g, alg.expand(b), alg.expand(alg.class_sum_vec(c)), p)
+            assert np.array_equal(alg.expand(m[:, c]), slow)
+    assert not alg.mult_matrix(alg.zero()).a.any()
 
 @pytest.mark.parametrize("spec, p", [("cyclic(6)", 2), ("sym(3)", 3),
                                      ("dihedral(4)", 2), ("q8", 2),
@@ -290,3 +316,76 @@ def test_identity_and_subset_sum():
     v = alg.subset_sum_vec(der)
     full = alg.expand(v)
     assert set(np.flatnonzero(full)) == set(int(x) for x in der)
+
+
+def loop_power(alg, u, e):
+    """Reference: the former power loop, which starts from the identity and
+    squares once past the top bit."""
+    acc = alg.identity_vec()
+    base = np.asarray(u, dtype=np.int64) % alg.p
+    while e:
+        if e & 1:
+            acc = alg.multiply(acc, base)
+        base = alg.multiply(base, base)
+        e >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("spec, p", SMALL + [("sym(4)", 3), ("dihedral(5)", 5)])
+def test_power_matches_loop(spec, p):
+    alg = CenterAlgebra(parse_family(spec), p)
+    rng = np.random.default_rng(sum(map(ord, spec)) + p)
+    for _ in range(4):
+        u = rng.integers(-2 * p, 2 * p, size=alg.k)
+        for e in range(41):
+            got = alg.power(u, e)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, loop_power(alg, u, e))
+    with pytest.raises(ValueError, match="negative exponent"):
+        alg.power(u, -1)
+
+
+def test_power_two_is_one_multiply(monkeypatch):
+    alg = CenterAlgebra(parse_family("sl2(3)"), 2)
+    calls = []
+    real = alg.multiply
+    monkeypatch.setattr(alg, "multiply", lambda u, v: calls.append(1) or real(u, v))
+    alg.power(alg.class_sum_vec(3), 2)
+    assert len(calls) == 1
+
+
+def test_nilpotence_check_catches_a_wrong_power_map(monkeypatch):
+    # a zero power map makes the whole center look nilpotent; the check
+    # through multiply must refuse it
+    monkeypatch.setattr(CenterAlgebra, "power_map_matrix",
+                        lambda self: FpMatrix.zeros(self.p, self.k, self.k))
+    alg = CenterAlgebra(parse_family("sl2(3)"), 2)
+    with pytest.raises(ConsistencyError, match="radical vector is not nilpotent"):
+        alg.jacobson_radical()
+
+
+def stacked_annihilator(alg, vectors):
+    """Reference: one kernel of all multiplication matrices stacked."""
+    vecs = [np.asarray(v, dtype=np.int64) % alg.p for v in vectors]
+    vecs = [v for v in vecs if v.any()]
+    if not vecs:
+        return Subspace(alg.p, alg.k, np.eye(alg.k, dtype=np.int64))
+    stacked = np.vstack([alg.mult_matrix(v).a for v in vecs])
+    return FpMatrix(alg.p, stacked).kernel()
+
+
+CATALOG_PAIRS = [(spec, g, p) for spec, g in catalog_groups()
+                 for p in prime_factors(g.order) or [2]]
+
+
+@pytest.mark.parametrize("spec,g,p", CATALOG_PAIRS,
+                         ids=[f"{s}-{p}" for s, _, p in CATALOG_PAIRS])
+def test_annihilator_matches_stacked_kernel(spec, g, p):
+    alg = CenterAlgebra(g, p)
+    rad = list(alg.jacobson_radical().basis)
+    assert alg.annihilator(rad) == stacked_annihilator(alg, rad)
+    assert alg.socle() == stacked_annihilator(alg, rad)
+    # unreduced input, a zero vector and the empty list
+    vecs = [alg.zero()] + [alg.radical_vec(j) + alg.p for j in range(1, alg.k)]
+    assert alg.annihilator(vecs) == stacked_annihilator(alg, vecs)
+    assert alg.annihilator([]) == stacked_annihilator(alg, [])

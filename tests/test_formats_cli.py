@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from soclelab import cli
+from soclelab import cli, formats
 from soclelab.errors import UnsupportedInputError
 from soclelab.families import parse_family
 from soclelab.formats import (build_group, format_cayley, load_group_file,
@@ -214,3 +214,127 @@ def test_scan_table_output(capsys):
     code, out = run_cli(capsys, "scan", "q8", "--p", "2", "--format", "table")
     assert code == 0
     assert "consistency_failures=0" in out
+
+
+def test_prime_at_or_above_2_16_is_an_input_error(capsys, tmp_path):
+    assert cli.run(["analyze", "cyclic(2)", "--p", "65537"]) == 3
+    assert "65537 is not a prime below 2**16" in capsys.readouterr().err
+    # the bound is tested before primality, so a huge prime fails at once
+    assert cli.run(["analyze", "cyclic(2)", "--p", str(2**61 - 1)]) == 3
+
+    big = tmp_path / "big.cay"
+    big.write_text("cayley 2 65537\n0 1\n1 0\n")
+    with pytest.raises(UnsupportedInputError, match="line 1, column 1"):
+        load_group_file(str(big))
+    code, out = run_cli(capsys, "scan", str(big), "cyclic(4)", "--p", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(row["source"], row["status"]) for row in rows] == [
+        (str(big), "error"), ("cyclic(4)", "ok")]
+    assert "65537 is not a prime below 2**16" in rows[0]["error"]
+
+
+def loop_reindex_identity_first(table):
+    """Reference: the per-row identity search the parser used to run."""
+    n = table.shape[0]
+    ar = np.arange(n)
+    ident = None
+    for e in range(n):
+        if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
+            ident = e
+            break
+    if ident is None:
+        raise UnsupportedInputError("table has no two-sided identity")
+    if ident == 0:
+        return table
+    order = [ident] + [x for x in range(n) if x != ident]
+    pos = np.empty(n, dtype=np.int64)
+    for new, old in enumerate(order):
+        pos[old] = new
+    return pos[table[np.ix_(order, order)]]
+
+
+@pytest.mark.parametrize("spec", ["cyclic(1)", "cyclic(5)", "sym(3)", "q8", "sl2(3)"])
+def test_identity_relabeling_matches_loop(spec):
+    t = np.asarray(parse_family(spec).table)
+    n = t.shape[0]
+    rng = np.random.default_rng(n)
+    for ident in range(n):
+        # a relabeling that sends the identity to ident
+        perm = rng.permutation(n)
+        j = int(np.flatnonzero(perm == ident)[0])
+        perm[[0, j]] = perm[[j, 0]]
+        relabeled = np.empty_like(t)
+        relabeled[np.ix_(perm, perm)] = perm[t]
+        got = formats._reindex_identity_first(relabeled)
+        want = loop_reindex_identity_first(relabeled)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [0, 1]], [[0, 0], [1, 1]],
+                                   [[1, 0], [0, 0]]])
+def test_no_two_sided_identity_is_rejected(table):
+    t = np.array(table, dtype=np.int64)
+    for reindex in (formats._reindex_identity_first, loop_reindex_identity_first):
+        with pytest.raises(UnsupportedInputError, match="no two-sided identity"):
+            reindex(t)
+
+
+def _c11_text(old: str, new: str) -> str:
+    """The cyclic(11) table with the first entry old of row 0 written as new."""
+    head, row0, rest = format_cayley(parse_family("cyclic(11)")).split("\n", 2)
+    parts = row0.split()
+    parts[parts.index(old)] = new
+    return "\n".join([head, " ".join(parts), rest])
+
+
+C3 = "cayley 3\n{}\n1 2 0\n2 0 1\n"
+# text, whether numpy's reader takes it, the error fragment (None: accepted)
+CAYLEY_READER_CASES = {
+    "plain": (C3.format("0 1 2"), True, None),
+    "plus": (C3.format("0 +1 2"), False, None),
+    "minus": (C3.format("0 -1 2"), False, "line 2, column 2: entry out of range"),
+    "lone plus": (C3.format("+ 0 1 2"), False, "expected 3 entries, found 4"),
+    "lone minus": (C3.format("- 0 1 2"), False, "expected 3 entries, found 4"),
+    "decimal": (C3.format("0 2.5 2"), False, "line 2, column 2: entry is not an integer"),
+    "exponent": (C3.format("0 1e3 2"), False, "line 2, column 2: entry is not an integer"),
+    "hex": (C3.format("0 0x1 2"), False, "line 2, column 2: entry is not an integer"),
+    "nul": (C3.format("0 1\x00 2"), False, "line 2, column 2: entry is not an integer"),
+    "underscore": (_c11_text("10", "1_0"), False, None),
+    "arabic-indic digit": (_c11_text("3", "٣"), False, None),
+    "25 digits": (C3.format("0 1 " + "9" * 25), False,
+                  "line 2, column 3: entry out of range"),
+    "short and long row": ("cayley 3\n0 1 2\n1 2\n0 2 0 1\n", False,
+                           "line 3, column 1: expected 3 entries, found 2"),
+    "blank lines": ("cayley 3\n\n0 1 2\n   \n1 2 0\n\n2 0 1\n\n", True, None),
+    "tabs": ("cayley 3\n0\t1\t2\n1\t2 0\n2 0\t1\n", True, None),
+    "crlf": ("cayley 3\r\n0 1 2\r\n1 2 0\r\n2 0 1\r\n", True, None),
+    "trailing spaces": ("cayley 3\n0 1 2  \n1 2 0 \n 2 0 1   \n", True, None),
+    "leading zeros": (C3.format("00 01 002"), True, None),
+}
+
+
+def _parse_outcome(text):
+    try:
+        g, p = parse_group_text(text)
+    except UnsupportedInputError as e:
+        return str(e)
+    return g.table.tolist(), p
+
+
+@pytest.mark.parametrize("text, plain, fragment", CAYLEY_READER_CASES.values(),
+                         ids=CAYLEY_READER_CASES.keys())
+def test_cayley_reader_matches_checked_loop(text, plain, fragment, monkeypatch):
+    read = []
+    real = formats._plain_table
+    monkeypatch.setattr(formats, "_plain_table",
+                        lambda body, n: read.append(real(body, n)) or read[-1])
+    got = _parse_outcome(text)
+    assert (read[0] is not None) == plain
+    if fragment is None:
+        assert not isinstance(got, str)
+    else:
+        assert isinstance(got, str) and fragment in got
+    # the per-line loop alone gives the same table or the same message
+    monkeypatch.setattr(formats, "_plain_table", lambda body, n: None)
+    assert _parse_outcome(text) == got

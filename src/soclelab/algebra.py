@@ -167,44 +167,34 @@ class CenterAlgebra:
 
     # -- the ideal question -----------------------------------------------------
 
-    def _full_subspace(self, center_subspace: Subspace) -> Subspace:
-        rows = np.array([self.expand(b) for b in center_subspace.basis]
-                        ) if center_subspace.dim else np.zeros((0, self.n))
-        return Subspace(self.p, self.n, rows)
-
     def is_ideal_in_group_algebra(self, center_subspace: Subspace) -> bool:
-        """Stability of the span under left and right multiplication by the
-        group generators. Stability under generators is stability under every
-        group element (compose the moves) and hence under all of FG (span)."""
-        space = self._full_subspace(center_subspace)
-        gens = self.group.generators()
+        """Stability of the span under multiplication by the group generators.
+        Stability under generators is stability under every group element
+        (compose the moves) and hence under all of FG (span). A central y has
+        g y = y g, so left moves suffice, and g y lies in the span iff it is
+        constant on classes with class coefficients in the span."""
+        full = center_subspace.basis[:, self.cls_of]
         t, inv = self.group.table, self.group.inv
-        moves = []
-        for g in gens:
-            moves.append(t[inv[g], :])   # left:  (g y)[u] = y[g^-1 u]
-            moves.append(t[:, inv[g]])   # right: (y g)[u] = y[u g^-1]
-        for y in space.basis:
-            for mv in moves:
-                if not space.contains_vector(y[mv]):
-                    return False
+        for g in self.group.generators():
+            moved = full[:, t[inv[g], :]]  # (g y)[u] = y[g^-1 u]
+            coeffs = moved[:, self.reps]
+            if not np.array_equal(coeffs[:, self.cls_of], moved):
+                return False
+            if not all(center_subspace.contains_vector(c) for c in coeffs):
+                return False
         return True
 
     def derived_coset_ids(self) -> np.ndarray:
-        der = self.group.derived_subgroup()
-        return self.group.table[der, :].min(axis=0)
+        """Smallest element of the G'-coset of each element."""
+        if "coset_ids" not in self.__dict__:
+            der = self.group.derived_subgroup()
+            self.__dict__["coset_ids"] = self.group.table[der, :].min(axis=0)
+        return self.__dict__["coset_ids"]
 
     def lies_in_derived_coset_span(self, center_vec) -> bool:
         """Membership in (G')+ FG: the coefficients are constant on G' cosets."""
         a = self.expand(center_vec)
-        cid = self.derived_coset_ids()
-        order = np.argsort(cid, kind="stable")
-        sorted_vals = a[order]
-        sorted_ids = cid[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        for chunk in np.split(sorted_vals, boundaries):
-            if chunk.size and (chunk != chunk[0]).any():
-                return False
-        return True
+        return bool(np.array_equal(a, a[self.derived_coset_ids()]))
 
     def socle_is_ideal_direct(self) -> bool:
         return self.is_ideal_in_group_algebra(self.socle())

@@ -99,13 +99,7 @@ class GF:
         p, d = self.p, self.d
         # smallest (c_{d-1},...,c_0) lexicographically, read high to low
         for t in range(p ** d):
-            digits = []
-            tt = t
-            for _ in range(d):
-                digits.append(tt % p)
-                tt //= p
-            digits.reverse()                      # digits[0] = c_{d-1}
-            m = list(reversed(digits)) + [1]      # coefficient list, x^d monic
+            m = _int_to_poly(t, p, d) + [1]      # coefficient list, x^d monic
             if _is_irreducible(m, p):
                 return m
         raise UnsupportedInputError("no irreducible modulus found")

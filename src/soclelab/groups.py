@@ -141,12 +141,6 @@ class FiniteGroup:
             return 0
         return self.power(x, m * pow(m, -1, pa))
 
-    def element_p_prime_part(self, x: int, p: int) -> int:
-        pa, m = self.exponent_factor(x, p)
-        if m == 1:
-            return 0
-        return self.power(x, pa * pow(pa, -1, m))
-
     # -- generation and closure ------------------------------------------
 
     def subgroup_closure(self, gens) -> np.ndarray:
@@ -173,55 +167,31 @@ class FiniteGroup:
 
     def generators(self) -> list[int]:
         if "gens" not in self._memo:
-            gens: list[int] = []
-            cl = np.array([0])
-            n = self.order
-            while cl.size < n:
-                mask = np.zeros(n, dtype=bool)
-                mask[cl] = True
-                g = int(np.flatnonzero(~mask)[0])
-                gens.append(g)
-                cl = self.subgroup_closure(gens)
-            self._memo["gens"] = gens
+            self._memo["gens"] = self.sub_generators(np.arange(self.order))
         return list(self._memo["gens"])
 
     def sub_generators(self, elems) -> list[int]:
-        """Greedy small generating set of a subgroup given by its elements."""
-        elems = np.asarray(elems)
-        if elems.size == 1:
-            return []
-        inside = set(int(e) for e in elems)
+        """Greedy small generating set of a subgroup given by its elements:
+        the smallest element not yet generated, until all are."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[np.asarray(elems, dtype=np.int64)] = True
+        have = np.zeros(self.order, dtype=bool)
+        have[0] = True
         gens: list[int] = []
-        cl = np.array([0])
-        while cl.size < elems.size:
-            have = set(int(c) for c in cl)
-            g = min(inside - have)
-            gens.append(g)
-            cl = self.subgroup_closure(gens)
-            if not set(int(c) for c in cl) <= inside:
+        while (rest := np.flatnonzero(inside & ~have)).size:
+            gens.append(int(rest[0]))
+            have[self.subgroup_closure(gens)] = True
+            if (have & ~inside).any():
                 raise UnsupportedInputError("element set is not a subgroup")
         return gens
 
-    def normal_closure(self, seed, conjugators=None) -> np.ndarray:
-        """Smallest subgroup containing seed, closed under the conjugators."""
-        if conjugators is None:
-            conjugators = self.generators()
-        gset = sorted({int(s) for s in seed} - {0})
-        s = self.subgroup_closure(gset)
-        t, inv = self.table, self.inv
-        while True:
-            mask = np.zeros(self.order, dtype=bool)
-            mask[s] = True
-            added = set()
-            for g in conjugators:
-                cs = t[t[g, s], inv[g]]
-                fresh = cs[~mask[cs]]
-                for y in fresh:
-                    added.add(int(y))
-            if not added:
-                return s
-            gset = sorted(set(gset) | added)
-            s = self.subgroup_closure(gset)
+    def normal_closure(self, seed) -> np.ndarray:
+        """Smallest normal subgroup containing seed: the subgroup generated
+        by the conjugacy classes seed meets, whose union is normal."""
+        cls_of = self.class_index_of()
+        meets = np.zeros(len(self.conjugacy_classes()), dtype=bool)
+        meets[cls_of[np.asarray(list(seed), dtype=np.int64)]] = True
+        return self.subgroup_closure(np.flatnonzero(meets[cls_of]))
 
     def _check_subgroup(self, elems: np.ndarray) -> None:
         """Raise unless the sorted distinct elements form a subgroup."""
@@ -306,15 +276,17 @@ class FiniteGroup:
 
     def derived_subgroup(self) -> np.ndarray:
         if "derived" not in self._memo:
-            gens = self.generators()
-            comms = {self.commutator(a, b) for a in gens for b in gens}
-            self._memo["derived"] = self.normal_closure(comms)
+            self._memo["derived"] = self.sub_derived(np.arange(self.order))
         return self._memo["derived"]
 
     def sub_derived(self, elems) -> np.ndarray:
-        gens = self.sub_generators(elems)
-        comms = {self.commutator(a, b) for a in gens for b in gens}
-        return self.normal_closure(comms, conjugators=gens)
+        """[H, H], generated by the commutators [x, h] with x a generator of
+        H and h in H. They generate a normal subgroup of H, because
+        [x, ab] = [x, a] a[x, b]a^-1, and H modulo it is abelian."""
+        h = np.asarray(elems, dtype=np.int64)
+        x = np.asarray(self.sub_generators(h), dtype=np.int64)[:, None]
+        t, inv = self.table, self.inv
+        return self.subgroup_closure(t[t[x, h], t[inv[x], inv[h]]].ravel())
 
     def second_derived(self) -> np.ndarray:
         if "second_derived" not in self._memo:
@@ -424,29 +396,29 @@ class FiniteGroup:
     # -- cores and residuals ----------------------------------------------
 
     def _core(self, p: int, want_p_group: bool) -> np.ndarray:
-        orders = self.element_orders()
-
-        def good(x: int) -> bool:
-            o = int(orders[x])
-            return (o == int_p_part(o, p)) if want_p_group else (o % p != 0)
-
-        acc = np.array([0], dtype=np.int64)
-        gset: set[int] = set()
-        mask = np.zeros(self.order, dtype=bool)
-        mask[0] = True
-        for c in self.conjugacy_classes():
-            r = c.rep
-            if mask[r] or not good(r):
-                continue
-            nc = self.normal_closure([r])
-            if all(good(int(x)) for x in nc):
-                gset |= {int(x) for x in nc}
-                acc = self.subgroup_closure(sorted(gset))
-                if not all(good(int(x)) for x in acc):
-                    raise ConsistencyError("core join left the element-order envelope")
-                mask = np.zeros(self.order, dtype=bool)
-                mask[acc] = True
-        return acc
+        """Union of the classes whose normal closure stays inside the
+        element-order envelope (p-elements, or p'-elements): a normal
+        subgroup lies in the core iff its elements all lie in the envelope."""
+        key = ("core", p, want_p_group)
+        if key not in self._memo:
+            orders = self.element_orders()
+            if want_p_group:  # element orders divide |G|
+                good = int_p_part(self.order, p) % orders == 0
+            else:
+                good = orders % p != 0
+            inside = np.zeros(self.order, dtype=bool)
+            inside[0] = True
+            for c in self.conjugacy_classes():
+                if not inside[c.rep] and good[c.rep]:
+                    nc = self.normal_closure([c.rep])
+                    if good[nc].all():
+                        inside[nc] = True
+            core = np.flatnonzero(inside)
+            if not inside[self.table[np.ix_(core, core)]].all():
+                raise ConsistencyError("core classes are not closed under the product")
+            core.flags.writeable = False
+            self._memo[key] = core
+        return self._memo[key]
 
     def p_core(self, p: int) -> np.ndarray:
         """Largest normal p-subgroup."""
@@ -459,8 +431,7 @@ class FiniteGroup:
     def p_residual(self, p: int) -> np.ndarray:
         """Smallest normal subgroup with p-group quotient: closure of all p'-elements."""
         orders = self.element_orders()
-        seed = [x for x in range(self.order) if int(orders[x]) % p != 0]
-        return self.subgroup_closure(seed)
+        return self.subgroup_closure(np.flatnonzero(orders % p))
 
     # -- quotients ---------------------------------------------------------
 
@@ -508,18 +479,14 @@ class FiniteGroup:
         return bool((self.table == self.table.T).all())
 
     def is_camina(self) -> bool:
-        """[g] = g G' for every g outside G'."""
+        """[g] = g G' for every g outside G'. Both sides are the same for
+        all of a class, so one representative per class decides."""
         der = self.derived_subgroup()
         mask = np.zeros(self.order, dtype=bool)
         mask[der] = True
-        classes = self.conjugacy_classes()
-        cls_of = self.class_index_of()
-        for x in range(self.order):
-            if mask[x]:
-                continue
-            cls = classes[int(cls_of[x])].elems
-            coset = np.sort(self.table[x, der])
-            if cls.size != coset.size or not np.array_equal(cls, coset):
+        for c in self.conjugacy_classes():
+            if not mask[c.rep] and not np.array_equal(
+                    c.elems, np.sort(self.table[c.rep, der])):
                 return False
         return True
 
@@ -569,9 +536,6 @@ class QuotientMap:
     group: FiniteGroup
     proj: np.ndarray       # parent element -> quotient element
     section: np.ndarray    # quotient element -> smallest parent preimage
-
-    def image_of_set(self, elems) -> np.ndarray:
-        return np.unique(self.proj[np.asarray(elems, dtype=np.int64)])
 
     def preimage_of_set(self, qelems) -> np.ndarray:
         qmask = np.zeros(self.group.order, dtype=bool)

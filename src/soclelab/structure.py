@@ -24,8 +24,8 @@ from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError
 from .families import agl1
 from .fplin import FpMatrix, Subspace, kernel_basis
-from .groups import (FiniteGroup, QuotientMap, direct_product,
-                     find_isomorphism, groups_isomorphic, int_p_part)
+from .groups import (ISO_ORDER_LIMIT, FiniteGroup, QuotientMap, direct_product,
+                     groups_isomorphic)
 
 
 def _same_elems(a, b) -> bool:
@@ -162,18 +162,18 @@ def _elems_from_coords(g: FiniteGroup, basis: list[int], vec) -> int:
 
 
 def _minimal_normal_inside(q: FiniteGroup, elems) -> list[np.ndarray]:
-    """Inclusion-minimal normal closures of single elements of a normal set.
+    """Inclusion-minimal normal closures of single elements of a normal set,
+    one per class the set meets (conjugates share their normal closure).
 
     When elems is (the element set of) a normal subgroup N, the result is
     exactly the list of minimal normal subgroups of q contained in N.
     """
+    classes = q.conjugacy_classes()
     seen: dict[bytes, np.ndarray] = {}
-    for t in np.atleast_1d(elems):
-        t = int(t)
-        if t == 0:
-            continue
-        nc = q.normal_closure([t])
-        seen[nc.tobytes()] = nc
+    for ci in np.unique(q.class_index_of()[np.atleast_1d(elems)]):
+        if ci:
+            nc = q.normal_closure([classes[ci].rep])
+            seen[nc.tobytes()] = nc
     closures = list(seen.values())
     out = []
     for nc in closures:
@@ -189,8 +189,9 @@ def is_minimal_normal(q: FiniteGroup, elems) -> bool:
     elems = np.asarray(elems, dtype=np.int64)
     if elems.size <= 1 or not q.is_normal(elems):
         return False
-    return all(_same_elems(q.normal_closure([int(t)]), elems)
-               for t in elems if int(t) != 0)
+    classes = q.conjugacy_classes()
+    return all(_same_elems(q.normal_closure([classes[ci].rep]), elems)
+               for ci in np.unique(q.class_index_of()[elems]) if ci)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +573,19 @@ class IdealCharacterization:
     notes: list[str]
 
 
+def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
+    """Is q the direct product of the affine groups AGL(1, s), s in sizes?
+    Returns (match, method): decided by order when the orders differ, else
+    by isomorphism, which compares fingerprints above ISO_ORDER_LIMIT."""
+    if not sizes or q.order != math.prod(s * (s - 1) for s in sizes):
+        return False, "order"
+    model = agl1(sizes[0])
+    for s in sizes[1:]:
+        model = direct_product(model, agl1(s))[0]
+    method = "isomorphism" if q.order <= ISO_ORDER_LIMIT else "fingerprint"
+    return groups_isomorphic(q, model), method
+
+
 def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
                              dec: QuotientDecomposition | None = None
                              ) -> IdealCharacterization:
@@ -605,14 +619,7 @@ def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
     qsize = int(der_im.size)
 
     structural = (dec.multipliers[0] is not None and len(comp) == qsize - 1)
-    if q.order != qsize * (qsize - 1):
-        affine, method = False, "order"
-    else:
-        model = agl1(qsize)
-        if q.order <= 512:
-            affine, method = groups_isomorphic(q, model), "isomorphism"
-        else:
-            affine, method = q.fingerprint() == model.fingerprint(), "fingerprint"
+    affine, method = _matches_affine_model(q, [qsize])
     if affine != structural:
         raise ConsistencyError(
             f"affine recognition routes disagree: model comparison {affine}, "
@@ -957,19 +964,8 @@ def split_into_central_factors(split: SylowSplit, dec: QuotientDecomposition,
                 inter_ok = False
     record("multiplier_subgroups_independent", inter_ok)
 
-    model = None
-    for f in dec.factors:
-        piece = agl1(int(f.size))
-        model = piece if model is None else direct_product(model, piece)[0]
-    if model is None or model.order != q.order:
-        record("quotient_is_affine_product", model is not None and model.order == q.order)
-        method = "order"
-    elif q.order <= 512:
-        record("quotient_is_affine_product", groups_isomorphic(q, model))
-        method = "isomorphism"
-    else:
-        record("quotient_is_affine_product", q.fingerprint() == model.fingerprint())
-        method = "fingerprint"
+    affine, method = _matches_affine_model(q, [int(f.size) for f in dec.factors])
+    record("quotient_is_affine_product", affine)
 
     pre_ok = True
     pres = [qm.preimage_of_set(f) for f in dec.factors]

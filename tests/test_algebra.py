@@ -389,3 +389,43 @@ def test_annihilator_matches_stacked_kernel(spec, g, p):
     vecs = [alg.zero()] + [alg.radical_vec(j) + alg.p for j in range(1, alg.k)]
     assert alg.annihilator(vecs) == stacked_annihilator(alg, vecs)
     assert alg.annihilator([]) == stacked_annihilator(alg, [])
+
+
+def element_ideal_test(alg, center_subspace):
+    """Reference: left and right moves by the generators, spans in |G| columns."""
+    rows = [alg.expand(b) for b in center_subspace.basis]
+    space = Subspace(alg.p, alg.n, rows if rows else None)
+    t, inv = alg.group.table, alg.group.inv
+    moves = []
+    for g in alg.group.generators():
+        moves.append(t[inv[g], :])   # left:  (g y)[u] = y[g^-1 u]
+        moves.append(t[:, inv[g]])   # right: (y g)[u] = y[u g^-1]
+    return all(space.contains_vector(y[mv]) for y in space.basis for mv in moves)
+
+
+def sorted_coset_test(alg, center_vec):
+    """Reference: sort by G'-coset id and compare each run of values."""
+    a = alg.expand(center_vec)
+    cid = alg.group.table[alg.group.derived_subgroup(), :].min(axis=0)
+    order = np.argsort(cid, kind="stable")
+    boundaries = np.flatnonzero(np.diff(cid[order])) + 1
+    return all(not (chunk != chunk[0]).any()
+               for chunk in np.split(a[order], boundaries) if chunk.size)
+
+
+@pytest.mark.parametrize("spec,g,p", CATALOG_PAIRS,
+                         ids=[f"{s}-{p}" for s, _, p in CATALOG_PAIRS])
+def test_class_coordinate_ideal_tests_match_element_references(spec, g, p):
+    """Socle, radical, whole center, zero space and seeded random subspaces."""
+    alg = CenterAlgebra(g, p)
+    rng = np.random.default_rng(g.order * 31 + p)
+    spaces = [alg.socle(), alg.jacobson_radical(),
+              Subspace(p, alg.k, np.eye(alg.k, dtype=np.int64)), Subspace(p, alg.k)]
+    spaces += [Subspace(p, alg.k, rng.integers(0, p, size=(r, alg.k)))
+               for r in (1, 2, max(1, alg.k // 2))]
+    for space in spaces:
+        assert alg.is_ideal_in_group_algebra(space) == element_ideal_test(alg, space)
+    vecs = [b for s in spaces for b in s.basis]
+    vecs += [alg.zero()] + list(rng.integers(-p, 2 * p, size=(3, alg.k)))
+    for v in vecs:
+        assert alg.lies_in_derived_coset_span(v) == sorted_coset_test(alg, v)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soclelab.catalog import catalog_groups
-from soclelab.errors import UnsupportedInputError
+from soclelab.errors import ConsistencyError, UnsupportedInputError
 from soclelab.families import parse_family
 from soclelab.groups import (FiniteGroup, central_product, direct_product,
                              find_isomorphism, groups_isomorphic, int_p_part,
@@ -366,3 +366,162 @@ def test_normalizer_matches_reference():
     for x in range(s4.order):
         sub = s4.subgroup_closure([x])
         assert_same_elems(s4.normalizer(sub), reference_normalizer(s4, sub))
+
+
+# -- normal subgroups from classes, against the element-wise references ------
+
+def reference_normal_closure(g, seed, conjugators=None):
+    """Fixed point: close seed, add every conjugate, close again."""
+    if conjugators is None:
+        conjugators = reference_generators(g)
+    gset = sorted({int(s) for s in seed} - {0})
+    s = reference_closure(g, gset)
+    t, inv = g.table, g.inv
+    while True:
+        mask = np.zeros(g.order, dtype=bool)
+        mask[s] = True
+        added = set()
+        for x in conjugators:
+            cs = t[t[x, s], inv[x]]
+            added |= {int(y) for y in cs[~mask[cs]]}
+        if not added:
+            return s
+        gset = sorted(set(gset) | added)
+        s = reference_closure(g, gset)
+
+
+def reference_sub_generators(g, elems):
+    elems = np.asarray(elems)
+    if elems.size == 1:
+        return []
+    inside = set(int(e) for e in elems)
+    gens, cl = [], np.array([0])
+    while cl.size < elems.size:
+        g_next = min(inside - set(int(c) for c in cl))
+        gens.append(g_next)
+        cl = reference_closure(g, gens)
+        if not set(int(c) for c in cl) <= inside:
+            raise UnsupportedInputError("element set is not a subgroup")
+    return gens
+
+
+def reference_sub_derived(g, elems):
+    """Normal closure, under the generators of H, of their commutators."""
+    gens = reference_sub_generators(g, elems)
+    comms = {g.commutator(a, b) for a in gens for b in gens}
+    return reference_normal_closure(g, comms, conjugators=gens)
+
+
+def reference_core(g, p, want_p_group):
+    """Join the normal closures of class representatives that stay inside
+    the element-order envelope, re-closing after each one."""
+    orders = g.element_orders()
+
+    def good(x):
+        o = int(orders[x])
+        return (o == int_p_part(o, p)) if want_p_group else (o % p != 0)
+
+    acc = np.array([0], dtype=np.int64)
+    gset = set()
+    for c in g.conjugacy_classes():
+        if c.rep in set(acc.tolist()) or not good(c.rep):
+            continue
+        nc = reference_normal_closure(g, [c.rep])
+        if all(good(int(x)) for x in nc):
+            gset |= {int(x) for x in nc}
+            acc = reference_closure(g, sorted(gset))
+    return acc
+
+
+def reference_is_camina(g):
+    der = reference_sub_derived(g, np.arange(g.order))
+    classes, cls_of = g.conjugacy_classes(), g.class_index_of()
+    for x in range(g.order):
+        if x in set(der.tolist()):
+            continue
+        if not np.array_equal(classes[int(cls_of[x])].elems, np.sort(g.table[x, der])):
+            return False
+    return True
+
+
+def normal_closure_seeds(g, rng):
+    """Every class representative, seeded element sets and subgroups."""
+    seeds = [[], [0], [c.rep for c in g.conjugacy_classes()]]
+    seeds += [[c.rep] for c in g.conjugacy_classes()]
+    for size in (1, 2, 3):
+        seeds.append([int(x) for x in rng.integers(0, g.order, size=size)])
+    seeds.append(g.sylow_subgroup(prime_factors(g.order)[0]) if g.order > 1 else [0])
+    return seeds
+
+
+@pytest.mark.parametrize("spec,g", SMALL_CATALOG, ids=[s for s, _ in SMALL_CATALOG])
+def test_normal_subgroups_match_element_references(spec, g):
+    """On G, G/G'', the derived series and the Sylow subgroups."""
+    rng = np.random.default_rng(g.order * 104729 + len(spec))
+    quotient = g.second_derived_quotient().group
+    for grp in (g, quotient):
+        for seed in normal_closure_seeds(grp, rng):
+            assert_same_elems(grp.normal_closure(seed), reference_normal_closure(grp, seed))
+        subgroups = grp.derived_series() + [grp.sylow_subgroup(p)
+                                            for p in prime_factors(grp.order)]
+        for h in subgroups:
+            assert grp.sub_generators(h) == reference_sub_generators(grp, h)
+            assert_same_elems(grp.sub_derived(h), reference_sub_derived(grp, h))
+            hgrp, _ = grp.subgroup_as_group(h)
+            assert hgrp.is_camina() == reference_is_camina(hgrp)
+        assert grp.generators() == reference_generators(grp)
+        assert_same_elems(grp.derived_subgroup(),
+                          reference_sub_derived(grp, np.arange(grp.order)))
+        for p in prime_factors(grp.order) or [2]:
+            assert_same_elems(grp.p_core(p), reference_core(grp, p, True))
+            assert_same_elems(grp.p_prime_core(p), reference_core(grp, p, False))
+        assert grp.is_camina() == reference_is_camina(grp)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(FiniteGroup, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, name, counted)
+    return calls
+
+
+def test_core_is_memoized(monkeypatch):
+    g = parse_family("direct(SL2(3),cyclic(5))")
+    first = g.p_prime_core(2)
+    calls = count_calls(monkeypatch, "normal_closure")
+    assert_same_elems(g.p_prime_core(2), first)
+    assert calls == []
+    assert g.p_core(2).size == 8 and len(calls) > 0
+
+
+def test_normal_closure_is_one_subgroup_closure(monkeypatch):
+    g = parse_family("sym(4)")
+    g.conjugacy_classes()
+    calls = count_calls(monkeypatch, "subgroup_closure")
+    for seed in ([1], [0], [], [5, 7], g.sylow_subgroup(3)):
+        calls.clear()
+        g.normal_closure(seed)
+        assert len(calls) == 1
+
+
+def test_sub_generators_rejects_a_non_subgroup():
+    g = parse_family("sym(4)")
+    three = g.sylow_subgroup(3)
+    with pytest.raises(UnsupportedInputError, match="not a subgroup"):
+        g.sub_generators(three[:2])
+    with pytest.raises(UnsupportedInputError, match="not a subgroup"):
+        g.sub_generators(np.union1d(three, g.sylow_subgroup(2)))
+    assert g.sub_generators([0]) == []
+
+
+def test_core_guard_rejects_an_unclosed_union(monkeypatch):
+    g = FiniteGroup(cyclic_table(5))
+    monkeypatch.setattr(FiniteGroup, "normal_closure",
+                        lambda self, seed: np.array([0, 1], dtype=np.int64))
+    with pytest.raises(ConsistencyError, match="not closed under the product"):
+        g.p_prime_core(2)

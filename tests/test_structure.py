@@ -7,7 +7,7 @@ from soclelab.algebra import CenterAlgebra
 from soclelab.errors import ConsistencyError, InapplicableError
 from soclelab.families import parse_family
 from soclelab.groups import direct_product
-from soclelab.structure import (build_nonideal_witness,
+from soclelab.structure import (_matches_affine_model, build_nonideal_witness,
                                 characterize_socle_ideal,
                                 check_annihilator_reduction,
                                 check_quotient_decomposition,
@@ -259,3 +259,14 @@ def test_verdicts_invariant_under_reduction_steps():
         v_full, _ = CenterAlgebra(g, p).socle_ideal_verdict()
         v_core, _ = CenterAlgebra(core, p).socle_ideal_verdict()
         assert v_full == v_core
+
+
+def test_affine_model_comparison():
+    """Order first, then isomorphism, then fingerprints above the search cap."""
+    assert _matches_affine_model(parse_family("alt(4)"), [4]) == (True, "isomorphism")
+    assert _matches_affine_model(parse_family("dihedral(6)"), [4]) == (False, "isomorphism")
+    assert _matches_affine_model(parse_family("sym(4)"), [4]) == (False, "order")
+    assert _matches_affine_model(parse_family("agl(1,4)"), []) == (False, "order")
+    pair, _, _ = direct_product(parse_family("agl(1,3)"), parse_family("agl(1,4)"))
+    assert _matches_affine_model(pair, [3, 4]) == (True, "isomorphism")
+    assert _matches_affine_model(parse_family("cyclic(702)"), [27]) == (False, "fingerprint")

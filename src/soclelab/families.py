@@ -283,19 +283,14 @@ def agl1(q: int) -> FiniteGroup:
     """Affine maps x -> ax + b over F_q, a != 0. Order q(q-1)."""
     p, d = _prime_power(q)
     field = gf(p, d)
-    units = [1] + [u for u in range(2, q)]
-    uidx = {u: i for i, u in enumerate(units)}
     n = (q - 1) * q
-    table = np.empty((n, n), dtype=np.int64)
-    for ia, a1 in enumerate(units):
-        arow = field.mul[a1]
-        for b1 in range(q):
-            i = ia * q + b1
-            for ja, a2 in enumerate(units):
-                base = uidx[int(arow[a2])] * q
-                for b2 in range(q):
-                    table[i, ja * q + b2] = base + field.add[int(arow[b2]), b1]
-    return FiniteGroup(table, name=f"AGL(1,{q})")
+    # (a1, b1)(a2, b2) = (a1 a2, a1 b2 + b1), element (a, b) at (a - 1) q + b
+    units = np.arange(1, q)
+    arow = field.mul[units]                                  # [a1, x] = a1 x
+    a_part = (arow[:, units] - 1) * q                        # [a1, a2]
+    b_part = field.add[arow[:, None, :], np.arange(q)[None, :, None]]  # [a1, b1, b2]
+    table = a_part[:, None, :, None] + b_part[:, :, None, :]
+    return FiniteGroup(table.reshape(n, n), name=f"AGL(1,{q})")
 
 
 def extraspecial(order: int, kind: str) -> FiniteGroup:
@@ -426,29 +421,17 @@ def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
     pk = p ** (k % d) if d > 0 else 1
     frob = np.array([field.pow(x, pk) for x in range(q)], dtype=np.int64)
     n = q * q
-    table = np.empty((n, n), dtype=np.int64)
-    add = field.add
-    mul = field.mul
-    bcol = np.arange(q)
-    for a in range(q):
-        arow_f = mul[a, frob]                    # a * c^(p^k) over c
-        for b in range(q):
-            i = a * q + b
-            for c in range(q):
-                tw = int(arow_f[c])
-                table[i, c * q: c * q + q] = (int(add[a, c]) * q
-                                              + add[add[b, bcol], tw])
-    kernel = FiniteGroup(table, name=f"twisted_kernel({p},{d},{k})")
+    add, mul = field.add, field.mul
+    # (a, b)(c, d) = (a + c, b + d + a c^(p^k)), element (a, b) at a q + b
+    twist = mul[:, frob]                                     # [a, c]
+    table = (add[:, None, :, None] * q
+             + add[add[None, :, None, :], twist[:, None, :, None]])
+    kernel = FiniteGroup(table.reshape(n, n), name=f"twisted_kernel({p},{d},{k})")
     g0 = field.primitive_element()
-    action = np.empty((q - 1, n), dtype=np.int64)
-    e = 1 + pk
-    for h in range(q - 1):
-        u = field.pow(g0, h)
-        ue = field.pow(u, e)
-        ua = mul[u]
-        ub = mul[ue]
-        for a in range(q):
-            action[h, a * q: a * q + q] = int(ua[a]) * q + ub[bcol]
+    # h acts by (a, b) -> (u a, u^(1+p^k) b) with u = g0^h
+    u = np.array([field.pow(g0, h) for h in range(q - 1)], dtype=np.int64)
+    ue = mul[u, frob[u]]
+    action = (mul[u][:, :, None] * q + mul[ue][:, None, :]).reshape(q - 1, n)
     g, _, _ = semidirect_product(
         SemidirectSpec(kernel=kernel, acting=cyclic(q - 1), action=action),
         name=f"twisted_affine({p},{d},{k})")

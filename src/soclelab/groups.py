@@ -16,7 +16,7 @@ from .errors import ConsistencyError, UnsupportedInputError
 
 ISO_ORDER_LIMIT = 512
 # table cells the associativity check gathers at once
-AXIOM_BLOCK_CELLS = 1 << 20
+AXIOM_BLOCK_CELLS = 1 << 18
 
 
 def int_p_part(n: int, p: int) -> int:
@@ -53,33 +53,51 @@ class FiniteGroup:
     # -- validation ----------------------------------------------------
 
     def _build_inverses(self, check: bool) -> np.ndarray:
-        t, n = self.table, self.order
-        if check:
-            ar = np.arange(n, dtype=np.int32)
-            if not np.array_equal(t[0], ar) or not np.array_equal(t[:, 0], ar):
-                raise UnsupportedInputError("element 0 is not a two-sided identity")
-            if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ar, t.shape)):
-                raise UnsupportedInputError("a row is not a permutation")
-            if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ar[:, None], t.shape)):
-                raise UnsupportedInputError("a column is not a permutation")
-        inv = np.argmin(t, axis=1).astype(np.int32)  # unique 0 per row
-        if check and not (t[inv, np.arange(n)] == 0).all():
+        """inv[x] is the position of the first 0 in row x. With check, 0
+        must be a two-sided identity and inv[x] a two-sided inverse of x."""
+        t, ar = self.table, np.arange(self.order, dtype=np.int32)
+        if check and (not np.array_equal(t[0], ar) or not np.array_equal(t[:, 0], ar)):
+            raise UnsupportedInputError("element 0 is not a two-sided identity")
+        inv = np.argmin(t, axis=1).astype(np.int32)
+        if check and not ((t[ar, inv] == 0).all() and (t[inv, ar] == 0).all()):
+            self._check_latin()
             raise UnsupportedInputError("left and right inverses differ")
         return inv
+
+    def _check_latin(self):
+        """Raise if a row or a column is not a permutation. Only a rejected
+        table gets here, so that the first failing check names the error:
+        an accepted table is a group and so a Latin square."""
+        t, ar = self.table, np.arange(self.order, dtype=np.int32)
+        if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ar, t.shape)):
+            raise UnsupportedInputError("a row is not a permutation")
+        if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ar[:, None], t.shape)):
+            raise UnsupportedInputError("a column is not a permutation")
 
     def _check_axioms(self):
         """Light's associativity test: (x s) y = x (s y) for all x, y and
         each generator s. The elements s passing it are closed under the
         product, and every element is a product of generators, so passing
         for the generators is passing for all (Clifford and Preston, The
-        Algebraic Theory of Semigroups I, 1961, section 1.2)."""
+        Algebraic Theory of Semigroups I, 1961, section 1.2). With the
+        two-sided identity and inverses already checked, the table is then
+        a group. The block buffers are allocated once and refilled, as
+        fresh temporaries for every block fault in new pages."""
         t, n = self.table, self.order
-        step = max(1, AXIOM_BLOCK_CELLS // n)
+        step = min(n, max(1, AXIOM_BLOCK_CELLS // n))
+        lhs = np.empty((step, n), dtype=np.int32)
+        rhs = np.empty((step, n), dtype=np.int32)
+        same = np.empty((step, n), dtype=bool)
         for s in self.generators():
             s_right = t[s]
             for lo in range(0, n, step):
                 rows = t[lo:lo + step]
-                if not np.array_equal(t[rows[:, s]], rows[:, s_right]):
+                m = rows.shape[0]
+                # entries are in range; mode="raise" would buffer out
+                np.take(t, rows[:, s], axis=0, out=lhs[:m], mode="clip")
+                np.take(rows, s_right, axis=1, out=rhs[:m], mode="clip")
+                if not np.equal(lhs[:m], rhs[:m], out=same[:m]).all():
+                    self._check_latin()
                     raise UnsupportedInputError(
                         f"associativity fails at generator {s}")
 
@@ -152,18 +170,22 @@ class FiniteGroup:
         """
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
-        t = self.table
         kept: list[int] = []
         for g in sorted({int(x) for x in gens} - {0}):
-            if seen[g]:
-                continue
-            kept.append(g)
-            frontier = np.flatnonzero(seen)
-            while frontier.size:
-                prods = t[frontier[:, None], kept].ravel()
-                frontier = np.unique(prods[~seen[prods]])
-                seen[frontier] = True
+            if not seen[g]:
+                self._grow(seen, kept, g)
         return np.flatnonzero(seen)
+
+    def _grow(self, seen: np.ndarray, kept: list[int], g: int) -> None:
+        """Append g to kept and grow the closure marked in seen, in place,
+        to a fixed point under right multiplication by all of kept."""
+        t = self.table
+        kept.append(g)
+        frontier = np.flatnonzero(seen)
+        while frontier.size:
+            prods = t[frontier[:, None], kept].ravel()
+            frontier = np.unique(prods[~seen[prods]])
+            seen[frontier] = True
 
     def generators(self) -> list[int]:
         if "gens" not in self._memo:
@@ -172,15 +194,15 @@ class FiniteGroup:
 
     def sub_generators(self, elems) -> list[int]:
         """Greedy small generating set of a subgroup given by its elements:
-        the smallest element not yet generated, until all are."""
+        the smallest element not yet generated, until all are. Each one
+        grows the closure of those before it."""
         inside = np.zeros(self.order, dtype=bool)
         inside[np.asarray(elems, dtype=np.int64)] = True
         have = np.zeros(self.order, dtype=bool)
         have[0] = True
         gens: list[int] = []
         while (rest := np.flatnonzero(inside & ~have)).size:
-            gens.append(int(rest[0]))
-            have[self.subgroup_closure(gens)] = True
+            self._grow(have, gens, int(rest[0]))
             if (have & ~inside).any():
                 raise UnsupportedInputError("element set is not a subgroup")
         return gens
@@ -250,9 +272,9 @@ class FiniteGroup:
     # -- distinguished subgroups -----------------------------------------
 
     def center(self) -> np.ndarray:
+        """The centralizer of a generating set."""
         if "center" not in self._memo:
-            mask = (self.table == self.table.T).all(axis=1)
-            self._memo["center"] = np.flatnonzero(mask)
+            self._memo["center"] = self.centralizer(self.generators())
         return self._memo["center"]
 
     def centralizer(self, elems, within=None) -> np.ndarray:
@@ -476,7 +498,7 @@ class FiniteGroup:
     # -- predicates ----------------------------------------------------------
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        return self.center().size == self.order
 
     def is_camina(self) -> bool:
         """[g] = g G' for every g outside G'. Both sides are the same for
@@ -680,18 +702,11 @@ def semidirect_product(spec: SemidirectSpec, name: str | None = None):
     act = spec.validate()
     kg, hg = spec.kernel, spec.acting
     nk, nh = kg.order, hg.order
-    n = nk * nh
-    table = np.empty((n, n), dtype=np.int32)
     tk, th = kg.table, hg.table
-    h_grid = np.empty((nh, nk * nh), dtype=np.int32)
-    for h1 in range(nh):
-        h_grid[h1] = np.broadcast_to(th[h1][None, :], (nk, nh)).reshape(-1)
-    for a1 in range(nk):
-        for h1 in range(nh):
-            npart = tk[a1, act[h1]]  # over a2
-            row = (npart[:, None] * nh).astype(np.int32)
-            table[a1 * nh + h1] = (np.broadcast_to(row, (nk, nh)).reshape(-1)
-                                   + h_grid[h1])
+    # (a1, h1)(a2, h2) = (a1 act[h1](a2), h1 h2), element (a, h) at a nh + h
+    table = np.empty((nk * nh, nk * nh), dtype=np.int32)
+    np.add((tk[:, act] * nh)[:, :, :, None], th[None, :, None, :],
+           out=table.reshape(nk, nh, nk, nh))
     labels = None
     if kg.labels is not None and hg.labels is not None:
         labels = [f"({kg.labels[a]},{hg.labels[h]})" for a in range(nk) for h in range(nh)]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from soclelab.errors import UnsupportedInputError
-from soclelab.families import parse_family
-from soclelab.groups import groups_isomorphic
+from soclelab.families import _prime_power, agl1, gf, parse_family
+from soclelab.groups import (FiniteGroup, SemidirectSpec, groups_isomorphic,
+                             semidirect_product)
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -145,3 +146,62 @@ def test_max_order_cap():
     with pytest.raises(UnsupportedInputError):
         parse_family("twisted_affine(2,4,1)")  # order 3840 over default cap
     assert parse_family("twisted_affine(2,4,1)", max_order=4000).order == 3840
+
+
+# -- broadcast constructions against their loop forms ------------------------
+
+def reference_agl1_table(q):
+    """AGL(1, q), one cell at a time: (a1, b1)(a2, b2) = (a1 a2, a1 b2 + b1)."""
+    field = gf(*_prime_power(q))
+    n = (q - 1) * q
+    table = np.empty((n, n), dtype=np.int64)
+    for a1 in range(1, q):
+        for b1 in range(q):
+            for a2 in range(1, q):
+                for b2 in range(q):
+                    table[(a1 - 1) * q + b1, (a2 - 1) * q + b2] = (
+                        (int(field.mul[a1, a2]) - 1) * q
+                        + int(field.add[field.mul[a1, b2], b1]))
+    return table.astype(np.int32)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_agl1_matches_loop_form(q):
+    g = agl1(q)
+    want = reference_agl1_table(q)
+    assert g.table.dtype == want.dtype and np.array_equal(g.table, want)
+
+
+def reference_twisted_affine(p, d, k):
+    """The kernel table and the action built one row at a time."""
+    q = p ** d
+    field = gf(p, d)
+    pk = p ** (k % d)
+    frob = [field.pow(x, pk) for x in range(q)]
+    add, mul = field.add, field.mul
+    table = np.empty((q * q, q * q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                tw = int(mul[a, frob[c]])
+                table[a * q + b, c * q: c * q + q] = (int(add[a, c]) * q
+                                                      + add[add[b, np.arange(q)], tw])
+    kernel = FiniteGroup(table)
+    g0 = field.primitive_element()
+    action = np.empty((q - 1, q * q), dtype=np.int64)
+    for h in range(q - 1):
+        u = field.pow(g0, h)
+        ue = field.pow(u, 1 + pk)
+        for a in range(q):
+            action[h, a * q: a * q + q] = int(mul[u, a]) * q + mul[ue]
+    g, _, _ = semidirect_product(
+        SemidirectSpec(kernel=kernel, acting=parse_family(f"cyclic({q - 1})"),
+                       action=action))
+    return g
+
+
+@pytest.mark.parametrize("p,d,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2)])
+def test_twisted_affine_matches_loop_form(p, d, k):
+    got = parse_family(f"twisted_affine({p},{d},{k})").table
+    want = reference_twisted_affine(p, d, k).table
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,9 +1,14 @@
 """Group machinery against textbook facts and brute-force recomputation."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from soclelab.catalog import catalog_groups
+from soclelab import families as families_module
+from soclelab import groups as groups_module
+from soclelab.catalog import CATALOG_SPECS, catalog_groups
 from soclelab.errors import ConsistencyError, UnsupportedInputError
 from soclelab.families import parse_family
 from soclelab.groups import (FiniteGroup, central_product, direct_product,
@@ -525,3 +530,170 @@ def test_core_guard_rejects_an_unclosed_union(monkeypatch):
                         lambda self, seed: np.array([0, 1], dtype=np.int64))
     with pytest.raises(ConsistencyError, match="not closed under the product"):
         g.p_prime_core(2)
+
+
+# -- validation without the Latin-square sorts, against the sort-first order --
+
+def reference_validate(t):
+    """Both Latin-square sorts first, then two-sided inverses, then Light's
+    test over the greedy generators. The first failing check's message, or
+    None for a group."""
+    t = np.asarray(t, dtype=np.int32)
+    n = len(t)
+    ar = np.arange(n, dtype=np.int32)
+    if not np.array_equal(t[0], ar) or not np.array_equal(t[:, 0], ar):
+        return "element 0 is not a two-sided identity"
+    if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ar, t.shape)):
+        return "a row is not a permutation"
+    if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ar[:, None], t.shape)):
+        return "a column is not a permutation"
+    if not (t[np.argmin(t, axis=1), ar] == 0).all():
+        return "left and right inverses differ"
+    for s in reference_generators(SimpleNamespace(order=n, table=t)):
+        if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+            return f"associativity fails at generator {s}"
+    return None
+
+
+def swap_intercalates(t, rng, count):
+    """Swap the two diagonals of random 2x2 Latin subsquares off row 0 and
+    column 0; the table stays a Latin square with identity 0."""
+    n, done = len(t), 0
+    for _ in range(50 * n):
+        x, x2, y = (int(v) for v in rng.integers(1, n, size=3))
+        hits = np.flatnonzero(t[x2] == t[x, y])
+        if x == x2 or not hits.size:
+            continue
+        y2 = int(hits[0])
+        if y2 in (0, y) or t[x, y2] != t[x2, y]:
+            continue
+        t[[x, x2], y], t[[x, x2], y2] = t[[x, x2], y2], t[[x, x2], y]
+        done += 1
+        if done == count:
+            break
+    return t
+
+
+def corrupted_tables(table, rng, per_kind):
+    """Seeded corruptions keeping row 0 and column 0: cell edits, swaps
+    inside a row, inside a column, of two rows, and of intercalates."""
+    n = len(table)
+    inner = np.arange(1, n)
+    for i in range(per_kind):
+        t = table.copy()
+        for _ in range(1 + i % 3):
+            r, c = rng.integers(1, n, size=2)
+            t[r, c] = rng.integers(0, n)
+        yield t
+        t = table.copy()
+        r, (c1, c2) = rng.integers(1, n), rng.choice(inner, 2, replace=False)
+        t[r, [c1, c2]] = t[r, [c2, c1]]
+        yield t
+        t = table.copy()
+        c, (r1, r2) = rng.integers(1, n), rng.choice(inner, 2, replace=False)
+        t[[r1, r2], c] = t[[r2, r1], c]
+        yield t
+        t = table.copy()
+        r1, r2 = rng.choice(inner, 2, replace=False)
+        t[[r1, r2], 1:] = t[[r2, r1], 1:]
+        yield t
+        yield swap_intercalates(table.copy(), rng, 1 + i % 3)
+
+
+def test_validation_matches_sort_first_reference():
+    rng = np.random.default_rng(2718)
+    seen = Counter()
+    for _, g in SMALL_CATALOG:
+        if g.order < 4:
+            continue
+        for t in corrupted_tables(np.array(g.table), rng, per_kind=6):
+            want = reference_validate(t)
+            seen[want] += 1
+            if want is None:
+                FiniteGroup(t)
+                continue
+            with pytest.raises(UnsupportedInputError) as err:
+                FiniteGroup(t)
+            assert str(err.value) == want
+    kinds = {k.split(" at ")[0] if k else k for k in seen}
+    assert kinds == {None, "a row is not a permutation", "a column is not a permutation",
+                     "left and right inverses differ", "associativity fails"}
+
+
+ROW_ONLY = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 1, 1]]
+HAND_MADE = [
+    # columns are permutations, rows 2 and 3 are not
+    ("a row is not a permutation", ROW_ONLY),
+    ("a column is not a permutation", np.transpose(ROW_ONLY)),
+    # a loop: 2 * 3 = 0 but 3 * 2 = 1
+    ("left and right inverses differ",
+     [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+      [4, 2, 0, 1, 3]]),
+    # a loop of exponent 2: (1 * 1) * 2 = 2 but 1 * (1 * 2) = 4
+    ("associativity fails at generator 1",
+     [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+      [4, 3, 1, 2, 0]]),
+]
+
+
+@pytest.mark.parametrize("message,table", HAND_MADE, ids=[m for m, _ in HAND_MADE])
+def test_each_check_rejects_alone(message, table, monkeypatch):
+    assert reference_validate(table) == message
+    calls = count_calls(monkeypatch, "_check_latin")
+    with pytest.raises(UnsupportedInputError) as err:
+        FiniteGroup(table)
+    assert str(err.value) == message
+    assert len(calls) == 1
+
+
+def test_accepted_tables_skip_the_latin_sorts(monkeypatch):
+    calls = count_calls(monkeypatch, "_check_latin")
+    built = [spec for spec, _ in catalog_groups()]
+    assert built == list(CATALOG_SPECS)
+    assert calls == []
+
+
+# -- center and semidirect products against their full-table forms ----------
+
+def reference_center(g):
+    return np.flatnonzero((g.table == g.table.T).all(axis=1))
+
+
+def reference_semidirect_table(spec):
+    """One row at a time: (a1, h1)(a2, h2) = (a1 act[h1](a2), h1 h2)."""
+    act = spec.validate()
+    tk, th = spec.kernel.table, spec.acting.table
+    nk, nh = len(tk), len(th)
+    table = np.empty((nk * nh, nk * nh), dtype=np.int32)
+    for a1 in range(nk):
+        for h1 in range(nh):
+            row = np.repeat((tk[a1, act[h1]] * nh).astype(np.int32), nh)
+            table[a1 * nh + h1] = row + np.tile(th[h1], nk)
+    return table
+
+
+PRODUCT_SPECS = ("q8q8_diag_c3", "heisenberg_affine(3)", "twisted_affine(2,3,1)",
+                 "twisted_affine(3,2,1)", "direct(SL2(3),SL2(3))",
+                 "direct(AGL(1,4),cyclic(5))")
+
+
+def test_center_and_products_match_full_table_forms(monkeypatch):
+    made = []
+    original = groups_module.semidirect_product
+
+    def recorded(spec, name=None):
+        out = original(spec, name=name)
+        made.append((spec, out[0]))
+        return out
+
+    monkeypatch.setattr(groups_module, "semidirect_product", recorded)
+    monkeypatch.setattr(families_module, "semidirect_product", recorded)
+    built = [g for _, g in catalog_groups()] + [parse_family(s) for s in PRODUCT_SPECS]
+    built += [families_module.agl1(q) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
+    for g in built:
+        assert_same_elems(g.center(), reference_center(g))
+        assert g.is_abelian() == bool((g.table == g.table.T).all())
+    assert len(made) >= len(PRODUCT_SPECS)
+    for spec, g in made:
+        want = reference_semidirect_table(spec)
+        assert g.table.dtype == want.dtype and np.array_equal(g.table, want)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
-from .fplin import FpMatrix, Subspace, check_prime, kernel_basis
-from .groups import FiniteGroup, QuotientMap
+from .fplin import FpMatrix, Subspace, binary_power, check_prime, kernel_basis
+from .groups import BLOCK_CELLS, FiniteGroup, QuotientMap
 
 
 class CenterAlgebra:
@@ -30,8 +30,9 @@ class CenterAlgebra:
             raise ConsistencyError("identity class is not first")
         # element order grouped by class, for summing over classes at once
         self._by_class = np.argsort(self.cls_of, kind="stable")
-        # P[i, j] = g_i^-1 rep_j, with g_i the i-th element in class order
-        self._prodidx = group.table[group.inv[self._by_class][:, None], self.reps]
+        # P[i, j] = class of g_i^-1 rep_j, with g_i the i-th element in class order
+        self._prodcls = self.cls_of[
+            group.table[group.inv[self._by_class][:, None], self.reps]]
         sizes = np.array([c.size for c in self.classes], dtype=np.int64)
         self.class_sizes = sizes
         self._starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -73,45 +74,34 @@ class CenterAlgebra:
     # -- multiplication ------------------------------------------------------
 
     def multiply(self, u, v) -> np.ndarray:
-        """Product of two central elements, class basis in and out."""
+        """Product of central elements, class basis in and out. v is one
+        vector (k,) or a stack of rows (d, k); a stack gives u * v_i per row.
+        Entry j sums u(t) v[class of t^-1 rep_j] over the support of u only."""
         uf = np.repeat(np.asarray(u, dtype=np.int64) % self.p, self.class_sizes)
-        s = np.flatnonzero(uf)  # only the support of u contributes
-        return uf[s] @ self.expand(v)[self._prodidx[s]] % self.p
+        s = np.flatnonzero(uf)
+        v = np.asarray(v, dtype=np.int64) % self.p
+        step = max(1, BLOCK_CELLS // max(1, v.size))  # v.size cells per t
+        if v.ndim == 1 and s.size <= step:
+            return uf[s] @ v[self._prodcls[s]] % self.p
+        out = np.zeros(v.shape, dtype=np.int64)
+        for lo in range(0, s.size, step):
+            c = s[lo:lo + step]
+            out += np.einsum("c,...ck->...k", uf[c], v[..., self._prodcls[c]])
+        return out % self.p
 
     def power(self, u, e: int) -> np.ndarray:
         """u^e, squaring from the top bit down: e = 2 takes one multiply."""
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        base = np.asarray(u, dtype=np.int64) % self.p
-        if not e:
-            return self.identity_vec()
-        acc = base
-        for bit in bin(int(e))[3:]:
-            acc = self.multiply(acc, acc)
-            if bit == "1":
-                acc = self.multiply(acc, base)
-        return acc
-
-    def mult_matrix(self, b) -> FpMatrix:
-        """Matrix of x -> b*x on the center, class basis: entry (j, c) sums
-        b(t) over the support of b where t^-1 rep_j lies in class c."""
-        bf = np.repeat(np.asarray(b, dtype=np.int64) % self.p, self.class_sizes)
-        s = np.flatnonzero(bf)
-        cells = self.cls_of[self._prodidx[s]] + np.arange(self.k) * self.k
-        m = np.bincount(cells.ravel(), weights=np.repeat(bf[s], self.k),
-                        minlength=self.k * self.k)  # exact: sums stay below 2**53
-        return FpMatrix(self.p, m.reshape(self.k, self.k).astype(np.int64))
+        return binary_power(np.asarray(u, dtype=np.int64) % self.p, e,
+                            self.multiply, self.identity_vec)
 
     def annihilator(self, vectors) -> Subspace:
         """Subspace of the center killing every given central vector, one
         vector at a time in the coordinates of the kernel found so far."""
         basis = np.eye(self.k, dtype=np.int64)
         for v in vectors:
-            if not basis.shape[0]:
-                break
-            prod = self.mult_matrix(v).a @ basis.T % self.p
+            prod = self.multiply(v, basis)  # row i is v * basis[i]
             if prod.any():  # else v already kills the kernel so far
-                basis = kernel_basis(prod, self.p) @ basis % self.p
+                basis = kernel_basis(prod.T, self.p) @ basis % self.p
         return Subspace(self.p, self.k, basis)
 
     # -- radical and socle -----------------------------------------------------

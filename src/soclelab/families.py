@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedInputError
+from .fplin import binary_power
 from .groups import (FiniteGroup, SemidirectSpec, central_product,
                      direct_product, hom_from_images, semidirect_product)
 
@@ -111,17 +112,9 @@ class GF:
         return t
 
     def pow(self, x: int, e: int) -> int:
-        acc, base = 1, x
-        e = int(e)
         if e < 0:
-            base = int(self.inv[x])
-            e = -e
-        while e:
-            if e & 1:
-                acc = int(self.mul[acc, base])
-            base = int(self.mul[base, base])
-            e >>= 1
-        return acc
+            x, e = int(self.inv[x]), -e
+        return binary_power(int(x), e, lambda a, b: int(self.mul[a, b]), lambda: 1)
 
     def primitive_element(self) -> int:
         for g in range(2, self.q):

@@ -59,6 +59,21 @@ def rref(a, p: int):
     return r, pivots
 
 
+def binary_power(x, e: int, mul, one):
+    """x^e for the product mul, squaring from the top bit down: e = 2 takes
+    one product and e = 8 three. one() gives x^0."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    if not e:
+        return one()
+    acc = x
+    for bit in bin(int(e))[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
+
+
 def kernel_basis(a, p: int) -> np.ndarray:
     """RREF basis of {x : a @ x = 0 (mod p)}."""
     a = residues(p, a)
@@ -126,14 +141,8 @@ class FpMatrix:
     def matpow(self, e: int):
         if self.a.shape[0] != self.a.shape[1]:
             raise ValueError("square matrix expected")
-        result = FpMatrix.identity(self.p, self.a.shape[0])
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return binary_power(self, e, lambda x, y: x @ y,
+                            lambda: FpMatrix.identity(self.p, self.a.shape[0]))
 
     def rank(self) -> int:
         return len(rref(self.a, self.p)[1])

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
+from .fplin import binary_power
 
 ISO_ORDER_LIMIT = 512
-# table cells the associativity check gathers at once
-AXIOM_BLOCK_CELLS = 1 << 18
+# cells of the largest temporary one blockwise check or center product builds
+BLOCK_CELLS = 1 << 18
 
 
 def int_p_part(n: int, p: int) -> int:
@@ -84,7 +85,7 @@ class FiniteGroup:
         a group. The block buffers are allocated once and refilled, as
         fresh temporaries for every block fault in new pages."""
         t, n = self.table, self.order
-        step = min(n, max(1, AXIOM_BLOCK_CELLS // n))
+        step = min(n, max(1, BLOCK_CELLS // n))
         lhs = np.empty((step, n), dtype=np.int32)
         rhs = np.empty((step, n), dtype=np.int32)
         same = np.empty((step, n), dtype=bool)
@@ -120,13 +121,7 @@ class FiniteGroup:
     def power(self, x: int, k: int) -> int:
         if k < 0:
             x, k = int(self.inv[x]), -k
-        acc, base = 0, int(x)
-        while k:
-            if k & 1:
-                acc = int(self.table[acc, base])
-            base = int(self.table[base, base])
-            k >>= 1
-        return acc
+        return binary_power(int(x), k, self.mul, lambda: 0)
 
     def element_orders(self) -> np.ndarray:
         if "orders" not in self._memo:
@@ -676,24 +671,32 @@ class SemidirectSpec:
     action: np.ndarray  # shape (|acting|, |kernel|), action[h] a permutation
 
     def validate(self):
+        """The checks run blockwise over h under BLOCK_CELLS cells; the
+        error raised is that of the smallest failing h, its permutation check
+        before its automorphism check, and then of the homomorphism check."""
         nk, nh = self.kernel.order, self.acting.order
         act = np.asarray(self.action, dtype=np.int64)
         if act.shape != (nh, nk):
             raise UnsupportedInputError("action table has wrong shape")
         if not np.array_equal(act[0], np.arange(nk)):
             raise UnsupportedInputError("identity must act trivially")
-        tk = self.kernel.table
-        for h in range(nh):
-            ph = act[h]
-            if not np.array_equal(np.sort(ph), np.arange(nk)):
-                raise UnsupportedInputError(f"action of {h} is not a permutation")
-            if not np.array_equal(ph[tk], tk[np.ix_(ph, ph)]):
+        tk, th = self.kernel.table, self.acting.table
+        perm = (np.sort(act, axis=1) == np.arange(nk)).all(axis=1)
+        n_perm = nh if perm.all() else int(np.argmin(perm))
+        step = max(1, BLOCK_CELLS // (nk * nk))
+        for lo in range(0, n_perm, step):
+            ph = act[lo:min(lo + step, n_perm)]
+            auto = (ph[:, tk] == tk[ph[:, :, None], ph[:, None, :]]).all(axis=(1, 2))
+            if not auto.all():
+                h = lo + int(np.argmin(auto))
                 raise UnsupportedInputError(f"action of {h} is not an automorphism")
-        th = self.acting.table
-        for h1 in range(nh):
-            for h2 in range(nh):
-                if not np.array_equal(act[th[h1, h2]], act[h1][act[h2]]):
-                    raise UnsupportedInputError("action is not a homomorphism")
+        if n_perm < nh:
+            raise UnsupportedInputError(f"action of {n_perm} is not a permutation")
+        step = max(1, BLOCK_CELLS // (nh * nk))
+        for lo in range(0, nh, step):
+            # act[h1 h2] == act[h1] o act[h2] for every h2 at once
+            if not (act[th[lo:lo + step]] == act[lo:lo + step][:, act]).all():
+                raise UnsupportedInputError("action is not a homomorphism")
         return act
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,12 @@ class SylowSplit:
     @property
     def z_match(self) -> bool:
         return bool(self.flags["derived_center_is_second_derived"])
+
+    @cached_property
+    def derived_camina(self) -> bool:
+        """G' as a group of its own is a Camina group; built once per split."""
+        dergrp, _ = self.group.subgroup_as_group(self.derived)
+        return dergrp.is_camina()
 
 
 def examine_sylow_split(g: FiniteGroup, p: int) -> SylowSplit:
@@ -626,8 +633,7 @@ def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
             f"transitive generator search {structural}")
 
     has_fixer = dec.fixers[0] is not None
-    dergrp, _ = g.subgroup_as_group(split.derived)
-    camina = dergrp.is_camina()
+    camina = split.derived_camina
 
     predicted = bool(affine and has_fixer and camina)
     direct, criterion = alg.socle_ideal_verdict()
@@ -762,8 +768,7 @@ def build_nonideal_witness(split: SylowSplit, dec: QuotientDecomposition,
         raise ConsistencyError(
             "class meets the G''-coset of the seed in more than the core translate")
 
-    dergrp, _ = g.subgroup_as_group(split.derived)
-    if (int(core.size) == int(second.size)) != dergrp.is_camina():
+    if (int(core.size) == int(second.size)) != split.derived_camina:
         raise ConsistencyError("commutator core fills G'' iff G' is Camina, violated")
     if int(core.size) == int(second.size):
         raise InapplicableError(
@@ -797,9 +802,8 @@ def build_nonideal_witness(split: SylowSplit, dec: QuotientDecomposition,
         raise ConsistencyError("functional vanishes on every coset coefficient")
 
     yc = alg.restrict(avec)
-    for row in alg.jacobson_radical().basis:
-        if alg.multiply(yc, row).any():
-            raise ConsistencyError("witness fails to annihilate the radical")
+    if alg.multiply(yc, alg.jacobson_radical().basis).any():
+        raise ConsistencyError("witness fails to annihilate the radical")
     if not alg.socle().contains_vector(yc):
         raise ConsistencyError("witness lies outside the socle")
     if alg.lies_in_derived_coset_span(yc):

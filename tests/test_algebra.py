@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from soclelab import algebra
 from soclelab.algebra import CenterAlgebra
 from soclelab.catalog import catalog_groups
 from soclelab.errors import ConsistencyError
@@ -117,6 +118,12 @@ def test_multiply_of_class_sums_matches_convolution(spec, p):
     zero = alg.multiply(alg.zero(), alg.identity_vec())
     assert zero.dtype == np.int64 and not zero.any()
 
+
+def mult_matrix(alg, b):
+    """Matrix of x -> b*x on the center: b times each class sum, as columns."""
+    return alg.multiply(b, np.eye(alg.k, dtype=np.int64)).T
+
+
 @pytest.mark.parametrize("spec, p", SMALL)
 def test_mult_matrix_matches_convolution(spec, p):
     """Column c of the matrix of x -> b*x is b times the c-th class sum."""
@@ -125,11 +132,37 @@ def test_mult_matrix_matches_convolution(spec, p):
     rng = np.random.default_rng(sum(map(ord, spec)) + p)
     dense = [rng.integers(-p, 2 * p, size=alg.k) for _ in range(3)]
     for b in [alg.class_sum_vec(i) for i in range(alg.k)] + dense:
-        m = alg.mult_matrix(b).a
+        m = mult_matrix(alg, b)
         for c in range(alg.k):
             slow = fg_mul(g, alg.expand(b), alg.expand(alg.class_sum_vec(c)), p)
             assert np.array_equal(alg.expand(m[:, c]), slow)
-    assert not alg.mult_matrix(alg.zero()).a.any()
+    assert not mult_matrix(alg, alg.zero()).any()
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("spec, p", SMALL)
+def test_stacked_multiply_matches_rows(spec, p, block, monkeypatch):
+    """multiply(u, V) is u * V[i] row by row, also with one support element
+    per gather (block 1) so that every chunk boundary is crossed."""
+    if block is not None:
+        monkeypatch.setattr(algebra, "BLOCK_CELLS", block)
+    g = parse_family(spec)
+    alg = CenterAlgebra(g, p)
+    rng = np.random.default_rng(sum(map(ord, spec)) * 7 + p)
+    for d in (1, 3, alg.k + 2):
+        u = rng.integers(-2 * p, 2 * p, size=alg.k)  # unreduced on purpose
+        rows = rng.integers(-2 * p, 2 * p, size=(d, alg.k))
+        got = alg.multiply(u, rows)
+        assert got.dtype == np.int64 and got.shape == (d, alg.k)
+        for i in range(d):
+            assert np.array_equal(got[i], alg.multiply(u, rows[i]))
+            slow = fg_mul(g, alg.expand(u), alg.expand(rows[i]), p)
+            assert np.array_equal(alg.expand(got[i]), slow)
+    empty = alg.multiply(u, np.zeros((0, alg.k), dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.shape == (0, alg.k)
+    zero = alg.multiply(alg.zero(), rows)
+    assert zero.dtype == np.int64 and zero.shape == rows.shape and not zero.any()
+
 
 @pytest.mark.parametrize("spec, p", [("cyclic(6)", 2), ("sym(3)", 3),
                                      ("dihedral(4)", 2), ("q8", 2),
@@ -370,8 +403,27 @@ def stacked_annihilator(alg, vectors):
     vecs = [v for v in vecs if v.any()]
     if not vecs:
         return Subspace(alg.p, alg.k, np.eye(alg.k, dtype=np.int64))
-    stacked = np.vstack([alg.mult_matrix(v).a for v in vecs])
+    stacked = np.vstack([mult_matrix(alg, v) for v in vecs])
     return FpMatrix(alg.p, stacked).kernel()
+
+
+def dense_matrix_annihilator(alg, vectors):
+    """Reference: the former annihilator, which multiplied a dense k x k
+    matrix of x -> v*x, built from the group table, into the kernel basis."""
+    g, p, k = alg.group, alg.p, alg.k
+    basis = np.eye(k, dtype=np.int64)
+    for v in vectors:
+        if not basis.shape[0]:
+            break
+        vf = (np.asarray(v, dtype=np.int64) % p)[alg.cls_of]
+        s = np.flatnonzero(vf)
+        # entry (j, c) sums v(t) over t in the support with t^-1 rep_j in class c
+        cells = alg.cls_of[g.table[g.inv[s][:, None], alg.reps]] + np.arange(k) * k
+        m = np.bincount(cells.ravel(), weights=np.repeat(vf[s], k), minlength=k * k)
+        prod = m.reshape(k, k).astype(np.int64) @ basis.T % p
+        if prod.any():
+            basis = kernel_basis(prod, p) @ basis % p
+    return Subspace(p, k, basis)
 
 
 CATALOG_PAIRS = [(spec, g, p) for spec, g in catalog_groups()
@@ -389,6 +441,25 @@ def test_annihilator_matches_stacked_kernel(spec, g, p):
     vecs = [alg.zero()] + [alg.radical_vec(j) + alg.p for j in range(1, alg.k)]
     assert alg.annihilator(vecs) == stacked_annihilator(alg, vecs)
     assert alg.annihilator([]) == stacked_annihilator(alg, [])
+
+
+WIDE_CENTERS = [(spec, g, p) for spec, primes in (("dihedral(300)", (2, 3, 5)),
+                                                  ("agl(1,32)", (2, 31)))
+                for g in [parse_family(spec)] for p in primes]
+ANNIHILATOR_PAIRS = CATALOG_PAIRS + WIDE_CENTERS
+
+
+@pytest.mark.parametrize("spec,g,p", ANNIHILATOR_PAIRS,
+                         ids=[f"{s}-{p}" for s, _, p in ANNIHILATOR_PAIRS])
+def test_annihilator_matches_dense_matrix_annihilator(spec, g, p):
+    alg = CenterAlgebra(g, p)
+    rad = list(alg.jacobson_radical().basis)
+    assert alg.socle() == dense_matrix_annihilator(alg, rad)
+    vecs = [alg.zero()] + [alg.radical_vec(j) - alg.p for j in range(1, alg.k)]
+    assert alg.annihilator(vecs) == dense_matrix_annihilator(alg, vecs)
+    # a unit kills nothing: the kernel empties and later vectors meet an empty stack
+    killed = alg.annihilator([alg.identity_vec()] + vecs)
+    assert killed.dim == 0 and killed == dense_matrix_annihilator(alg, [alg.identity_vec()])
 
 
 def element_ideal_test(alg, center_subspace):

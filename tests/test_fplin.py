@@ -47,13 +47,21 @@ def test_matrix_inverse(p):
         assert m.inverse() @ m == FpMatrix.identity(p, 4)
 
 
-def test_matpow_matches_repeated_product():
+def test_matpow_matches_repeated_product(monkeypatch):
     p = 3
     m = FpMatrix(p, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     acc = FpMatrix.identity(p, 3)
-    for e in range(6):
+    for e in range(41):
         assert m.matpow(e) == acc
         acc = acc @ m
+    with pytest.raises(ValueError, match="negative exponent"):
+        m.matpow(-1)
+    calls = []
+    real = FpMatrix.matmul
+    monkeypatch.setattr(FpMatrix, "matmul",
+                        lambda self, other: calls.append(1) or real(self, other))
+    m.matpow(8)
+    assert len(calls) == 3
 
 
 def test_singular_inverse_raises():

@@ -1,5 +1,6 @@
 """Group machinery against textbook facts and brute-force recomputation."""
 
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -697,3 +698,112 @@ def test_center_and_products_match_full_table_forms(monkeypatch):
     for spec, g in made:
         want = reference_semidirect_table(spec)
         assert g.table.dtype == want.dtype and np.array_equal(g.table, want)
+
+
+# -- the semidirect action check against its former pair-by-pair loop -------
+
+def reference_action_check(spec):
+    """Per h the permutation check and then the automorphism check, then
+    the homomorphism check pair by pair. The first message, or None."""
+    nk, nh = spec.kernel.order, spec.acting.order
+    act = np.asarray(spec.action, dtype=np.int64)
+    if act.shape != (nh, nk):
+        return "action table has wrong shape"
+    if not np.array_equal(act[0], np.arange(nk)):
+        return "identity must act trivially"
+    tk = spec.kernel.table
+    for h in range(nh):
+        ph = act[h]
+        if not np.array_equal(np.sort(ph), np.arange(nk)):
+            return f"action of {h} is not a permutation"
+        if not np.array_equal(ph[tk], tk[np.ix_(ph, ph)]):
+            return f"action of {h} is not an automorphism"
+    th = spec.acting.table
+    for h1 in range(nh):
+        for h2 in range(nh):
+            if not np.array_equal(act[th[h1, h2]], act[h1][act[h2]]):
+                return "action is not a homomorphism"
+    return None
+
+
+def corrupted_actions(act, rng, per_kind):
+    """Seeded corruptions of a valid action: a repeated entry (not a
+    permutation), two swapped non-identity images (a permutation, seldom an
+    automorphism), two swapped rows (automorphisms, not a homomorphism), an
+    edited identity row, mixtures of the first three, and several rows with
+    swapped images, so that the smallest failing h must be found."""
+    nh, nk = act.shape
+    inner = np.arange(1, nk)
+
+    def repeat(t):
+        h, (x, y) = rng.integers(1, nh), rng.choice(nk, 2, replace=False)
+        t[h, x] = t[h, y]
+
+    def swap_images(t):
+        h, (x, y) = rng.integers(1, nh), rng.choice(inner, 2, replace=False)
+        t[h, [x, y]] = t[h, [y, x]]
+
+    def swap_rows(t):
+        h1, h2 = rng.choice(np.arange(1, nh), 2, replace=False)
+        t[[h1, h2]] = t[[h2, h1]]
+
+    kinds = (repeat, swap_images, swap_rows)
+    for i in range(per_kind):
+        for kind in kinds:
+            t = act.copy()
+            kind(t)
+            yield t
+        t = act.copy()
+        t[0, rng.choice(inner, 2, replace=False)] = t[0, [2, 1]]
+        yield t
+        t = act.copy()
+        for _ in range(2 + i % 3):
+            kinds[rng.integers(0, 3)](t)
+        yield t
+        t = act.copy()
+        for _ in range(2 + i % 3):
+            swap_images(t)
+        yield t
+
+
+ACTION_SPECS = ("twisted_affine(2,3,1)", "heisenberg_affine(3)", "metacyclic(7,3,2)",
+                "metacyclic(9,6,2)", "q8q8_diag_c3", "direct(AGL(1,4),cyclic(5))")
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_action_check_matches_pair_loop(block, monkeypatch):
+    """Also with one h per block (block 1), so that the offset of the
+    failing h inside a later block is exercised."""
+    if block is not None:
+        monkeypatch.setattr(groups_module, "BLOCK_CELLS", block)
+    made = []
+    original = groups_module.semidirect_product
+
+    def recorded(spec, name=None):
+        made.append(spec)
+        return original(spec, name=name)
+
+    monkeypatch.setattr(groups_module, "semidirect_product", recorded)
+    monkeypatch.setattr(families_module, "semidirect_product", recorded)
+    for s in ACTION_SPECS:
+        parse_family(s)
+    specs = [spec for spec in made if spec.acting.order > 2 and spec.kernel.order > 2]
+    assert len(specs) > len(ACTION_SPECS)
+    rng = np.random.default_rng(1414)
+    seen = Counter()
+    for spec in specs:
+        valid = np.array(spec.action)
+        assert reference_action_check(spec) is None
+        assert np.array_equal(spec.validate(), valid)
+        for t in corrupted_actions(valid, rng, per_kind=4):
+            bad = dataclasses.replace(spec, action=t)
+            want = reference_action_check(bad)
+            seen[want.split(" is not ")[-1] if want else want] += 1
+            if want is None:
+                assert np.array_equal(bad.validate(), t)
+                continue
+            with pytest.raises(UnsupportedInputError) as err:
+                bad.validate()
+            assert str(err.value) == want
+    assert set(seen) >= {"identity must act trivially", "a permutation",
+                         "an automorphism", "a homomorphism"}

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from soclelab.algebra import CenterAlgebra
+from soclelab.analysis import analyze_group
 from soclelab.errors import ConsistencyError, InapplicableError
 from soclelab.families import parse_family
-from soclelab.groups import direct_product
+from soclelab.groups import FiniteGroup, direct_product
 from soclelab.structure import (_matches_affine_model, build_nonideal_witness,
                                 characterize_socle_ideal,
                                 check_annihilator_reduction,
@@ -157,6 +158,23 @@ class TestWitness:
         assert not alg.lies_in_derived_coset_span(yc)
         # proper containment: the commutator core misses part of G''
         assert w["commutator_core_order"] < w["second_derived_order"]
+
+    def test_derived_subgroup_built_once_per_analysis(self, monkeypatch):
+        """The characterization and the witness share one copy of G'."""
+        g = parse_family("twisted_affine(2,4,1)", max_order=4000)
+        der = set(map(int, g.derived_subgroup()))
+        copies = []
+        real = FiniteGroup.subgroup_as_group
+
+        def counting(self, elems, name=None):
+            if self is g and set(map(int, elems)) == der:
+                copies.append(1)
+            return real(self, elems, name)
+
+        monkeypatch.setattr(FiniteGroup, "subgroup_as_group", counting)
+        report = analyze_group(g, 2)
+        assert report["theorems"]["ideal_characterization"]["witness"] is not None
+        assert len(copies) == 1
 
     def test_witness_refuses_ideal_group(self):
         _, alg, split = setup_triplet("sl2(3)", 2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
-from .fplin import FpMatrix, Subspace, binary_power, check_prime, kernel_basis
+from .fplin import FpMatrix, Subspace, binary_power, check_prime, kernel_basis, rref
 from .groups import BLOCK_CELLS, FiniteGroup, QuotientMap
 
 
@@ -261,25 +261,25 @@ class CenterAlgebra:
         block, sorted by representative. The blocks must sum to the socle.
 
         A central element is supported in a coset iff every class in its
-        support lies wholly inside that coset, so each block is the socle
-        intersected with the span of those classes, in class coordinates.
+        support lies wholly inside that coset. With the class columns
+        grouped by coset, and the straddling classes last, the socle is the
+        direct sum of its blocks iff every row of its RREF lies in one
+        coset group, and a block's dimension is the number of its rows.
         """
         soc = self.socle()
         cid = self.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(axis=0)
         by_class = cid[self._by_class]
         lo = np.minimum.reduceat(by_class, self._starts)
         whole = lo == np.maximum.reduceat(by_class, self._starts)
-        unit = np.eye(self.k, dtype=np.int64)
-        out = []
-        total = 0
-        for r in map(int, np.unique(lo[whole])):
-            block = soc.intersect(Subspace(self.p, self.k, unit[whole & (lo == r)]))
-            if block.dim:
-                out.append((r, block.dim))
-                total += block.dim
-        if total != soc.dim:
+        key = np.where(whole, lo, self.n)  # n: no coset holds the class
+        cols = np.argsort(key, kind="stable")
+        rows, piv = rref(soc.basis[:, cols], self.p)
+        keys = key[cols]
+        own = keys[piv]  # coset group of each row's pivot
+        if (own == self.n).any() or ((rows != 0) & (keys != own[:, None])).any():
             raise ConsistencyError("socle does not split along Sylow cosets")
-        return out
+        reps, dims = np.unique(own, return_counts=True)
+        return [(int(r), int(d)) for r, d in zip(reps, dims)]
 
     def dims(self) -> dict:
         return {

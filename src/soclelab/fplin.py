@@ -32,25 +32,25 @@ def residues(p: int, data) -> np.ndarray:
 
 
 def rref(a, p: int):
-    """Reduced row echelon form mod p. Returns (matrix, pivot column list)."""
+    """Reduced row echelon form mod p. Returns (matrix, pivot column list).
+    Row operations keep a zero column zero, so only nonzero ones are walked."""
     r = residues(p, a)
     if r.ndim != 2:
         raise ValueError("2-D array expected")
-    r = r.copy()
-    nrow, ncol = r.shape
+    nrow = r.shape[0]
     pivots: list[int] = []
     row = 0
-    for col in range(ncol):
+    for col in r.any(axis=0).nonzero()[0].tolist():
         if row == nrow:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
         r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
-        hit = np.nonzero(r[:, col])[0]
+        hit = r[:, col].nonzero()[0]
         hit = hit[hit != row]
         if hit.size:
             r[hit] = (r[hit] - np.outer(r[hit, col], r[row])) % p
@@ -75,21 +75,17 @@ def binary_power(x, e: int, mul, one):
 
 
 def kernel_basis(a, p: int) -> np.ndarray:
-    """RREF basis of {x : a @ x = 0 (mod p)}."""
-    a = residues(p, a)
-    ncol = a.shape[1]
+    """Basis of {x : a @ x = 0 (mod p)}: one row per free column f of the
+    RREF of a, e_f minus the pivot entries of column f. It is not in RREF;
+    Subspace of it is the canonical form."""
     r, pivots = rref(a, p)
-    pivset = set(pivots)
-    free = [c for c in range(ncol) if c not in pivset]
-    if not free:
-        return np.zeros((0, ncol), dtype=np.int64)
-    basis = np.zeros((len(free), ncol), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
-    rb, _ = rref(basis, p)
-    return rb
+    free = np.ones(r.shape[1], dtype=bool)
+    free[pivots] = False
+    free = free.nonzero()[0]
+    basis = np.zeros((free.size, r.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -r[:len(pivots), free].T % p
+    return basis
 
 
 class FpMatrix:

@@ -176,11 +176,14 @@ class FiniteGroup:
         to a fixed point under right multiplication by all of kept."""
         t = self.table
         kept.append(g)
-        frontier = np.flatnonzero(seen)
+        frontier = seen.nonzero()[0]
+        new = np.zeros_like(seen)
         while frontier.size:
-            prods = t[frontier[:, None], kept].ravel()
-            frontier = np.unique(prods[~seen[prods]])
-            seen[frontier] = True
+            new[t[frontier[:, None], kept]] = True
+            np.greater(new, seen, out=new)  # new and not seen
+            seen |= new
+            frontier = new.nonzero()[0]
+            new[frontier] = False
 
     def generators(self) -> list[int]:
         if "gens" not in self._memo:
@@ -340,29 +343,24 @@ class FiniteGroup:
                 self._memo[key] = np.array([0], dtype=np.int64)
                 return self._memo[key]
             orders = self.element_orders()
-            # seed with the p-part of an element of maximal p-part order
-            best, best_ord = 0, 1
-            for x in range(self.order):
-                op = int_p_part(int(orders[x]), p)
-                if op > best_ord:
-                    best, best_ord = x, op
-            s = self.subgroup_closure([self.element_p_part(best, p)])
+            t, inv, n = self.table, self.inv, self.order
+            pp = np.ones(n, dtype=np.int64)  # p-part of each element order
+            while (m := orders % (pp * p) == 0).any():
+                pp[m] *= p
+            # seed with the p-part of the first element of maximal p-part order
+            s = self.subgroup_closure([self.element_p_part(int(pp.argmax()), p)])
+            # extend by the first p-element c outside s, c^p in s, normalizing s
+            ar = np.arange(n)
+            pth = binary_power(ar, p, lambda a, b: t[a, b], lambda: ar)
+            mask = np.zeros(n, dtype=bool)
             while s.size < pk:
-                nr = self.normalizer(s)
-                mask = np.zeros(self.order, dtype=bool)
                 mask[s] = True
-                cand = None
-                for y in map(int, nr):
-                    if mask[y]:
-                        continue
-                    if int_p_part(int(orders[y]), p) != orders[y]:
-                        continue  # p-elements only keep the extension a p-group
-                    if mask[self.power(y, p)]:
-                        cand = y
+                for c in (~mask & (pp == orders) & mask[pth]).nonzero()[0]:
+                    if mask[t[t[c, s], inv[c]]].all():
                         break
-                if cand is None:
+                else:
                     raise ConsistencyError("Sylow ascent found no extension")
-                s = self.subgroup_closure(list(s) + [cand])
+                s = self.subgroup_closure(list(s) + [c])
             self._memo[key] = s
         return self._memo[key]
 

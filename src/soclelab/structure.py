@@ -583,14 +583,19 @@ class IdealCharacterization:
 def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
     """Is q the direct product of the affine groups AGL(1, s), s in sizes?
     Returns (match, method): decided by order when the orders differ, else
-    by isomorphism, which compares fingerprints above ISO_ORDER_LIMIT."""
-    if not sizes or q.order != math.prod(s * (s - 1) for s in sizes):
-        return False, "order"
-    model = agl1(sizes[0])
-    for s in sizes[1:]:
-        model = direct_product(model, agl1(s))[0]
-    method = "isomorphism" if q.order <= ISO_ORDER_LIMIT else "fingerprint"
-    return groups_isomorphic(q, model), method
+    by isomorphism, which compares fingerprints above ISO_ORDER_LIMIT.
+    q is the memoized G/G'', so the answer is memoized on it."""
+    key = ("affine", tuple(sizes))
+    if key not in q._memo:
+        if not sizes or q.order != math.prod(s * (s - 1) for s in sizes):
+            q._memo[key] = False, "order"
+        else:
+            model = agl1(sizes[0])
+            for s in sizes[1:]:
+                model = direct_product(model, agl1(s))[0]
+            method = "isomorphism" if q.order <= ISO_ORDER_LIMIT else "fingerprint"
+            q._memo[key] = groups_isomorphic(q, model), method
+    return q._memo[key]
 
 
 def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
@@ -780,7 +785,7 @@ def build_nonideal_witness(split: SylowSplit, dec: QuotientDecomposition,
         func_rows = np.eye(r, dtype=np.int64)
     else:
         rows = np.array([coord[int(c)] for c in core], dtype=np.int64)
-        func_rows = kernel_basis(rows, p)
+        func_rows = Subspace(p, r, kernel_basis(rows, p)).basis
     if func_rows.shape[0] == 0:
         raise ConsistencyError("no functional vanishes on a proper core")
     alpha = func_rows[0]

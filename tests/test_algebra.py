@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from soclelab import algebra
+from soclelab import algebra, fplin
 from soclelab.algebra import CenterAlgebra
 from soclelab.catalog import catalog_groups
 from soclelab.errors import ConsistencyError
@@ -324,6 +324,83 @@ def test_socle_blocks_match_element_coordinates(spec, g, p):
             alg.socle_coset_decomposition(syl)
         return
     assert alg.socle_coset_decomposition(syl) == want
+
+
+def intersect_socle_blocks(alg, sylow_elems):
+    """The former class-coordinate blocks: the socle intersected with the
+    span of the classes lying wholly in each coset, one coset at a time."""
+    soc = alg.socle()
+    cid = alg.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(axis=0)
+    by_class = cid[alg._by_class]
+    lo = np.minimum.reduceat(by_class, alg._starts)
+    whole = lo == np.maximum.reduceat(by_class, alg._starts)
+    unit = np.eye(alg.k, dtype=np.int64)
+    out = []
+    total = 0
+    for r in map(int, np.unique(lo[whole])):
+        block = soc.intersect(Subspace(alg.p, alg.k, unit[whole & (lo == r)]))
+        if block.dim:
+            out.append((r, block.dim))
+            total += block.dim
+    if total != soc.dim:
+        raise ConsistencyError("socle does not split along Sylow cosets")
+    return out
+
+
+WIDE_BLOCKS = [(spec, g, p) for spec, primes in (("dihedral(300)", (2, 3, 5)),
+                                                 ("agl(1,32)", (2,)),
+                                                 ("twisted_affine(2,3,1)", (2,)))
+               for g in [parse_family(spec, max_order=4000)] for p in primes]
+BLOCK_PAIRS = NORMAL_SYLOW + WIDE_BLOCKS
+
+
+@pytest.mark.parametrize("spec,g,p", BLOCK_PAIRS,
+                         ids=[f"{s}-{p}" for s, _, p in BLOCK_PAIRS])
+def test_socle_blocks_match_intersections(spec, g, p):
+    alg = CenterAlgebra(g, p)
+    syl = g.sylow_subgroup(p)
+    try:
+        want = intersect_socle_blocks(alg, syl)
+    except ConsistencyError as e:
+        with pytest.raises(ConsistencyError, match=str(e)):
+            alg.socle_coset_decomposition(syl)
+        return
+    assert alg.socle_coset_decomposition(syl) == want
+
+
+def test_socle_blocks_reject_a_vector_across_two_cosets():
+    """A socle row inside the coset classes but spread over two cosets."""
+    g = parse_family("sl2(3)")
+    alg = CenterAlgebra(g, 2)
+    syl = g.sylow_subgroup(2)
+    cid = g.table[syl, :].min(axis=0)
+    inside = [c for c in range(alg.k) if np.unique(cid[alg.classes[c].elems]).size == 1]
+    i, j = next((i, j) for i in inside for j in inside
+                if cid[alg.classes[i].rep] < cid[alg.classes[j].rep])
+    spread = alg.class_sum_vec(i) + alg.class_sum_vec(j)
+    alg.__dict__["socle_space"] = Subspace(2, alg.k, spread)
+    with pytest.raises(ConsistencyError, match="does not split"):
+        intersect_socle_blocks(alg, syl)
+    with pytest.raises(ConsistencyError, match="does not split"):
+        alg.socle_coset_decomposition(syl)
+
+
+def test_socle_blocks_take_one_rref(monkeypatch):
+    g = parse_family("agl(1,8)")
+    alg = CenterAlgebra(g, 2)
+    syl = g.sylow_subgroup(2)
+    alg.socle()
+    calls = []
+    real = fplin.rref
+
+    def counting(a, p):
+        calls.append(1)
+        return real(a, p)
+
+    monkeypatch.setattr(fplin, "rref", counting)
+    monkeypatch.setattr(algebra, "rref", counting, raising=False)
+    assert len(alg.socle_coset_decomposition(syl)) == 7
+    assert len(calls) == 1
 
 
 def test_push_through_quotient_is_projection():

@@ -113,3 +113,91 @@ def test_zero_and_full_subspace():
     f = Subspace(2, 3, np.eye(3, dtype=np.int64))
     assert f.dim == 3
     assert f.contains(z)
+
+
+# -- the column loop and the re-reducing kernel, kept as references ----------
+
+def reference_rref(a, p):
+    """The former rref: walks every column, zero or not."""
+    r = np.asarray(a, dtype=np.int64) % p
+    nrow, ncol = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncol):
+        if row == nrow:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
+        hit = np.nonzero(r[:, col])[0]
+        hit = hit[hit != row]
+        if hit.size:
+            r[hit] = (r[hit] - np.outer(r[hit, col], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def reference_kernel_basis(a, p):
+    """The former kernel_basis: the free-column basis, row-reduced again."""
+    a = np.asarray(a, dtype=np.int64) % p
+    ncol = a.shape[1]
+    r, pivots = reference_rref(a, p)
+    free = [c for c in range(ncol) if c not in set(pivots)]
+    if not free:
+        return np.zeros((0, ncol), dtype=np.int64)
+    basis = np.zeros((len(free), ncol), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-r[i, fc]) % p
+    return reference_rref(basis, p)[0]
+
+
+def seeded_matrices(p, rng):
+    """Random, sparse, rank-deficient and zero-column matrices, the zero
+    matrix, empty shapes, and entries outside 0..p-1."""
+    mats = [np.zeros((3, 4), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
+            np.zeros((4, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)]
+    for _ in range(40):
+        nrow, ncol = (int(x) for x in rng.integers(1, 9, size=2))
+        a = rng.integers(0, p, size=(nrow, ncol))
+        a[:, rng.random(ncol) < 0.4] = 0
+        mats.append(a)
+        mats.append(a * (rng.random((nrow, ncol)) < 0.3))
+        rank = int(rng.integers(0, min(nrow, ncol) + 1))
+        left = rng.integers(0, p, size=(nrow, rank))
+        mats.append(left @ rng.integers(0, p, size=(rank, ncol)) % p)
+        mats.append(a - 2 * p)
+    return mats
+
+
+PRIMES = [2, 3, 5, 31, 65521]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_matches_column_loop(p):
+    rng = np.random.default_rng(1000 + p)
+    for a in seeded_matrices(p, rng):
+        r, piv = rref(a, p)
+        want, want_piv = reference_rref(a, p)
+        assert r.dtype == np.int64 and r.shape == a.shape
+        assert np.array_equal(r, want) and piv == want_piv
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kernel_basis_is_a_free_column_basis(p):
+    rng = np.random.default_rng(2000 + p)
+    for a in seeded_matrices(p, rng):
+        ncol = a.shape[1]
+        k = kernel_basis(a, p)
+        rank = len(rref(a, p)[1])
+        assert k.dtype == np.int64 and k.shape == (ncol - rank, ncol)
+        assert (a @ k.T % p == 0).all()
+        assert Subspace(p, ncol, k).dim == k.shape[0]  # independent rows
+        want = reference_kernel_basis(a, p)
+        assert np.array_equal(Subspace(p, ncol, k).basis, want)

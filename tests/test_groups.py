@@ -374,6 +374,51 @@ def test_normalizer_matches_reference():
         assert_same_elems(s4.normalizer(sub), reference_normalizer(s4, sub))
 
 
+def reference_sylow(g, p):
+    """The former ascent: the full normalizer of s at each step, scanned in
+    order for a p-element outside s whose p-th power lies in s."""
+    pk = int_p_part(g.order, p)
+    if pk == 1:
+        return np.array([0], dtype=np.int64)
+    orders = g.element_orders()
+    best, best_ord = 0, 1
+    for x in range(g.order):
+        op = int_p_part(int(orders[x]), p)
+        if op > best_ord:
+            best, best_ord = x, op
+    s = g.subgroup_closure([g.element_p_part(best, p)])
+    while s.size < pk:
+        mask = np.zeros(g.order, dtype=bool)
+        mask[s] = True
+        cand = next(y for y in map(int, g.normalizer(s)) if not mask[y]
+                    and int_p_part(int(orders[y]), p) == orders[y]
+                    and mask[g.power(y, p)])
+        s = g.subgroup_closure(list(s) + [cand])
+    return s
+
+
+SYLOW_EXTRA = ("twisted_affine(2,4,1)", "sym(5)", "sym(6)", "dihedral(300)", "agl(1,32)",
+               "twisted_affine(3,2,1)", "cyclic(101)", "abelian(2,4,8)")
+SYLOW_GROUPS = [(spec, g) for spec, g in catalog_groups()] + [
+    (spec, parse_family(spec, max_order=4000)) for spec in SYLOW_EXTRA]
+
+
+@pytest.mark.parametrize("spec,g", SYLOW_GROUPS, ids=[s for s, _ in SYLOW_GROUPS])
+def test_sylow_matches_normalizer_ascent(spec, g):
+    for p in prime_factors(g.order):
+        assert_same_elems(g.sylow_subgroup(p), reference_sylow(g, p))
+    assert_same_elems(g.sylow_subgroup(7 if g.order % 7 else 11),
+                      np.array([0], dtype=np.int64))
+
+
+def test_sylow_ascent_raises_without_extension():
+    g = parse_family("sym(4)")
+    # orders that leave no 2-element: the ascent cannot leave the identity
+    g._memo["orders"] = np.where(np.arange(g.order) == 0, 1, 3)
+    with pytest.raises(ConsistencyError, match="Sylow ascent found no extension"):
+        g.sylow_subgroup(2)
+
+
 # -- normal subgroups from classes, against the element-wise references ------
 
 def reference_normal_closure(g, seed, conjugators=None):

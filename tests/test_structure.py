@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from soclelab import structure
 from soclelab.algebra import CenterAlgebra
 from soclelab.analysis import analyze_group
 from soclelab.errors import ConsistencyError, InapplicableError
 from soclelab.families import parse_family
-from soclelab.groups import FiniteGroup, direct_product
+from soclelab.groups import FiniteGroup, direct_product, prime_factors
 from soclelab.structure import (_matches_affine_model, build_nonideal_witness,
                                 characterize_socle_ideal,
                                 check_annihilator_reduction,
@@ -288,3 +289,22 @@ def test_affine_model_comparison():
     pair, _, _ = direct_product(parse_family("agl(1,3)"), parse_family("agl(1,4)"))
     assert _matches_affine_model(pair, [3, 4]) == (True, "isomorphism")
     assert _matches_affine_model(parse_family("cyclic(702)"), [27]) == (False, "fingerprint")
+
+
+@pytest.mark.parametrize("spec", ["SL2(3)", "heisenberg_affine(3)"])
+def test_affine_model_compared_once_per_quotient(spec, monkeypatch):
+    """Each (G/G'', sizes) runs one isomorphism search, at every prime."""
+    g = parse_family(spec)
+    q = g.second_derived_quotient().group
+    searches = []
+    real = structure.groups_isomorphic
+
+    def counting(a, b):
+        if a is q:
+            searches.append(b.order)
+        return real(a, b)
+
+    monkeypatch.setattr(structure, "groups_isomorphic", counting)
+    for p in prime_factors(g.order):
+        analyze_group(g, p)
+    assert searches and len(searches) == len(set(searches))

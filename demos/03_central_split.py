@@ -10,25 +10,23 @@ up into subgroups.
 Run:  python3 demos/03_central_split.py
 """
 
-from soclelab import CenterAlgebra, parse_family
-from soclelab.structure import (decompose_second_derived_quotient,
-                                examine_sylow_split,
-                                split_into_central_factors)
+from soclelab import parse_family
+from soclelab.structure import examine_sylow_split, split_into_central_factors
 
 g = parse_family("central(sl2(3),sl2(3))")
 print(f"group {g.name}: order {g.order}, center size {g.center().size}")
 
-alg = CenterAlgebra(g, 2)
-split = examine_sylow_split(g, 2)
-print(f"socle ideal verdicts: {alg.socle_ideal_verdict()}")
+# one context per (group, p): shape data, center algebra, decomposition
+ctx = examine_sylow_split(g, 2)
+print(f"socle ideal verdicts: {ctx.alg.socle_ideal_verdict()}")
 
-dec = decompose_second_derived_quotient(split, alg)
+dec = ctx.decomposition()
 print(f"\nsecond-derived quotient: {dec.n} minimal normal factors, "
       f"sizes {[f.size for f in dec.factors]}")
 print(f"multipliers (complement elements acting transitively on each "
       f"factor): {dec.multipliers}")
 
-cs = split_into_central_factors(split, dec, alg)
+cs = split_into_central_factors(ctx)
 print(f"\ncomponents recovered: orders {cs.component_orders}")
 print(f"seed classes: {cs.seeds}")
 print(f"affine model matched by: {cs.model_method}")

@@ -14,21 +14,17 @@ Run:  python3 demos/04_nonideal_witness.py   (about five seconds)
 
 import numpy as np
 
-from soclelab import CenterAlgebra, parse_family
-from soclelab.structure import (build_nonideal_witness,
-                                decompose_second_derived_quotient,
-                                examine_sylow_split)
+from soclelab import parse_family
+from soclelab.structure import build_nonideal_witness, examine_sylow_split
 
 g = parse_family("twisted_affine(2,4,1)", max_order=4000)
 print(f"group {g.name}: order {g.order}")
 
-alg = CenterAlgebra(g, 2)
-print(f"dims: {alg.dims()}")
-print(f"socle ideal verdicts: {alg.socle_ideal_verdict()}")
+ctx = examine_sylow_split(g, 2)
+print(f"dims: {ctx.alg.dims()}")
+print(f"socle ideal verdicts: {ctx.alg.socle_ideal_verdict()}")
 
-split = examine_sylow_split(g, 2)
-dec = decompose_second_derived_quotient(split, alg)
-w = build_nonideal_witness(split, dec, alg)
+w = build_nonideal_witness(ctx)
 
 print(f"\ncommutator core order {w['commutator_core_order']} "
       f"< second derived order {w['second_derived_order']}:")

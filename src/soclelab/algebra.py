@@ -232,8 +232,7 @@ class CenterAlgebra:
         g = self.group
         qm = g.second_derived_quotient()
         target = self.second_derived_quotient_algebra()
-        inside = np.zeros(self.n, dtype=bool)
-        inside[qm.kernel] = True
+        inside = g.mask(qm.kernel)
         route_a: list[int] = []
         for j in range(1, self.k):
             c = self.classes[j]

@@ -3,24 +3,23 @@
 analyze_group runs every computation the package offers on a single
 (group, prime) pair and folds the results into a plain dict that
 serializes to stable JSON: dimensions, the two ideal verdicts, shape
-flags, and one sub-report per structural theorem check. Checks whose
-preconditions fail are reported as inapplicable, never as errors; a
-falsified verification lands in consistency_failures and the caller
-decides how loudly to fail.
+flags, and one sub-report per structural theorem check. All of them
+share one AnalysisContext, so the center algebra and the decomposition of
+G/G'' are built at most once per report. Checks whose preconditions fail
+are reported as inapplicable, never as errors; a falsified verification
+lands in consistency_failures and the caller decides how loudly to fail.
 """
 
 from __future__ import annotations
 
 import time
 
-from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError, UnsupportedInputError
 from .fplin import P_LIMIT, is_prime
 from .groups import FiniteGroup, prime_factors
 from .structure import (check_annihilator_reduction, check_quotient_decomposition,
-                        characterize_socle_ideal, decompose_second_derived_quotient,
-                        examine_sylow_split, reduce_to_core,
-                        split_into_central_factors)
+                        characterize_socle_ideal, examine_sylow_split,
+                        reduce_to_core, split_into_central_factors)
 
 SCHEMA_VERSION = 1
 
@@ -62,8 +61,8 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
 
     t0 = time.perf_counter()
     failures: list[str] = []
-    alg = CenterAlgebra(group, p)
-    split = examine_sylow_split(group, p)
+    ctx = examine_sylow_split(group, p)
+    alg = ctx.alg
 
     try:
         direct, criterion = alg.socle_ideal_verdict()
@@ -74,25 +73,25 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         direct = None
 
     dims = {k: int(v) for k, v in alg.dims().items()}
-    sylow_normal = bool(group.is_normal(split.sylow))
+    sylow_normal = bool(group.is_normal(ctx.sylow))
 
     blocks = None
     if sylow_normal:
         try:
             blocks = [[int(r), int(d)]
-                      for r, d in alg.socle_coset_decomposition(split.sylow)]
+                      for r, d in alg.socle_coset_decomposition(ctx.sylow)]
         except ConsistencyError as e:
-            if direct and split.reduced:
+            if direct and ctx.reduced:
                 failures.append(str(e))
 
-    shape = {k: bool(v) for k, v in split.flags.items()}
+    shape = {k: bool(v) for k, v in ctx.flags.items()}
     shape["sylow_normal"] = sylow_normal
-    shape["reduced"] = bool(split.reduced)
+    shape["reduced"] = bool(ctx.reduced)
     shape["frobenius_with_derived_kernel"] = bool(
-        group.is_frobenius_with_kernel(split.derived))
+        group.is_frobenius_with_kernel(ctx.derived))
 
     radical_basis_match = None
-    if split.reduced:
+    if ctx.reduced:
         radical_basis_match = bool(
             alg.radical_span_from_classes() == alg.jacobson_radical())
         if not radical_basis_match:
@@ -121,16 +120,9 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         return report
 
     th = report["theorems"]
-    dec = None
-
-    def decomposition():
-        if dec is None:
-            raise InapplicableError("no quotient decomposition available")
-        return dec
 
     def quotient_decomposition() -> dict:
-        nonlocal dec
-        dec = decompose_second_derived_quotient(split, alg)
+        dec = ctx.decomposition()
         entry = {
             "status": "computed",
             "n": dec.n,
@@ -141,12 +133,12 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
             "central_image_order": int(dec.central_image.size),
         }
         if direct:
-            entry["checks"] = check_quotient_decomposition(split, dec)
+            entry["checks"] = check_quotient_decomposition(ctx)
             entry["status"] = "passed"
         return entry
 
     def ideal_characterization() -> dict:
-        ch = characterize_socle_ideal(split, alg, decomposition())
+        ch = characterize_socle_ideal(ctx)
         return {
             "status": "passed",
             "affine_match": ch.affine_match,
@@ -160,7 +152,7 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         }
 
     def central_split() -> dict:
-        cs = split_into_central_factors(split, decomposition(), alg)
+        cs = split_into_central_factors(ctx)
         return {
             "status": "passed",
             "seeds": cs.seeds,
@@ -171,10 +163,10 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
 
     def annihilator_reduction() -> dict:
         return {"status": "passed",
-                **check_annihilator_reduction(split, decomposition(), alg)}
+                **check_annihilator_reduction(ctx)}
 
     def reduction() -> dict:
-        core, steps = reduce_to_core(alg)
+        core, steps = reduce_to_core(ctx)
         return {"status": "passed", "core_order": int(core.order), "steps": steps}
 
     # each check's entry goes under its name; unmet preconditions make it

@@ -194,8 +194,7 @@ class FiniteGroup:
         """Greedy small generating set of a subgroup given by its elements:
         the smallest element not yet generated, until all are. Each one
         grows the closure of those before it."""
-        inside = np.zeros(self.order, dtype=bool)
-        inside[np.asarray(elems, dtype=np.int64)] = True
+        inside = self.mask(elems)
         have = np.zeros(self.order, dtype=bool)
         have[0] = True
         gens: list[int] = []
@@ -215,13 +214,31 @@ class FiniteGroup:
 
     def _check_subgroup(self, elems: np.ndarray) -> None:
         """Raise unless the sorted distinct elements form a subgroup."""
-        mask = np.zeros(self.order, dtype=bool)
-        mask[elems] = True
+        mask = self.mask(elems)
         if not mask[0]:
             raise UnsupportedInputError("subgroup must contain the identity")
         prods = self.table[np.ix_(elems, elems)]
         if not mask[prods].all():
             raise UnsupportedInputError("element set is not closed under the product")
+
+    # -- element sets ----------------------------------------------------
+    # A set of elements is a sorted array of distinct indices, so two sets
+    # are equal iff their arrays are.
+
+    def mask(self, elems) -> np.ndarray:
+        """Membership vector of elems over all n elements."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[np.asarray(elems, dtype=np.int64)] = True
+        return mask
+
+    def is_subgroup(self, elems) -> bool:
+        """elems is a subgroup: its closure adds no element to it."""
+        return self.subgroup_closure(elems).size == np.unique(elems).size
+
+    def commute(self, a, b) -> bool:
+        """Every element of a commutes with every element of b."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return bool((self.table[np.ix_(a, b)] == self.table[np.ix_(b, a)].T).all())
 
     # -- conjugacy -------------------------------------------------------
 
@@ -282,17 +299,8 @@ class FiniteGroup:
         mask = (a == b).all(axis=1)
         out = np.flatnonzero(mask)
         if within is not None:
-            wmask = np.zeros(self.order, dtype=bool)
-            wmask[np.asarray(within)] = True
-            out = out[wmask[out]]
+            out = out[self.mask(within)[out]]
         return out
-
-    def normalizer(self, elems) -> np.ndarray:
-        elems = np.asarray(elems, dtype=np.int64)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[elems] = True
-        t, inv = self.table, self.inv
-        return np.flatnonzero(mask[t[t[:, elems], inv[:, None]]].all(axis=1))
 
     def derived_subgroup(self) -> np.ndarray:
         if "derived" not in self._memo:
@@ -452,9 +460,7 @@ class FiniteGroup:
 
     def is_normal(self, elems) -> bool:
         elems = np.asarray(elems)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[elems] = True
-        t, inv = self.table, self.inv
+        mask, t, inv = self.mask(elems), self.table, self.inv
         return all(mask[t[t[g, elems], inv[g]]].all() for g in self.generators())
 
     def quotient(self, kernel_elems) -> "QuotientMap":
@@ -497,8 +503,7 @@ class FiniteGroup:
         """[g] = g G' for every g outside G'. Both sides are the same for
         all of a class, so one representative per class decides."""
         der = self.derived_subgroup()
-        mask = np.zeros(self.order, dtype=bool)
-        mask[der] = True
+        mask = self.mask(der)
         for c in self.conjugacy_classes():
             if not mask[c.rep] and not np.array_equal(
                     c.elems, np.sort(self.table[c.rep, der])):
@@ -509,8 +514,7 @@ class FiniteGroup:
         k = np.unique(np.asarray(kernel_elems, dtype=np.int64))
         if k.size <= 1 or k.size == self.order or not self.is_normal(k):
             return False
-        kmask = np.zeros(self.order, dtype=bool)
-        kmask[k] = True
+        kmask = self.mask(k)
         for x in map(int, k):
             if x == 0:
                 continue
@@ -553,9 +557,7 @@ class QuotientMap:
     section: np.ndarray    # quotient element -> smallest parent preimage
 
     def preimage_of_set(self, qelems) -> np.ndarray:
-        qmask = np.zeros(self.group.order, dtype=bool)
-        qmask[np.asarray(qelems, dtype=np.int64)] = True
-        return np.flatnonzero(qmask[self.proj])
+        return np.flatnonzero(self.group.mask(qelems)[self.proj])
 
 
 def prime_factors(n: int) -> list[int]:
@@ -742,11 +744,7 @@ def central_product(a: FiniteGroup, b: FiniteGroup, za=None, zb=None,
     """
     za = a.center() if za is None else np.unique(np.asarray(za, dtype=np.int64))
     zb = b.center() if zb is None else np.unique(np.asarray(zb, dtype=np.int64))
-    amask = np.zeros(a.order, dtype=bool)
-    amask[a.center()] = True
-    bmask = np.zeros(b.order, dtype=bool)
-    bmask[b.center()] = True
-    if not amask[za].all() or not bmask[zb].all():
+    if not a.mask(a.center())[za].all() or not b.mask(b.center())[zb].all():
         raise UnsupportedInputError("identified subgroups must be central")
     if za.size != zb.size:
         raise UnsupportedInputError("identified subgroups must be isomorphic")

@@ -11,6 +11,11 @@ whether soc(Z(F_pG)) is an ideal of F_pG reduces to three recognizable
 conditions on G. Every construction is paired with a direct verification;
 a verified claim that fails raises ConsistencyError, since that would mean
 either a bug here or a wrong expectation, and both must stop the run.
+
+Everything the checks share for one (G, p) lives in one AnalysisContext,
+built by examine_sylow_split: the Sylow data and shape flags, the center
+algebra, and the decomposition of G/G'', computed on first request. Each
+check takes the context as its only argument.
 """
 
 from __future__ import annotations
@@ -23,42 +28,21 @@ import numpy as np
 
 from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError
-from .families import agl1
+from .families import agl1, sl2_3
 from .fplin import FpMatrix, Subspace, kernel_basis
 from .groups import (ISO_ORDER_LIMIT, FiniteGroup, QuotientMap, direct_product,
                      groups_isomorphic)
 
 
-def _same_elems(a, b) -> bool:
-    return np.array_equal(np.sort(np.asarray(a)), np.sort(np.asarray(b)))
-
-
-def _subset(a, b) -> bool:
-    return set(int(x) for x in np.atleast_1d(a)) <= set(int(x) for x in np.atleast_1d(b))
-
-
-def _sets_commute(g: FiniteGroup, a, b) -> bool:
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    return bool((g.table[np.ix_(a, b)] == g.table[np.ix_(b, a)].T).all())
-
-
-def _is_subgroup(g: FiniteGroup, elems) -> bool:
-    elems = np.asarray(elems, dtype=np.int64)
-    return _same_elems(g.subgroup_closure(elems), elems)
-
-
-def _abelian_set(g: FiniteGroup, elems) -> bool:
-    return _sets_commute(g, elems, elems)
-
-
 # ---------------------------------------------------------------------------
-# shape detection
+# shape detection and the per-(group, p) context
 
 
 @dataclass
-class SylowSplit:
-    """How close a group comes to the reduced shape described above.
+class AnalysisContext:
+    """One (group, p): how close the group comes to the reduced shape
+    described above, its center algebra alg, and the memoized outcome of
+    the quotient decomposition.
 
     flags keys:
       derived_is_sylow          G' is a Sylow p-subgroup of G
@@ -75,6 +59,10 @@ class SylowSplit:
     sylow: np.ndarray
     complement: np.ndarray | None
     flags: dict
+    alg: CenterAlgebra
+    # None before the first request, False after a failed one
+    _dec: QuotientDecomposition | bool | None = field(
+        default=None, init=False, repr=False)
 
     @property
     def reduced(self) -> bool:
@@ -89,15 +77,25 @@ class SylowSplit:
 
     @cached_property
     def derived_camina(self) -> bool:
-        """G' as a group of its own is a Camina group; built once per split."""
+        """G' as a group of its own is a Camina group; built once per context."""
         dergrp, _ = self.group.subgroup_as_group(self.derived)
         return dergrp.is_camina()
 
+    def decomposition(self) -> QuotientDecomposition:
+        """decompose_second_derived_quotient(self), run on the first request.
+        When it fails, that request raises its error and every later one
+        raises InapplicableError."""
+        if self._dec is None:
+            self._dec = False
+            self._dec = decompose_second_derived_quotient(self)
+        if self._dec is False:
+            raise InapplicableError("no quotient decomposition available")
+        return self._dec
 
-def examine_sylow_split(g: FiniteGroup, p: int) -> SylowSplit:
+
+def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
     der = g.derived_subgroup()
     syl = g.sylow_subgroup(p)
-    derived_is_sylow = _same_elems(der, syl)
 
     complement = None
     if syl.size < g.order and g.is_normal(syl):
@@ -108,13 +106,14 @@ def examine_sylow_split(g: FiniteGroup, p: int) -> SylowSplit:
     zd = g.sub_center(der)
     second = g.sub_derived(der)
     flags = {
-        "derived_is_sylow": bool(derived_is_sylow),
-        "complement_abelian": complement is not None and _abelian_set(g, complement),
+        "derived_is_sylow": np.array_equal(der, syl),
+        "complement_abelian": complement is not None and g.commute(complement, complement),
         "pprime_core_trivial": bool(g.p_prime_core(p).size == 1),
-        "derived_center_is_second_derived": _same_elems(zd, second),
+        "derived_center_is_second_derived": np.array_equal(zd, second),
     }
-    return SylowSplit(group=g, p=p, derived=der, sylow=syl,
-                      complement=complement, flags=flags)
+    return AnalysisContext(group=g, p=p, derived=der, sylow=syl,
+                           complement=complement, flags=flags,
+                           alg=CenterAlgebra(g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +181,20 @@ def _minimal_normal_inside(q: FiniteGroup, elems) -> list[np.ndarray]:
             nc = q.normal_closure([classes[ci].rep])
             seen[nc.tobytes()] = nc
     closures = list(seen.values())
-    out = []
-    for nc in closures:
-        ncset = set(nc.tolist())
-        if any(o.size < nc.size and set(o.tolist()) <= ncset for o in closures):
-            continue
-        out.append(nc)
+    out = [nc for nc in closures
+           if not any(o.size < nc.size and q.mask(nc)[o].all() for o in closures)]
     out.sort(key=lambda a: (a.size, a.tolist()))
     return out
 
 
 def is_minimal_normal(q: FiniteGroup, elems) -> bool:
-    elems = np.asarray(elems, dtype=np.int64)
+    """A nontrivial normal N is minimal iff it is the only inclusion-minimal
+    normal closure of its elements."""
+    elems = np.unique(np.asarray(elems, dtype=np.int64))
     if elems.size <= 1 or not q.is_normal(elems):
         return False
-    classes = q.conjugacy_classes()
-    return all(_same_elems(q.normal_closure([classes[ci].rep]), elems)
-               for ci in np.unique(q.class_index_of()[elems]) if ci)
+    inside = _minimal_normal_inside(q, elems)
+    return len(inside) == 1 and np.array_equal(inside[0], elems)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +224,6 @@ class QuotientDecomposition:
                     centralizer is trivial
     """
 
-    split: SylowSplit
     qmap: QuotientMap
     quotient: FiniteGroup
     derived_image: np.ndarray
@@ -284,8 +279,7 @@ def _averaging_projector(q: FiniteGroup, p: int, basis: list[int],
     return proj
 
 
-def decompose_second_derived_quotient(split: SylowSplit, alg: CenterAlgebra
-                                      ) -> QuotientDecomposition:
+def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposition:
     """Split the image of G' in Q = G/G'' as (minimal factors) x (central image).
 
     The factor span is produced as the kernel of an averaging projector onto
@@ -296,36 +290,37 @@ def decompose_second_derived_quotient(split: SylowSplit, alg: CenterAlgebra
     derived subgroup splitting over its center, independence of the minimal
     factors) are only promised when soc(ZFG) is an ideal. A failure is
     therefore a ConsistencyError in that case and an InapplicableError
-    otherwise.
+    otherwise. Checks reach it through ctx.decomposition(), which runs it
+    once per context.
     """
-    if not split.reduced:
+    if not ctx.reduced:
         raise InapplicableError("group does not have the reduced shape")
-    g, p = split.group, split.p
-    comp = split.complement
+    g, p = ctx.group, ctx.p
+    comp = ctx.complement
     if math.gcd(len(comp), p) != 1:
         raise InapplicableError("complement order is divisible by p")
 
     def conditional_fail(msg: str):
-        if alg.socle_ideal_verdict()[0]:
+        if ctx.alg.socle_ideal_verdict()[0]:
             raise ConsistencyError(msg)
         raise InapplicableError(msg + " (and the socle is not an ideal)")
 
     qm = g.second_derived_quotient()
     q = qm.group
-    der_im = np.unique(qm.proj[split.derived])
-    zc = g.sub_center(split.derived)
+    der_im = np.unique(qm.proj[ctx.derived])
+    zc = g.sub_center(ctx.derived)
     central_im = np.unique(qm.proj[zc])
-    if not _abelian_set(q, der_im):
+    if not q.commute(der_im, der_im):
         raise ConsistencyError("derived image in the quotient is not abelian")
 
     # the set of derived elements whose p-th powers fall into the kernel;
     # a subgroup only when the derived subgroup has class at most two
-    dropped = np.array([x for x in split.derived
+    dropped = np.array([x for x in ctx.derived
                         if qm.proj[g.power(int(x), p)] == 0], dtype=np.int64)
-    if not _is_subgroup(g, dropped) or not g.is_normal(dropped):
+    if not g.is_subgroup(dropped) or not g.is_normal(dropped):
         conditional_fail("p-th power preimage set is not a normal subgroup")
     prod = np.unique(g.table[np.ix_(dropped, zc)])
-    if not _same_elems(prod, split.derived):
+    if not np.array_equal(prod, ctx.derived):
         conditional_fail(
             "derived subgroup is not covered by the p-th power set and the center")
 
@@ -348,14 +343,15 @@ def decompose_second_derived_quotient(split: SylowSplit, alg: CenterAlgebra
     tele = sorted(_elems_from_coords(q, basis, v)
                   for v in _all_combinations(p, tspace))
     tspan = np.array(tele, dtype=np.int64)
-    if not _is_subgroup(q, tspan) or not q.is_normal(tspan):
+    if not q.is_subgroup(tspan) or not q.is_normal(tspan):
         raise ConsistencyError("factor span is not a normal subgroup")
+    tmask = q.mask(tspan)
     for h in actors:
-        if not _subset(q.table[q.table[h, tspan], q.inverse(h)], tspan):
+        if not tmask[q.table[q.table[h, tspan], q.inverse(h)]].all():
             raise ConsistencyError("factor span is not stable under the complement")
     # directness of span x central image inside the derived image
     cover = np.unique(q.table[np.ix_(tspan, central_im)])
-    if (not _same_elems(cover, der_im)
+    if (not np.array_equal(cover, der_im)
             or np.intersect1d(tspan, central_im).size != 1):
         conditional_fail("derived image does not split over the center image")
 
@@ -397,7 +393,7 @@ def decompose_second_derived_quotient(split: SylowSplit, alg: CenterAlgebra
         fixers.append(int(cent.min()) if cent.size else None)
 
     return QuotientDecomposition(
-        split=split, qmap=qm, quotient=q, derived_image=der_im,
+        qmap=qm, quotient=q, derived_image=der_im,
         central_image=central_im, factor_span=tspan, factors=factors,
         multipliers=multipliers,
         multiplier_orders=[int(f.size) - 1 for f in factors],
@@ -454,35 +450,37 @@ def _fixes_set(q: FiniteGroup, hb: int, elems: np.ndarray) -> bool:
     return bool((perm[elems] == elems).all())
 
 
-def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition
-                                 ) -> dict:
+def _verified(checks: dict, what: str) -> dict:
+    """The named checks as booleans; any that failed raise one
+    ConsistencyError naming them all, in order."""
+    checks = {name: bool(ok) for name, ok in checks.items()}
+    fails = [name for name, ok in checks.items() if not ok]
+    if fails:
+        raise ConsistencyError(f"{what} checks failed: " + ", ".join(fails))
+    return checks
+
+
+def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
     """Verify every property the decomposition promises.
 
     Intended for groups where soc(ZFG) is an ideal, where all of these are
     guaranteed; any failure raises ConsistencyError. Returns the dict of
     individual check results (all True when it returns).
     """
-    g, p = split.group, split.p
+    dec = ctx.decomposition()
+    g, comp = ctx.group, ctx.complement
     q, qm = dec.quotient, dec.qmap
-    comp = split.complement
+    qcls = q.class_index_of()
     checks: dict[str, bool] = {}
-    fails: list[str] = []
-
-    def record(name: str, ok: bool):
-        checks[name] = bool(ok)
-        if not ok:
-            fails.append(name)
 
     cover = np.unique(q.table[np.ix_(dec.factor_span, dec.central_image)])
-    record("derived_image_splits",
-           np.intersect1d(dec.factor_span, dec.central_image).size == 1
-           and _same_elems(cover, dec.derived_image))
-    record("factors_minimal_normal",
-           all(is_minimal_normal(q, f) for f in dec.factors))
-    record("factor_sizes_at_least_three",
-           all(int(f.size) >= 3 for f in dec.factors))
+    checks["derived_image_splits"] = (
+        np.intersect1d(dec.factor_span, dec.central_image).size == 1
+        and np.array_equal(cover, dec.derived_image))
+    checks["factors_minimal_normal"] = all(is_minimal_normal(q, f) for f in dec.factors)
+    checks["factor_sizes_at_least_three"] = all(int(f.size) >= 3 for f in dec.factors)
 
-    record("multipliers_exist", all(m is not None for m in dec.multipliers))
+    checks["multipliers_exist"] = all(m is not None for m in dec.multipliers)
     mult_ok = checks["multipliers_exist"]
     if mult_ok:
         for i, m in enumerate(dec.multipliers):
@@ -492,7 +490,7 @@ def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition
             for j, f in enumerate(dec.factors):
                 if j != i and not _fixes_set(q, mb, f):
                     mult_ok = False
-    record("multipliers_act_as_promised", mult_ok)
+    checks["multipliers_act_as_promised"] = mult_ok
 
     # the multipliers plus the pointwise stabilizer of the span generate H,
     # and each multiplier generates the quotient of H by its factor stabilizer
@@ -501,8 +499,7 @@ def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition
                          dtype=np.int64)
     if checks["multipliers_exist"]:
         gens = [int(m) for m in dec.multipliers] + [int(h) for h in span_stab]
-        record("complement_generated",
-               _same_elems(g.subgroup_closure(gens), comp))
+        checks["complement_generated"] = np.array_equal(g.subgroup_closure(gens), comp)
         cyc_ok = True
         for i, m in enumerate(dec.multipliers):
             stab = set(int(h) for h in comp
@@ -514,25 +511,22 @@ def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition
                 k += 1
             if k != index:
                 cyc_ok = False
-        record("multiplier_spans_action_quotient", cyc_ok)
+        checks["multiplier_spans_action_quotient"] = cyc_ok
     else:
-        record("complement_generated", False)
-        record("multiplier_spans_action_quotient", False)
+        checks["complement_generated"] = False
+        checks["multiplier_spans_action_quotient"] = False
 
-    record("cofactor_fixers_exist", all(h is not None for h in dec.fixers))
+    checks["cofactor_fixers_exist"] = all(h is not None for h in dec.fixers)
     shape_ok = checks["cofactor_fixers_exist"]
     if shape_ok:
-        qcls = q.class_index_of()
         qclasses = q.conjugacy_classes()
         for i, h in enumerate(dec.fixers):
             hb = int(qm.proj[h])
             want = np.sort(q.table[dec.factors[i], hb])
-            got = qclasses[int(qcls[hb])].elems
-            if not _same_elems(want, got):
+            if not np.array_equal(want, qclasses[int(qcls[hb])].elems):
                 shape_ok = False
-    record("fixer_class_is_factor_translate", shape_ok)
+    checks["fixer_class_is_factor_translate"] = shape_ok
 
-    qcls = q.class_index_of()
     pat_of_cid: dict[int, tuple] = {}
     cid_of_pat: dict[tuple, int] = {}
     ok = True
@@ -543,12 +537,8 @@ def check_quotient_decomposition(split: SylowSplit, dec: QuotientDecomposition
             ok = False
         if cid_of_pat.setdefault(pat, cid) != cid:
             ok = False
-    record("support_pattern_matches_conjugacy", ok)
-
-    if fails:
-        raise ConsistencyError(
-            "quotient decomposition checks failed: " + ", ".join(fails))
-    return checks
+    checks["support_pattern_matches_conjugacy"] = ok
+    return _verified(checks, "quotient decomposition")
 
 
 # ---------------------------------------------------------------------------
@@ -598,36 +588,31 @@ def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
     return q._memo[key]
 
 
-def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
-                             dec: QuotientDecomposition | None = None
-                             ) -> IdealCharacterization:
+def characterize_socle_ideal(ctx: AnalysisContext) -> IdealCharacterization:
     """Decide the ideal question from group structure and verify the answer
     against the direct computation. Disagreement raises ConsistencyError.
 
     Applies when the group has the reduced shape, Z(G') = G'', and the image
     of G' is a minimal normal subgroup of G/G''.
     """
-    g, p = split.group, split.p
-    if not split.reduced:
-        raise InapplicableError("group does not have the reduced shape")
-    if not split.z_match:
+    dec = ctx.decomposition()  # raises unless the shape is reduced
+    g, p = ctx.group, ctx.p
+    if not ctx.z_match:
         raise InapplicableError(
             "center of the derived subgroup is not the second derived subgroup")
-    if dec is None:
-        dec = decompose_second_derived_quotient(split, alg)
-    q, qm = dec.quotient, dec.qmap
+    q = dec.quotient
     der_im = dec.derived_image
     if der_im.size <= 1:
         raise InapplicableError("derived subgroup is trivial")
     if not is_minimal_normal(q, der_im):
         raise InapplicableError(
             "derived image is not a minimal normal subgroup of the quotient")
-    if dec.n != 1 or not _same_elems(dec.factors[0], der_im):
+    if dec.n != 1 or not np.array_equal(dec.factors[0], der_im):
         raise ConsistencyError(
             "decomposition does not consist of the derived image alone")
 
     notes: list[str] = []
-    comp = split.complement
+    comp = ctx.complement
     qsize = int(der_im.size)
 
     structural = (dec.multipliers[0] is not None and len(comp) == qsize - 1)
@@ -638,10 +623,10 @@ def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
             f"transitive generator search {structural}")
 
     has_fixer = dec.fixers[0] is not None
-    camina = split.derived_camina
+    camina = ctx.derived_camina
 
     predicted = bool(affine and has_fixer and camina)
-    direct, criterion = alg.socle_ideal_verdict()
+    direct, criterion = ctx.alg.socle_ideal_verdict()
     if predicted != direct:
         raise ConsistencyError(
             f"structural prediction {predicted} contradicts the computed "
@@ -655,7 +640,6 @@ def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
     if direct:
         center = g.center()
         if center.size > 1:
-            from .families import sl2_3
             if g.order != 24 or not groups_isomorphic(g, sl2_3()):
                 raise ConsistencyError(
                     "nontrivial center outside the one known exceptional group")
@@ -665,7 +649,7 @@ def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
     if not direct:
         if affine and has_fixer:
             try:
-                witness = build_nonideal_witness(split, dec, alg)
+                witness = build_nonideal_witness(ctx)
             except InapplicableError as e:
                 notes.append(f"witness construction inapplicable: {e}")
         else:
@@ -682,7 +666,7 @@ def characterize_socle_ideal(split: SylowSplit, alg: CenterAlgebra,
         criterion=criterion, witness=witness, notes=notes)
 
 
-def _factor_seed(split: SylowSplit, dec: QuotientDecomposition, i: int,
+def _factor_seed(ctx: AnalysisContext, i: int,
                  fixer: int | None = None) -> tuple[np.ndarray, int]:
     """Pull the conjugacy class of the i-th cofactor fixer back to a coset
     translate inside G', and pick the smallest seed outside G''.
@@ -692,7 +676,7 @@ def _factor_seed(split: SylowSplit, dec: QuotientDecomposition, i: int,
     multiplier conjugation orbit of the seed; failures of these facts raise
     ConsistencyError.
     """
-    g = split.group
+    g, dec = ctx.group, ctx.decomposition()
     h = dec.fixers[i] if fixer is None else fixer
     if h is None:
         raise InapplicableError("no fixer for this factor")
@@ -700,7 +684,7 @@ def _factor_seed(split: SylowSplit, dec: QuotientDecomposition, i: int,
     cls = g.conjugacy_classes()[int(g.class_index_of()[int(h)])]
     u_set = np.sort(np.array([g.mul(int(x), hinv) for x in cls.elems],
                              dtype=np.int64))
-    if 0 not in u_set or not _subset(u_set, split.derived):
+    if 0 not in u_set or not g.mask(ctx.derived)[u_set].all():
         raise ConsistencyError("fixer class is not a derived-subgroup translate")
     if int(u_set.size) != int(dec.factors[i].size):
         raise ConsistencyError("fixer class size does not match its factor")
@@ -716,15 +700,14 @@ def _factor_seed(split: SylowSplit, dec: QuotientDecomposition, i: int,
         for _ in range(int(u_set.size) - 2):
             cur = g.conj(ei, cur)
             orbit.add(cur)
-        full = np.sort(np.array([0] + sorted(orbit), dtype=np.int64))
-        if not _same_elems(full, u_set):
+        full = np.array([0] + sorted(orbit), dtype=np.int64)
+        if not np.array_equal(full, u_set):
             raise ConsistencyError(
                 "translate set is not one multiplier orbit plus the identity")
     return u_set, seed
 
 
-def build_nonideal_witness(split: SylowSplit, dec: QuotientDecomposition,
-                           alg: CenterAlgebra) -> dict:
+def build_nonideal_witness(ctx: AnalysisContext) -> dict:
     """Construct a central element that annihilates the radical yet has
     support outside the G'-coset span: direct proof that soc(ZFG) is not
     an ideal of FG.
@@ -734,16 +717,17 @@ def build_nonideal_witness(split: SylowSplit, dec: QuotientDecomposition,
     group center, and a proper commutator core inside G''. Every claimed
     property of the witness is verified before returning.
     """
-    g, p = split.group, split.p
-    if not split.reduced or not split.z_match:
+    dec = ctx.decomposition()  # raises unless the shape is reduced
+    g, p, alg = ctx.group, ctx.p, ctx.alg
+    if not ctx.z_match:
         raise InapplicableError("witness needs the reduced shape with Z(G')=G''")
-    if dec.n != 1 or not _same_elems(dec.factors[0], dec.derived_image):
+    if dec.n != 1 or not np.array_equal(dec.factors[0], dec.derived_image):
         raise InapplicableError("witness needs a single-factor decomposition")
     e1 = dec.multipliers[0]
     if e1 is None:
         raise InapplicableError("witness needs a transitive complement element")
     qsize = int(dec.factors[0].size)
-    if len(split.complement) != qsize - 1:
+    if len(ctx.complement) != qsize - 1:
         raise InapplicableError("witness needs the full affine complement")
     if dec.fixers[0] is None:
         raise InapplicableError("witness needs a fixer of the second derived subgroup")
@@ -751,16 +735,16 @@ def build_nonideal_witness(split: SylowSplit, dec: QuotientDecomposition,
         raise InapplicableError("witness needs a trivial group center")
 
     second = g.second_derived()
-    u_set, g1 = _factor_seed(split, dec, 0)
+    u_set, g1 = _factor_seed(ctx, 0)
     e1i = int(e1)
 
-    core = np.sort(np.array(sorted({g.commutator(int(a), g1)
-                                    for a in split.derived}), dtype=np.int64))
-    if not _is_subgroup(g, core) or not _subset(core, second):
+    core = np.array(sorted({g.commutator(int(a), g1) for a in ctx.derived}),
+                    dtype=np.int64)
+    if not g.is_subgroup(core) or not g.mask(second)[core].all():
         raise ConsistencyError("commutator core is not a subgroup of G''")
     alt = g.subgroup_closure([g.commutator(g.conj(g.power(e1i, m), g1), g1)
                               for m in range(qsize - 1)])
-    if not _same_elems(alt, core):
+    if not np.array_equal(alt, core):
         raise ConsistencyError("commutator core has two inequivalent descriptions")
 
     cls_of = g.class_index_of()
@@ -769,11 +753,11 @@ def build_nonideal_witness(split: SylowSplit, dec: QuotientDecomposition,
     coset = np.sort(np.array([g.mul(g1, int(u)) for u in second], dtype=np.int64))
     meet = np.intersect1d(g1_class, coset)
     shifted = np.sort(np.array([g.mul(int(c), g1) for c in core], dtype=np.int64))
-    if not _same_elems(meet, shifted):
+    if not np.array_equal(meet, shifted):
         raise ConsistencyError(
             "class meets the G''-coset of the seed in more than the core translate")
 
-    if (int(core.size) == int(second.size)) != split.derived_camina:
+    if (int(core.size) == int(second.size)) != ctx.derived_camina:
         raise ConsistencyError("commutator core fills G'' iff G' is Camina, violated")
     if int(core.size) == int(second.size):
         raise InapplicableError(
@@ -853,8 +837,7 @@ class CentralFactorSplit:
     model_method: str
 
 
-def split_into_central_factors(split: SylowSplit, dec: QuotientDecomposition,
-                               alg: CenterAlgebra) -> CentralFactorSplit:
+def split_into_central_factors(ctx: AnalysisContext) -> CentralFactorSplit:
     """Split G into a central product of one subgroup per factor, then
     verify every promised property of the pieces.
 
@@ -862,11 +845,12 @@ def split_into_central_factors(split: SylowSplit, dec: QuotientDecomposition,
     socle is an ideal; under those hypotheses a failed verification is a
     ConsistencyError.
     """
-    g, p = split.group, split.p
-    if not split.reduced or not split.z_match:
+    dec = ctx.decomposition()  # raises unless the shape is reduced
+    g, p = ctx.group, ctx.p
+    if not ctx.z_match:
         raise InapplicableError(
             "central splitting needs the reduced shape with Z(G') = G''")
-    direct, _ = alg.socle_ideal_verdict()
+    direct, _ = ctx.alg.socle_ideal_verdict()
     if not direct:
         raise InapplicableError("central splitting needs the socle to be an ideal")
     if any(m is None for m in dec.multipliers) or any(h is None for h in dec.fixers):
@@ -874,19 +858,12 @@ def split_into_central_factors(split: SylowSplit, dec: QuotientDecomposition,
             "multiplier or fixer missing although the socle is an ideal")
 
     q, qm = dec.quotient, dec.qmap
-    comp = split.complement
+    comp = ctx.complement
     second = g.second_derived()
-    checks: dict[str, bool] = {}
-    fails: list[str] = []
-
-    def record(name: str, ok: bool):
-        checks[name] = bool(ok)
-        if not ok:
-            fails.append(name)
 
     u_sets, seeds, parts, part_groups = [], [], [], []
     for i in range(dec.n):
-        u, s = _factor_seed(split, dec, i)
+        u, s = _factor_seed(ctx, i)
         u_sets.append(u)
         seeds.append(s)
         elems = g.subgroup_closure([s, int(dec.multipliers[i])])
@@ -894,30 +871,26 @@ def split_into_central_factors(split: SylowSplit, dec: QuotientDecomposition,
         parts.append(order_map)
         part_groups.append(grp)
 
-    ok = {k: True for k in
-          ("component_socle_ideal", "component_sylow_is_derived",
-           "component_center_match", "component_derived_image_minimal",
-           "component_second_derived")}
+    checks = {k: True for k in
+              ("component_socle_ideal", "component_sylow_is_derived",
+               "component_center_match", "component_derived_image_minimal",
+               "component_second_derived")}
     for i, cg in enumerate(part_groups):
-        calg = CenterAlgebra(cg, p)
-        di, ci = calg.socle_ideal_verdict()
-        if not (di and ci):
-            ok["component_socle_ideal"] = False
-        si = examine_sylow_split(cg, p)
-        if not si.flags["derived_is_sylow"]:
-            ok["component_sylow_is_derived"] = False
-        if not si.z_match:
-            ok["component_center_match"] = False
+        part = examine_sylow_split(cg, p)
+        if not all(part.alg.socle_ideal_verdict()):
+            checks["component_socle_ideal"] = False
+        if not part.flags["derived_is_sylow"]:
+            checks["component_sylow_is_derived"] = False
+        if not part.z_match:
+            checks["component_center_match"] = False
         sec_local = cg.second_derived()
-        sec_global = np.sort(parts[i][sec_local])
-        if not _same_elems(sec_global, np.intersect1d(parts[i], second)):
-            ok["component_second_derived"] = False
+        sec_global = parts[i][sec_local]
+        if not np.array_equal(sec_global, np.intersect1d(parts[i], second)):
+            checks["component_second_derived"] = False
         qi = cg.quotient(sec_local)
         der_im_i = np.unique(qi.proj[cg.derived_subgroup()])
         if der_im_i.size <= 1 or not is_minimal_normal(qi.group, der_im_i):
-            ok["component_derived_image_minimal"] = False
-    for name, good in ok.items():
-        record(name, good)
+            checks["component_derived_image_minimal"] = False
 
     cls_of = g.class_index_of()
     classes = g.conjugacy_classes()
@@ -938,55 +911,46 @@ def split_into_central_factors(split: SylowSplit, dec: QuotientDecomposition,
         for h in fixers_i:
             if int(h) == 0:
                 continue
-            u_h, _ = _factor_seed(split, dec, i, fixer=int(h))
+            u_h, _ = _factor_seed(ctx, i, fixer=int(h))
             outside = np.setdiff1d(u_h, second)
             if not all(int(cls_of[int(x)]) == cid for x in outside):
                 choice_ok = False
-    record("seed_conjugate_to_inverse", inv_ok)
-    record("seed_conjugate_to_multiplier_commutators", comm_ok)
-    record("seed_commutes_with_other_multipliers", other_ok)
-    record("seed_class_independent_of_fixer_choice", choice_ok)
+    checks["seed_conjugate_to_inverse"] = inv_ok
+    checks["seed_conjugate_to_multiplier_commutators"] = comm_ok
+    checks["seed_commutes_with_other_multipliers"] = other_ok
+    checks["seed_class_independent_of_fixer_choice"] = choice_ok
 
-    pair_ok = all(_sets_commute(g, parts[i], parts[j])
-                  for i in range(dec.n) for j in range(i + 1, dec.n))
-    record("components_commute_pairwise", pair_ok)
+    checks["components_commute_pairwise"] = all(
+        g.commute(parts[i], parts[j]) for i in range(dec.n) for j in range(i + 1, dec.n))
     gen = g.subgroup_closure(sorted({int(x) for part in parts for x in part}))
-    record("components_generate", int(gen.size) == g.order)
+    checks["components_generate"] = int(gen.size) == g.order
 
     cover = second
     for u in u_sets:
         cover = np.unique(g.table[np.ix_(cover, u)])
-    record("derived_covered_by_translates", _same_elems(cover, split.derived))
+    checks["derived_covered_by_translates"] = np.array_equal(cover, ctx.derived)
 
-    orders_ok = all(g.element_order(int(e)) == int(f.size) - 1
-                    for e, f in zip(dec.multipliers, dec.factors))
-    record("multiplier_orders", orders_ok)
-    record("multipliers_generate_complement",
-           _same_elems(g.subgroup_closure([int(e) for e in dec.multipliers]), comp))
-    record("multiplier_order_product",
-           math.prod(int(f.size) - 1 for f in dec.factors) == len(comp))
+    checks["multiplier_orders"] = all(g.element_order(int(e)) == int(f.size) - 1
+                                      for e, f in zip(dec.multipliers, dec.factors))
+    checks["multipliers_generate_complement"] = np.array_equal(
+        g.subgroup_closure([int(e) for e in dec.multipliers]), comp)
+    checks["multiplier_order_product"] = (
+        math.prod(int(f.size) - 1 for f in dec.factors) == len(comp))
     inter_ok = True
     cyc = [g.subgroup_closure([int(e)]) for e in dec.multipliers]
     for i in range(dec.n):
         for j in range(i + 1, dec.n):
             if np.intersect1d(cyc[i], cyc[j]).size != 1:
                 inter_ok = False
-    record("multiplier_subgroups_independent", inter_ok)
+    checks["multiplier_subgroups_independent"] = inter_ok
 
     affine, method = _matches_affine_model(q, [int(f.size) for f in dec.factors])
-    record("quotient_is_affine_product", affine)
+    checks["quotient_is_affine_product"] = affine
 
-    pre_ok = True
     pres = [qm.preimage_of_set(f) for f in dec.factors]
-    for i in range(dec.n):
-        for j in range(i + 1, dec.n):
-            if not _sets_commute(g, pres[i], pres[j]):
-                pre_ok = False
-    record("factor_preimages_commute", pre_ok)
-
-    if fails:
-        raise ConsistencyError(
-            "central splitting checks failed: " + ", ".join(fails))
+    checks["factor_preimages_commute"] = all(
+        g.commute(pres[i], pres[j]) for i in range(dec.n) for j in range(i + 1, dec.n))
+    checks = _verified(checks, "central splitting")
     return CentralFactorSplit(
         seeds=[int(s) for s in seeds],
         multipliers=[int(e) for e in dec.multipliers],
@@ -999,8 +963,7 @@ def split_into_central_factors(split: SylowSplit, dec: QuotientDecomposition,
 # annihilator reduction to the quotient
 
 
-def check_annihilator_reduction(split: SylowSplit, dec: QuotientDecomposition,
-                                alg: CenterAlgebra) -> dict:
+def check_annihilator_reduction(ctx: AnalysisContext) -> dict:
     """In the quotient Q = G/G'', the annihilator of the surviving
     coprime-class sums has coefficients constant on Q'-cosets, and the same
     annihilator is cut out by a small canonical generator set: the central
@@ -1010,8 +973,7 @@ def check_annihilator_reduction(split: SylowSplit, dec: QuotientDecomposition,
     Applies when the group has the reduced shape and the socle is an ideal;
     a failure then raises ConsistencyError.
     """
-    if not split.reduced:
-        raise InapplicableError("annihilator reduction needs the reduced shape")
+    dec, alg = ctx.decomposition(), ctx.alg  # raises unless the shape is reduced
     direct, _ = alg.socle_ideal_verdict()
     if not direct:
         raise InapplicableError("annihilator reduction needs the socle to be an ideal")
@@ -1054,28 +1016,26 @@ def check_annihilator_reduction(split: SylowSplit, dec: QuotientDecomposition,
 # reduction pipeline
 
 
-def reduce_to_core(alg: CenterAlgebra) -> tuple[FiniteGroup, list[dict]]:
-    """Strip the parts of alg.group that provably do not affect whether the
+def reduce_to_core(ctx: AnalysisContext) -> tuple[FiniteGroup, list[dict]]:
+    """Strip the parts of ctx.group that provably do not affect whether the
     socle is an ideal: quotient by the coprime core, then drop a central
     p-group factor when the group splits as (complement fixed points)
     times (p-residual) as a central product.
 
     Each step computes the ideal verdict of the groups it builds and
-    insists that it matches the verdict of alg.
+    insists that it matches the verdict of ctx.alg.
     Returns the reduced group and a step log. Groups without a normal Sylow
     subgroup and an abelian complement are out of scope (InapplicableError):
     with a nonabelian complement the coprime-core quotient genuinely can
     flip the verdict, so nothing is claimed there.
     """
-    g, p = alg.group, alg.p
+    g, p, syl, comp = ctx.group, ctx.p, ctx.sylow, ctx.complement
     log: list[dict] = []
-    syl = g.sylow_subgroup(p)
     if not g.is_normal(syl):
         raise InapplicableError("reduction needs a normal Sylow subgroup")
-    comp = g.hall_complement(p, sylow=syl)
     if comp is None:
         raise InapplicableError("reduction needs a complement to the Sylow subgroup")
-    if not _abelian_set(g, comp):
+    if not ctx.flags["complement_abelian"]:
         # the coprime-core equivalence is only claimed for abelian complements
         raise InapplicableError("reduction needs an abelian complement")
 
@@ -1083,7 +1043,7 @@ def reduce_to_core(alg: CenterAlgebra) -> tuple[FiniteGroup, list[dict]]:
         d, _ = CenterAlgebra(gr, p).socle_ideal_verdict()
         return d
 
-    v0 = alg.socle_ideal_verdict()[0]
+    v0 = ctx.alg.socle_ideal_verdict()[0]
     pp = g.p_prime_core(p)
     if pp.size > 1:
         qm = g.quotient(pp)
@@ -1105,12 +1065,12 @@ def reduce_to_core(alg: CenterAlgebra) -> tuple[FiniteGroup, list[dict]]:
 
     resid = g.p_residual(p)
     fixed = g.centralizer(comp, within=syl)
-    if int(resid.size) in (1, g.order) or _subset(fixed, resid):
+    if int(resid.size) in (1, g.order) or g.mask(resid)[fixed].all():
         log.append({"step": "central_split", "applied": False,
                     "reason": "p-residual already carries the whole question"})
         return g, log
 
-    commute = _sets_commute(g, fixed, resid)
+    commute = g.commute(fixed, resid)
     gen = g.subgroup_closure(sorted({int(x) for x in fixed}
                                     | {int(x) for x in resid}))
     covers = int(gen.size) == g.order

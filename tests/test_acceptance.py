@@ -4,12 +4,14 @@ The sweep fixture analyzes every built-in catalog group at every prime
 dividing its order once; the criteria below assert over those reports.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from soclelab import cli
+from soclelab import cli, structure
 from soclelab.algebra import CenterAlgebra
 from soclelab.analysis import analyze_group
 from soclelab.catalog import CATALOG_SPECS, catalog_groups
@@ -25,6 +27,24 @@ def sweep():
         for p in prime_factors(group.order) or [2]:
             reports[(spec, p)] = analyze_group(group, p, descriptor=spec)
     return reports
+
+
+# sha256 of cli._canonical_json(report without "timing") for every sweep
+# row, keyed "spec|p": any change to a catalog report names its row
+REPORT_DIGESTS = json.loads(
+    (Path(__file__).parent / "catalog_report_digests.json").read_text())
+
+
+def test_report_digests_cover_the_sweep(sweep):
+    assert {f"{spec}|{p}" for spec, p in sweep} == set(REPORT_DIGESTS)
+
+
+@pytest.mark.parametrize("row", list(REPORT_DIGESTS))
+def test_catalog_report_matches_digest(row, sweep):
+    spec, p = row.rsplit("|", 1)
+    report = {k: v for k, v in sweep[(spec, int(p))].items() if k != "timing"}
+    text = cli._canonical_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[row]
 
 
 def test_catalog_breadth():
@@ -92,6 +112,27 @@ def test_analysis_builds_the_second_derived_quotient_algebra_once(monkeypatch):
     assert r["theorems"]["ideal_characterization"]["status"] == "passed"
     assert r["theorems"]["annihilator_reduction"]["status"] == "passed"
     assert builds[id(g.second_derived_quotient().group)] == 1
+
+
+def test_analysis_decomposes_the_quotient_once_per_report(monkeypatch):
+    calls = []
+    real = structure.decompose_second_derived_quotient
+
+    def counting(ctx):
+        calls.append(ctx.group.name)
+        return real(ctx)
+
+    monkeypatch.setattr(structure, "decompose_second_derived_quotient", counting)
+    th = analyze_group(parse_family("sl2(3)"), 2)["theorems"]
+    assert th["quotient_decomposition"]["status"] == "passed"
+    assert len(calls) == 1
+    # a failed decomposition is not retried: every later check reports it
+    th = analyze_group(parse_family("sym(4)"), 2)["theorems"]
+    assert len(calls) == 2
+    assert th["quotient_decomposition"]["status"] == "inapplicable"
+    for name in ("ideal_characterization", "central_split", "annihilator_reduction"):
+        assert th[name] == {"status": "inapplicable",
+                            "reason": "no quotient decomposition available"}
 
 
 def test_affine_frobenius_family():

@@ -359,19 +359,21 @@ def test_closure_residual_and_generators_at_order_448():
         assert_same_elems(g.p_residual(p), reference_closure(g, seed))
 
 
-def test_normalizer_matches_reference():
-    g = parse_family("sl2(3)")
-    syl3 = g.sylow_subgroup(3)
-    assert not g.is_normal(syl3)
-    for elems in (syl3, g.sylow_subgroup(2), g.center(), np.array([0]),
-                  np.arange(g.order)):
-        assert_same_elems(g.normalizer(elems), reference_normalizer(g, elems))
-    assert g.normalizer(syl3).size == 6
-    assert g.normalizer(g.sylow_subgroup(2)).size == g.order
+def test_element_set_helpers_match_reference():
+    """mask, is_subgroup and commute against element-by-element checks."""
     s4 = parse_family("sym(4)")
-    for x in range(s4.order):
-        sub = s4.subgroup_closure([x])
-        assert_same_elems(s4.normalizer(sub), reference_normalizer(s4, sub))
+    t = s4.table
+    cyclic = [s4.subgroup_closure([x]) for x in range(s4.order)]
+    for x, sub in enumerate(cyclic):
+        assert np.array_equal(np.flatnonzero(s4.mask(sub)), sub)
+        assert s4.is_subgroup(sub)
+        assert not s4.is_subgroup(sub[1:])
+        # an element of order at least 3 without its inverse breaks closure
+        outside = int(np.flatnonzero(~s4.mask(sub) & (s4.element_orders() > 2))[0])
+        assert not s4.is_subgroup(np.union1d(sub, [outside]))
+        for other in cyclic[:x + 1]:
+            want = all(t[a, b] == t[b, a] for a in sub for b in other)
+            assert s4.commute(sub, other) == s4.commute(other, sub) == want
 
 
 def reference_sylow(g, p):
@@ -390,7 +392,7 @@ def reference_sylow(g, p):
     while s.size < pk:
         mask = np.zeros(g.order, dtype=bool)
         mask[s] = True
-        cand = next(y for y in map(int, g.normalizer(s)) if not mask[y]
+        cand = next(y for y in map(int, reference_normalizer(g, s)) if not mask[y]
                     and int_p_part(int(orders[y]), p) == orders[y]
                     and mask[g.power(y, p)])
         s = g.subgroup_closure(list(s) + [cand])

@@ -18,126 +18,134 @@ from soclelab.structure import (_matches_affine_model, build_nonideal_witness,
                                 split_into_central_factors)
 
 
-def setup_triplet(spec, p, max_order=2000):
-    g = parse_family(spec, max_order=max_order)
-    alg = CenterAlgebra(g, p)
-    split = examine_sylow_split(g, p)
-    return g, alg, split
+def setup_context(spec, p, max_order=2000):
+    return examine_sylow_split(parse_family(spec, max_order=max_order), p)
 
 
 class TestSylowSplit:
     def test_sl23_reduced(self):
-        _, _, split = setup_triplet("sl2(3)", 2)
-        assert split.reduced
-        assert split.z_match
-        assert split.sylow.size == 8
-        assert split.complement.size == 3
+        ctx = setup_context("sl2(3)", 2)
+        assert ctx.reduced
+        assert ctx.z_match
+        assert ctx.sylow.size == 8
+        assert ctx.complement.size == 3
 
     def test_agl8_reduced_but_no_z_match(self):
-        _, _, split = setup_triplet("agl(1,8)", 2)
-        assert split.reduced
+        ctx = setup_context("agl(1,8)", 2)
+        assert ctx.reduced
         # abelian kernel: Z(G') is all of G', second derived is trivial
-        assert not split.z_match
+        assert not ctx.z_match
 
     def test_sym4_not_reduced(self):
-        _, _, split = setup_triplet("sym(4)", 2)
-        assert not split.reduced
+        ctx = setup_context("sym(4)", 2)
+        assert not ctx.reduced
 
     def test_nonabelian_complement_flagged(self):
         g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
-        split = examine_sylow_split(g, 5)
-        assert not split.flags["complement_abelian"]
-        assert not split.reduced
+        ctx = examine_sylow_split(g, 5)
+        assert not ctx.flags["complement_abelian"]
+        assert not ctx.reduced
 
 
 class TestQuotientDecomposition:
     def test_sl23(self):
-        _, alg, split = setup_triplet("sl2(3)", 2)
-        dec = decompose_second_derived_quotient(split, alg)
+        ctx = setup_context("sl2(3)", 2)
+        dec = ctx.decomposition()
         assert dec.n == 1
         assert [f.size for f in dec.factors] == [4]
         assert dec.central_image.size == 1
         assert dec.multipliers[0] is not None
         assert dec.fixers[0] is not None
-        checks = check_quotient_decomposition(split, dec)
+        checks = check_quotient_decomposition(ctx)
         assert all(checks.values())
 
     def test_agl_has_no_nonabelian_part(self):
-        _, alg, split = setup_triplet("agl(1,8)", 2)
-        dec = decompose_second_derived_quotient(split, alg)
+        ctx = setup_context("agl(1,8)", 2)
+        dec = ctx.decomposition()
         assert dec.n == 0
         assert dec.central_image.size == 8
-        assert all(check_quotient_decomposition(split, dec).values())
+        assert all(check_quotient_decomposition(ctx).values())
 
     def test_central_product_has_two_factors(self):
-        _, alg, split = setup_triplet("central(sl2(3),sl2(3))", 2)
-        dec = decompose_second_derived_quotient(split, alg)
+        ctx = setup_context("central(sl2(3),sl2(3))", 2)
+        dec = ctx.decomposition()
         assert dec.n == 2
         assert [f.size for f in dec.factors] == [4, 4]
         assert all(m is not None for m in dec.multipliers)
-        assert all(check_quotient_decomposition(split, dec).values())
+        assert all(check_quotient_decomposition(ctx).values())
 
     def test_heisenberg_affine(self):
-        _, alg, split = setup_triplet("heisenberg_affine(3)", 3)
-        dec = decompose_second_derived_quotient(split, alg)
+        ctx = setup_context("heisenberg_affine(3)", 3)
+        dec = ctx.decomposition()
         assert dec.n == 1
         assert dec.factors[0].size == 9
-        assert all(check_quotient_decomposition(split, dec).values())
+        assert all(check_quotient_decomposition(ctx).values())
 
     def test_support_pattern_check_runs_and_names_itself(self):
-        _, alg, split = setup_triplet("central(sl2(3),sl2(3))", 2)
-        dec = decompose_second_derived_quotient(split, alg)
+        ctx = setup_context("central(sl2(3),sl2(3))", 2)
+        dec = ctx.decomposition()
         nonzero = next(e for e, parts in dec.factor_components.items()
                        if any(parts))
         dec.factor_components[0] = dec.factor_components[nonzero]
         with pytest.raises(ConsistencyError,
                            match="support_pattern_matches_conjugacy"):
-            check_quotient_decomposition(split, dec)
+            check_quotient_decomposition(ctx)
 
     def test_non_ideal_group_is_benignly_out_of_scope(self):
-        _, alg, split = setup_triplet("q8q8_diag_c3", 2)
+        ctx = setup_context("q8q8_diag_c3", 2)
         with pytest.raises(InapplicableError, match="not an ideal"):
-            decompose_second_derived_quotient(split, alg)
+            decompose_second_derived_quotient(ctx)
 
     def test_non_reduced_rejected(self):
-        _, alg, split = setup_triplet("sym(4)", 2)
+        ctx = setup_context("sym(4)", 2)
         with pytest.raises(InapplicableError):
-            decompose_second_derived_quotient(split, alg)
+            decompose_second_derived_quotient(ctx)
+
+    def test_failed_decomposition_is_memoized(self):
+        ctx = setup_context("q8q8_diag_c3", 2)
+        with pytest.raises(InapplicableError, match="not an ideal"):
+            ctx.decomposition()
+        for check in (check_quotient_decomposition, characterize_socle_ideal,
+                      build_nonideal_witness, split_into_central_factors,
+                      check_annihilator_reduction):
+            with pytest.raises(InapplicableError,
+                               match="^no quotient decomposition available$"):
+                check(ctx)
 
 
 class TestCharacterization:
     def test_sl23_all_three_conditions(self):
-        _, alg, split = setup_triplet("sl2(3)", 2)
-        ch = characterize_socle_ideal(split, alg)
+        ctx = setup_context("sl2(3)", 2)
+        ch = characterize_socle_ideal(ctx)
         assert ch.affine_match and ch.has_fixer and ch.derived_camina
         assert ch.predicted is True and ch.direct is True
         assert ch.witness is None
         assert any("order 24" in note for note in ch.notes)
 
     def test_heisenberg_affine_all_three(self):
-        _, alg, split = setup_triplet("heisenberg_affine(3)", 3)
-        ch = characterize_socle_ideal(split, alg)
+        ctx = setup_context("heisenberg_affine(3)", 3)
+        ch = characterize_socle_ideal(ctx)
         assert ch.affine_match and ch.has_fixer and ch.derived_camina
         assert ch.predicted is True and ch.direct is True
         # odd p: the fixer condition is forced once the quotient is affine
         assert ch.has_fixer
 
     def test_abelian_kernel_out_of_scope(self):
-        _, alg, split = setup_triplet("agl(1,8)", 2)
+        ctx = setup_context("agl(1,8)", 2)
         with pytest.raises(InapplicableError):
-            characterize_socle_ideal(split, alg)
+            characterize_socle_ideal(ctx)
 
     def test_missing_fixer_predicts_non_ideal(self):
-        _, alg, split = setup_triplet("twisted_affine(2,3,1)", 2, max_order=500)
-        ch = characterize_socle_ideal(split, alg)
+        ctx = setup_context("twisted_affine(2,3,1)", 2, max_order=500)
+        ch = characterize_socle_ideal(ctx)
         assert ch.affine_match
         assert not ch.has_fixer
         assert ch.predicted is False and ch.direct is False
         assert ch.witness is None  # witness construction needs a fixer
 
     def test_non_camina_kernel_gets_witness(self):
-        _, alg, split = setup_triplet("twisted_affine(2,4,1)", 2, max_order=4000)
-        ch = characterize_socle_ideal(split, alg)
+        ctx = setup_context("twisted_affine(2,4,1)", 2, max_order=4000)
+        ch = characterize_socle_ideal(ctx)
         assert ch.affine_match and ch.has_fixer
         assert not ch.derived_camina
         assert ch.predicted is False and ch.direct is False
@@ -147,11 +155,11 @@ class TestCharacterization:
 
 class TestWitness:
     def test_witness_vector_is_sound(self):
-        g, alg, split = setup_triplet("twisted_affine(2,4,1)", 2, max_order=4000)
-        dec = decompose_second_derived_quotient(split, alg)
-        w = build_nonideal_witness(split, dec, alg)
+        ctx = setup_context("twisted_affine(2,4,1)", 2, max_order=4000)
+        alg = ctx.alg
+        w = build_nonideal_witness(ctx)
         y = np.array(w["vector"])
-        assert y.shape == (g.order,)
+        assert y.shape == (ctx.group.order,)
         yc = alg.restrict(y)
         for b in alg.jacobson_radical().basis:
             assert not alg.multiply(yc, b).any()
@@ -178,33 +186,29 @@ class TestWitness:
         assert len(copies) == 1
 
     def test_witness_refuses_ideal_group(self):
-        _, alg, split = setup_triplet("sl2(3)", 2)
-        dec = decompose_second_derived_quotient(split, alg)
+        ctx = setup_context("sl2(3)", 2)
         with pytest.raises(InapplicableError):
-            build_nonideal_witness(split, dec, alg)
+            build_nonideal_witness(ctx)
 
 
 class TestCentralSplit:
     def test_double_sl23(self):
-        _, alg, split = setup_triplet("central(sl2(3),sl2(3))", 2)
-        dec = decompose_second_derived_quotient(split, alg)
-        cs = split_into_central_factors(split, dec, alg)
+        ctx = setup_context("central(sl2(3),sl2(3))", 2)
+        cs = split_into_central_factors(ctx)
         assert cs.component_orders == [24, 24]
         assert all(cs.checks.values())
 
     def test_single_component_group(self):
-        _, alg, split = setup_triplet("sl2(3)", 2)
-        dec = decompose_second_derived_quotient(split, alg)
-        cs = split_into_central_factors(split, dec, alg)
+        ctx = setup_context("sl2(3)", 2)
+        cs = split_into_central_factors(ctx)
         assert cs.component_orders == [24]
         assert all(cs.checks.values())
 
     def test_component_invariants(self):
-        g, alg, split = setup_triplet("central(sl2(3),sl2(3))", 2)
-        dec = decompose_second_derived_quotient(split, alg)
-        cs = split_into_central_factors(split, dec, alg)
+        ctx = setup_context("central(sl2(3),sl2(3))", 2)
+        cs = split_into_central_factors(ctx)
         for elems in cs.component_elems:
-            comp, emap = g.subgroup_as_group(np.array(elems))
+            comp, emap = ctx.group.subgroup_as_group(np.array(elems))
             calg = CenterAlgebra(comp, 2)
             assert calg.socle_ideal_verdict() == (True, True)
             der = comp.derived_subgroup()
@@ -212,10 +216,9 @@ class TestCentralSplit:
             assert np.array_equal(comp.sub_center(der), comp.second_derived())
 
     def test_non_ideal_rejected(self):
-        _, alg, split = setup_triplet("q8q8_diag_c3", 2)
+        ctx = setup_context("q8q8_diag_c3", 2)
         with pytest.raises(InapplicableError):
-            dec = decompose_second_derived_quotient(split, alg)
-            split_into_central_factors(split, dec, alg)
+            split_into_central_factors(ctx)
 
 
 class TestAnnihilatorReduction:
@@ -224,9 +227,8 @@ class TestAnnihilatorReduction:
                                          ("heisenberg_affine(3)", 3),
                                          ("central(sl2(3),sl2(3))", 2)])
     def test_passes_on_ideal_groups(self, spec, p):
-        _, alg, split = setup_triplet(spec, p)
-        dec = decompose_second_derived_quotient(split, alg)
-        out = check_annihilator_reduction(split, dec, alg)
+        ctx = setup_context(spec, p)
+        out = check_annihilator_reduction(ctx)
         assert out["annihilator_in_derived_coset_span"]
         assert out["generator_sets_match"]
         assert out["annihilator_dim"] >= 1
@@ -235,7 +237,7 @@ class TestAnnihilatorReduction:
 class TestReduceToCore:
     def test_identity_on_already_reduced(self):
         g = parse_family("sl2(3)")
-        core, steps = reduce_to_core(CenterAlgebra(g, 2))
+        core, steps = reduce_to_core(examine_sylow_split(g, 2))
         assert core.order == 24
         applied = [s for s in steps if s.get("applied", True)
                    and s["step"] != "no_op"]
@@ -243,29 +245,29 @@ class TestReduceToCore:
 
     def test_strips_coprime_direct_factor(self):
         g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(3)"))
-        core, steps = reduce_to_core(CenterAlgebra(g, 2))
+        core, steps = reduce_to_core(examine_sylow_split(g, 2))
         assert core.order == 24
         assert any(s["step"] == "quotient_by_coprime_core" for s in steps)
 
     def test_splits_central_p_factor(self):
         g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(2)"))
-        core, steps = reduce_to_core(CenterAlgebra(g, 2))
+        core, steps = reduce_to_core(examine_sylow_split(g, 2))
         assert core.order == 24
         assert any(s["step"] == "central_split" for s in steps)
 
     def test_abelian_group_reduces_to_sylow(self):
         g = parse_family("cyclic(12)")
-        core, _ = reduce_to_core(CenterAlgebra(g, 2))
+        core, _ = reduce_to_core(examine_sylow_split(g, 2))
         assert core.order in (4, 12)  # coprime core strips the 3-part
 
     def test_nonabelian_complement_out_of_scope(self):
         g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
         with pytest.raises(InapplicableError):
-            reduce_to_core(CenterAlgebra(g, 5))
+            reduce_to_core(examine_sylow_split(g, 5))
 
     def test_no_normal_sylow_out_of_scope(self):
         with pytest.raises(InapplicableError):
-            reduce_to_core(CenterAlgebra(parse_family("sym(4)"), 2))
+            reduce_to_core(examine_sylow_split(parse_family("sym(4)"), 2))
 
 
 def test_verdicts_invariant_under_reduction_steps():
@@ -274,7 +276,7 @@ def test_verdicts_invariant_under_reduction_steps():
                     ("direct(agl(1,4),cyclic(5))", 2),
                     ("direct(sl2(3),cyclic(2))", 2)]:
         g = parse_family(spec)
-        core, _ = reduce_to_core(CenterAlgebra(g, p))
+        core, _ = reduce_to_core(examine_sylow_split(g, p))
         v_full, _ = CenterAlgebra(g, p).socle_ideal_verdict()
         v_core, _ = CenterAlgebra(core, p).socle_ideal_verdict()
         assert v_full == v_core

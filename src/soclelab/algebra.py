@@ -266,7 +266,9 @@ class CenterAlgebra:
         coset group, and a block's dimension is the number of its rows.
         """
         soc = self.socle()
-        cid = self.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(axis=0)
+        # widened: key below holds n, which wraps to 0 in uint16 at n = 2**16
+        cid = self.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(
+            axis=0).astype(np.int64)
         by_class = cid[self._by_class]
         lo = np.minimum.reduceat(by_class, self._starts)
         whole = lo == np.maximum.reduceat(by_class, self._starts)

@@ -73,10 +73,8 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         direct = None
 
     dims = {k: int(v) for k, v in alg.dims().items()}
-    sylow_normal = bool(group.is_normal(ctx.sylow))
-
     blocks = None
-    if sylow_normal:
+    if ctx.sylow_normal:
         try:
             blocks = [[int(r), int(d)]
                       for r, d in alg.socle_coset_decomposition(ctx.sylow)]
@@ -85,7 +83,7 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
                 failures.append(str(e))
 
     shape = {k: bool(v) for k, v in ctx.flags.items()}
-    shape["sylow_normal"] = sylow_normal
+    shape["sylow_normal"] = ctx.sylow_normal
     shape["reduced"] = bool(ctx.reduced)
     shape["frobenius_with_derived_kernel"] = bool(
         group.is_frobenius_with_kernel(ctx.derived))

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import UnsupportedInputError
 from .fplin import binary_power
 from .groups import (FiniteGroup, SemidirectSpec, central_product,
-                     direct_product, hom_from_images, semidirect_product)
+                     direct_product, hom_from_images, semidirect_product,
+                     table_dtype)
 
 DEFAULT_MAX_ORDER = 2000
 
@@ -141,8 +142,10 @@ def gf(p: int, d: int) -> GF:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedInputError("cyclic order must be positive")
-    idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"cyclic({n})")
+    # row i of the window view is (i + j) mod n
+    wrapped = (np.arange(2 * n - 1) % n).astype(table_dtype(n))
+    return FiniteGroup(np.lib.stride_tricks.sliding_window_view(wrapped, n),
+                       name=f"cyclic({n})")
 
 
 def abelian(invariants) -> FiniteGroup:
@@ -154,10 +157,11 @@ def abelian(invariants) -> FiniteGroup:
     weights = np.ones(len(invs), dtype=np.int64)
     for i in range(len(invs) - 2, -1, -1):
         weights[i] = weights[i + 1] * invs[i + 1]
-    summed = (coords[:, None, :] + coords[None, :, :]) % np.array(invs)
-    table = (summed * weights).sum(axis=2)
+    table = np.empty((n, n), dtype=table_dtype(n))
+    for x in range(n):
+        table[x] = (coords[x] + coords) % invs @ weights
     name = "abelian(" + ",".join(map(str, invs)) + ")"
-    return FiniteGroup(table.reshape(n, n), name=name)
+    return FiniteGroup(table, name=name)
 
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
@@ -171,7 +175,7 @@ def dihedral(m: int) -> FiniteGroup:
     if m < 1:
         raise UnsupportedInputError("dihedral parameter must be >= 1")
     n = 2 * m
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=table_dtype(n))
     for r1 in range(m):
         for s1 in range(2):
             i = r1 + m * s1
@@ -188,7 +192,7 @@ def dicyclic(m: int) -> FiniteGroup:
         raise UnsupportedInputError("dicyclic parameter must be >= 1")
     mm = 2 * m
     n = 4 * m
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=table_dtype(n))
     for r1 in range(mm):
         for s1 in range(2):
             i = r1 + mm * s1
@@ -246,7 +250,7 @@ def _perm_table(perms, name: str) -> FiniteGroup:
     perms = sorted(perms)  # identity is lexicographically first
     index = {s: i for i, s in enumerate(perms)}
     n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=table_dtype(n))
     for i, a in enumerate(perms):
         for j, b in enumerate(perms):
             table[i, j] = index[tuple(a[b[x]] for x in range(len(a)))]
@@ -264,7 +268,7 @@ def sl2_3() -> FiniteGroup:
     mats.insert(0, ident)
     index = {m: i for i, m in enumerate(mats)}
     n = len(mats)
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=table_dtype(n))
     for i, (a, b, c, d) in enumerate(mats):
         for j, (e, f, g, h) in enumerate(mats):
             table[i, j] = index[((a * e + b * g) % 3, (a * f + b * h) % 3,
@@ -279,11 +283,14 @@ def agl1(q: int) -> FiniteGroup:
     n = (q - 1) * q
     # (a1, b1)(a2, b2) = (a1 a2, a1 b2 + b1), element (a, b) at (a - 1) q + b
     units = np.arange(1, q)
+    dtype = table_dtype(n)
     arow = field.mul[units]                                  # [a1, x] = a1 x
-    a_part = (arow[:, units] - 1) * q                        # [a1, a2]
+    a_part = ((arow[:, units] - 1) * q).astype(dtype)        # [a1, a2]
     b_part = field.add[arow[:, None, :], np.arange(q)[None, :, None]]  # [a1, b1, b2]
-    table = a_part[:, None, :, None] + b_part[:, :, None, :]
-    return FiniteGroup(table.reshape(n, n), name=f"AGL(1,{q})")
+    table = np.empty((n, n), dtype=dtype)
+    np.add(a_part[:, None, :, None], b_part.astype(dtype)[:, :, None, :],
+           out=table.reshape(q - 1, q, q - 1, q))
+    return FiniteGroup(table, name=f"AGL(1,{q})")
 
 
 def extraspecial(order: int, kind: str) -> FiniteGroup:
@@ -314,7 +321,7 @@ def _heisenberg3() -> FiniteGroup:
     def idx(a, b, c):
         return a * 9 + b * 3 + c
 
-    table = np.empty((27, 27), dtype=np.int64)
+    table = np.empty((27, 27), dtype=table_dtype(27))
     for a, b, c in itertools.product(range(3), repeat=3):
         for x, y, z in itertools.product(range(3), repeat=3):
             table[idx(a, b, c), idx(x, y, z)] = idx((a + x) % 3, (b + y) % 3,
@@ -417,9 +424,12 @@ def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
     add, mul = field.add, field.mul
     # (a, b)(c, d) = (a + c, b + d + a c^(p^k)), element (a, b) at a q + b
     twist = mul[:, frob]                                     # [a, c]
-    table = (add[:, None, :, None] * q
-             + add[add[None, :, None, :], twist[:, None, :, None]])
-    kernel = FiniteGroup(table.reshape(n, n), name=f"twisted_kernel({p},{d},{k})")
+    narrow = add.astype(table_dtype(n))
+    table = np.empty((n, n), dtype=narrow.dtype)
+    np.add(narrow[:, None, :, None] * q,
+           narrow[add[None, :, None, :], twist[:, None, :, None]],
+           out=table.reshape(q, q, q, q))
+    kernel = FiniteGroup(table, name=f"twisted_kernel({p},{d},{k})")
     g0 = field.primitive_element()
     # h acts by (a, b) -> (u a, u^(1+p^k) b) with u = g0^h
     u = np.array([field.pow(g0, h) for h in range(q - 1)], dtype=np.int64)

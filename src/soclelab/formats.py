@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UnsupportedInputError
 from .families import DEFAULT_MAX_ORDER, _perm_table, parse_family
 from .fplin import P_LIMIT, is_prime
-from .groups import FiniteGroup, SemidirectSpec, semidirect_product
+from .groups import FiniteGroup, SemidirectSpec, semidirect_product, table_dtype
 
 
 def _fail(line_no: int, col: int, msg: str):
@@ -27,15 +27,19 @@ def _fail(line_no: int, col: int, msg: str):
 
 
 def _reindex_identity_first(table: np.ndarray) -> np.ndarray:
+    """The table relabeled, in its own dtype, so that its first two-sided
+    identity is 0. An identity e has e 0 = 0, so only the rows r with
+    table[r, 0] == 0 are candidates, each checked in O(n)."""
     ar = np.arange(table.shape[0])
-    idents = np.flatnonzero((table == ar).all(axis=1)
-                            & (table == ar[:, None]).all(axis=0))
-    if not idents.size:
+    for e in np.flatnonzero(table[:, 0] == 0):
+        if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
+            break
+    else:
         raise UnsupportedInputError("table has no two-sided identity")
-    if idents[0] == 0:
+    if e == 0:
         return table
-    order = np.concatenate([idents[:1], np.delete(ar, idents[0])])
-    return np.argsort(order)[table[np.ix_(order, order)]]
+    order = np.concatenate([[e], np.delete(ar, e)])
+    return np.argsort(order).astype(table.dtype)[table[np.ix_(order, order)]]
 
 
 def parse_group_text(text: str, max_order: int = DEFAULT_MAX_ORDER,
@@ -82,8 +86,8 @@ def _parse_cayley(lines, head, max_order, name):
         _fail(len(lines), 1, f"expected {n} table rows, found {len(body)}")
     table = _plain_table(body, n)
     if table is None:
-        rows = []
-        for line_no, ln in body:
+        table = np.empty((n, n), dtype=table_dtype(n))
+        for i, (line_no, ln) in enumerate(body):
             parts = ln.split()
             if len(parts) != n:
                 _fail(line_no + 1, 1, f"expected {n} entries, found {len(parts)}")
@@ -95,26 +99,30 @@ def _parse_cayley(lines, head, max_order, name):
             if any(x < 0 or x >= n for x in row):
                 bad = next(i for i, x in enumerate(row) if x < 0 or x >= n)
                 _fail(line_no + 1, bad + 1, "entry out of range")
-            rows.append(row)
-        table = np.array(rows, dtype=np.int64)
+            table[i] = row
     return FiniteGroup(_reindex_identity_first(table), name=name), p_hint
 
 
 def _plain_table(body, n):
     """The table if numpy reads each row as n entries below n, else None.
-    Any sign also gives None: fromstring reads a lone sign as 0."""
+    Any sign also gives None: fromstring reads a lone sign as 0. Each row
+    is range-checked and then stored in the preallocated narrow table."""
     import warnings
     if any("+" in ln or "-" in ln for _, ln in body):
         return None
+    table = np.empty((n, n), dtype=table_dtype(n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:  # ragged rows also raise ValueError
-            table = np.array([np.fromstring(ln, dtype=np.int64, sep=" ")
-                              for _, ln in body])
-        except (ValueError, DeprecationWarning):
-            return None
-    # an entry too large for int64 reads as 2**63 - 1
-    return table if table.shape == (n, n) and table.max() < n else None
+        for i, (_, ln) in enumerate(body):
+            try:
+                row = np.fromstring(ln, dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+            # an entry too large for int64 reads as 2**63 - 1
+            if row.shape != (n,) or row.max() >= n:
+                return None
+            table[i] = row
+    return table
 
 
 def _is_int(s: str) -> bool:

@@ -20,6 +20,14 @@ ISO_ORDER_LIMIT = 512
 BLOCK_CELLS = 1 << 18
 
 
+def table_dtype(n: int) -> np.dtype:
+    """dtype of the Cayley table and the inverse map of an order-n group:
+    uint16 while every element index fits in it, int32 above (where the
+    table already takes more than 8 GB). Arithmetic on entries that can
+    leave [0, n) widens to int64 first."""
+    return np.dtype(np.uint16) if n <= 1 << 16 else np.dtype(np.int32)
+
+
 def int_p_part(n: int, p: int) -> int:
     k = 1
     while n % p == 0:
@@ -30,15 +38,16 @@ def int_p_part(n: int, p: int) -> int:
 
 class FiniteGroup:
     def __init__(self, table, name: str | None = None, labels=None, check: bool = True):
-        t = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        t = np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise UnsupportedInputError("multiplication table must be square")
         n = t.shape[0]
         if n == 0:
             raise UnsupportedInputError("empty table")
+        # checked before narrowing, so that no entry wraps into range
         if t.min() < 0 or t.max() >= n:
             raise UnsupportedInputError("table entries out of range")
-        self.table = t
+        self.table = np.ascontiguousarray(t, dtype=table_dtype(n))
         self.order = n
         self.name = name or f"group_of_order_{n}"
         self.labels = list(labels) if labels is not None else None
@@ -56,10 +65,10 @@ class FiniteGroup:
     def _build_inverses(self, check: bool) -> np.ndarray:
         """inv[x] is the position of the first 0 in row x. With check, 0
         must be a two-sided identity and inv[x] a two-sided inverse of x."""
-        t, ar = self.table, np.arange(self.order, dtype=np.int32)
+        t, ar = self.table, np.arange(self.order)
         if check and (not np.array_equal(t[0], ar) or not np.array_equal(t[:, 0], ar)):
             raise UnsupportedInputError("element 0 is not a two-sided identity")
-        inv = np.argmin(t, axis=1).astype(np.int32)
+        inv = np.argmin(t, axis=1).astype(t.dtype)
         if check and not ((t[ar, inv] == 0).all() and (t[inv, ar] == 0).all()):
             self._check_latin()
             raise UnsupportedInputError("left and right inverses differ")
@@ -69,7 +78,7 @@ class FiniteGroup:
         """Raise if a row or a column is not a permutation. Only a rejected
         table gets here, so that the first failing check names the error:
         an accepted table is a group and so a Latin square."""
-        t, ar = self.table, np.arange(self.order, dtype=np.int32)
+        t, ar = self.table, np.arange(self.order)
         if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(ar, t.shape)):
             raise UnsupportedInputError("a row is not a permutation")
         if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(ar[:, None], t.shape)):
@@ -86,8 +95,8 @@ class FiniteGroup:
         fresh temporaries for every block fault in new pages."""
         t, n = self.table, self.order
         step = min(n, max(1, BLOCK_CELLS // n))
-        lhs = np.empty((step, n), dtype=np.int32)
-        rhs = np.empty((step, n), dtype=np.int32)
+        lhs = np.empty((step, n), dtype=t.dtype)
+        rhs = np.empty((step, n), dtype=t.dtype)
         same = np.empty((step, n), dtype=bool)
         for s in self.generators():
             s_right = t[s]
@@ -473,7 +482,7 @@ class FiniteGroup:
         if reps.size * k.size != self.order:
             raise ConsistencyError("coset bookkeeping failed")
         proj = np.searchsorted(reps, coset_min).astype(np.int64)
-        qtable = proj[self.table[np.ix_(reps, reps)]]
+        qtable = proj.astype(table_dtype(reps.size))[self.table[np.ix_(reps, reps)]]
         labels = None
         if self.labels is not None:
             labels = [self.labels[int(r)] + "*" for r in reps]
@@ -486,7 +495,9 @@ class FiniteGroup:
         """Reindexed copy of a subgroup. Returns (group, parent_elements)."""
         elems = np.unique(np.asarray(elems, dtype=np.int64))
         self._check_subgroup(elems)
-        sub_table = np.searchsorted(elems, self.table[np.ix_(elems, elems)])
+        pos = np.zeros(self.order, dtype=table_dtype(elems.size))
+        pos[elems] = np.arange(elems.size)
+        sub_table = pos[self.table[np.ix_(elems, elems)]]
         labels = None
         if self.labels is not None:
             labels = [self.labels[int(e)] for e in elems]
@@ -511,17 +522,16 @@ class FiniteGroup:
         return True
 
     def is_frobenius_with_kernel(self, kernel_elems) -> bool:
+        """K is a proper nontrivial normal subgroup containing the
+        centralizer of each of its nonidentity elements. K is a union of
+        classes and C(g x g^-1) = g C(x) g^-1, so one element per class
+        decides: the first element of K in it."""
         k = np.unique(np.asarray(kernel_elems, dtype=np.int64))
         if k.size <= 1 or k.size == self.order or not self.is_normal(k):
             return False
         kmask = self.mask(k)
-        for x in map(int, k):
-            if x == 0:
-                continue
-            cz = self.centralizer(x)
-            if not kmask[cz].all():
-                return False
-        return True
+        _, first = np.unique(self.class_index_of()[k], return_index=True)
+        return all(kmask[self.centralizer(x)].all() for x in k[first] if x)
 
     def fingerprint(self) -> tuple:
         if "fingerprint" not in self._memo:
@@ -707,9 +717,10 @@ def semidirect_product(spec: SemidirectSpec, name: str | None = None):
     nk, nh = kg.order, hg.order
     tk, th = kg.table, hg.table
     # (a1, h1)(a2, h2) = (a1 act[h1](a2), h1 h2), element (a, h) at a nh + h
-    table = np.empty((nk * nh, nk * nh), dtype=np.int32)
-    np.add((tk[:, act] * nh)[:, :, :, None], th[None, :, None, :],
-           out=table.reshape(nk, nh, nk, nh))
+    dtype = table_dtype(nk * nh)
+    table = np.empty((nk * nh, nk * nh), dtype=dtype)
+    np.add((tk[:, act].astype(dtype, copy=False) * nh)[:, :, :, None],
+           th[None, :, None, :], out=table.reshape(nk, nh, nk, nh))
     labels = None
     if kg.labels is not None and hg.labels is not None:
         labels = [f"({kg.labels[a]},{hg.labels[h]})" for a in range(nk) for h in range(nh)]

@@ -57,6 +57,7 @@ class AnalysisContext:
     p: int
     derived: np.ndarray
     sylow: np.ndarray
+    sylow_normal: bool
     complement: np.ndarray | None
     flags: dict
     alg: CenterAlgebra
@@ -96,12 +97,13 @@ class AnalysisContext:
 def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
     der = g.derived_subgroup()
     syl = g.sylow_subgroup(p)
+    sylow_normal = syl.size == g.order or g.is_normal(syl)
 
     complement = None
-    if syl.size < g.order and g.is_normal(syl):
-        complement = g.hall_complement(p, sylow=syl)
-    elif syl.size == g.order:
+    if syl.size == g.order:
         complement = np.array([0], dtype=np.int64)
+    elif sylow_normal:
+        complement = g.hall_complement(p, sylow=syl)
 
     zd = g.sub_center(der)
     second = g.sub_derived(der)
@@ -112,6 +114,7 @@ def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
         "derived_center_is_second_derived": np.array_equal(zd, second),
     }
     return AnalysisContext(group=g, p=p, derived=der, sylow=syl,
+                           sylow_normal=sylow_normal,
                            complement=complement, flags=flags,
                            alg=CenterAlgebra(g, p))
 
@@ -1031,7 +1034,7 @@ def reduce_to_core(ctx: AnalysisContext) -> tuple[FiniteGroup, list[dict]]:
     """
     g, p, syl, comp = ctx.group, ctx.p, ctx.sylow, ctx.complement
     log: list[dict] = []
-    if not g.is_normal(syl):
+    if not ctx.sylow_normal:
         raise InapplicableError("reduction needs a normal Sylow subgroup")
     if comp is None:
         raise InapplicableError("reduction needs a complement to the Sylow subgroup")

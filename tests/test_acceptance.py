@@ -17,7 +17,7 @@ from soclelab.analysis import analyze_group
 from soclelab.catalog import CATALOG_SPECS, catalog_groups
 from soclelab.families import parse_family
 from soclelab.formats import write_cayley
-from soclelab.groups import prime_factors
+from soclelab.groups import FiniteGroup, prime_factors
 
 
 @pytest.fixture(scope="session")
@@ -95,6 +95,25 @@ def test_analysis_builds_one_algebra_and_one_direct_test(monkeypatch):
     assert r["theorems"]["central_split"]["status"] == "passed"
     assert builds[id(g)] == 1
     assert direct_runs[id(g)] == 1
+
+
+@pytest.mark.parametrize("spec, normal", [("sl2(3)", True), ("sym(4)", False)])
+def test_analysis_tests_sylow_normality_once(spec, normal, monkeypatch):
+    g = parse_family(spec)
+    sylow = g.sylow_subgroup(2)
+    calls = []
+    is_normal = FiniteGroup.is_normal
+
+    def counting(self, elems):
+        if elems is sylow:
+            calls.append(elems)
+        return is_normal(self, elems)
+
+    monkeypatch.setattr(FiniteGroup, "is_normal", counting)
+    r = analyze_group(g, 2)
+    assert r["shape"]["sylow_normal"] is normal
+    assert r["theorems"]["reduction"]["status"] == ("passed" if normal else "inapplicable")
+    assert len(calls) == 1
 
 
 def test_analysis_builds_the_second_derived_quotient_algebra_once(monkeypatch):

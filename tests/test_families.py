@@ -162,7 +162,7 @@ def reference_agl1_table(q):
                     table[(a1 - 1) * q + b1, (a2 - 1) * q + b2] = (
                         (int(field.mul[a1, a2]) - 1) * q
                         + int(field.add[field.mul[a1, b2], b1]))
-    return table.astype(np.int32)
+    return table.astype(np.uint16)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])

@@ -248,7 +248,7 @@ def loop_reindex_identity_first(table):
     if ident == 0:
         return table
     order = [ident] + [x for x in range(n) if x != ident]
-    pos = np.empty(n, dtype=np.int64)
+    pos = np.empty(n, dtype=table.dtype)
     for new, old in enumerate(order):
         pos[old] = new
     return pos[table[np.ix_(order, order)]]
@@ -271,13 +271,54 @@ def test_identity_relabeling_matches_loop(spec):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+# every row the identity map, no column; every column, no row; a row
+# starting with 0 that is no identity; no row starting with 0
 @pytest.mark.parametrize("table", [[[0, 1], [0, 1]], [[0, 0], [1, 1]],
-                                   [[1, 0], [0, 0]]])
+                                   [[1, 0], [0, 0]], [[1, 1, 1]] * 3])
 def test_no_two_sided_identity_is_rejected(table):
     t = np.array(table, dtype=np.int64)
     for reindex in (formats._reindex_identity_first, loop_reindex_identity_first):
         with pytest.raises(UnsupportedInputError, match="no two-sided identity"):
             reindex(t)
+
+
+# tables with a two-sided identity, and the first one
+IDENTITY_SEARCH_CASES = {
+    "identity at 0": ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0),
+    "identity last": ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], 2),
+    # rows 0 and 2 start with 0; row 0 is no identity, row 2 is
+    "several zero rows": ([[0, 0, 0], [1, 1, 1], [0, 1, 2]], 2),
+}
+
+
+@pytest.mark.parametrize("table, ident", IDENTITY_SEARCH_CASES.values(),
+                         ids=IDENTITY_SEARCH_CASES.keys())
+def test_identity_search_matches_loop(table, ident):
+    t = np.array(table, dtype=np.int64)
+    got = formats._reindex_identity_first(t)
+    assert got.dtype == t.dtype and np.array_equal(got, loop_reindex_identity_first(t))
+    assert np.array_equal(got[0], np.arange(len(t)))
+    assert np.array_equal(got[:, 0], np.arange(len(t)))
+    assert (got is t) == (ident == 0)
+
+
+def test_cayley_tables_are_uint16_on_both_reader_paths(monkeypatch):
+    t = np.asarray(parse_family("sym(4)").table, dtype=np.int64)
+    perm = np.roll(np.arange(24), 5)  # the identity gets the label 19
+    relabeled = np.empty_like(t)
+    relabeled[np.ix_(perm, perm)] = perm[t]
+    text = "cayley 24\n" + "\n".join(" ".join(map(str, row))
+                                      for row in relabeled.tolist()) + "\n"
+    want = loop_reindex_identity_first(relabeled)
+    assert want.dtype == np.int64 and not np.array_equal(want, relabeled)
+    read = []
+    real = formats._plain_table
+    for reader in (lambda body, n: read.append(real(body, n)) or read[-1],
+                   lambda body, n: None):
+        monkeypatch.setattr(formats, "_plain_table", reader)
+        g, _ = parse_group_text(text)
+        assert g.table.dtype == np.uint16 and np.array_equal(g.table, want)
+    assert read[0] is not None and read[0].dtype == np.uint16
 
 
 def _c11_text(old: str, new: str) -> str:

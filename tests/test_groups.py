@@ -1,7 +1,10 @@
 """Group machinery against textbook facts and brute-force recomputation."""
 
 import dataclasses
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +17,7 @@ from soclelab.errors import ConsistencyError, UnsupportedInputError
 from soclelab.families import parse_family
 from soclelab.groups import (FiniteGroup, central_product, direct_product,
                              find_isomorphism, groups_isomorphic, int_p_part,
-                             prime_factors)
+                             prime_factors, table_dtype)
 
 
 def reference_closure(g, gens):
@@ -313,6 +316,27 @@ def test_frobenius_detection():
     # direct factors break the partition condition
     g2, _, _ = direct_product(parse_family("agl(1,5)"), parse_family("cyclic(3)"))
     assert not g2.is_frobenius_with_kernel(g2.derived_subgroup())
+
+
+def reference_is_frobenius(g, kernel):
+    """One full centralizer for every nonidentity element of the kernel."""
+    k = np.unique(np.asarray(kernel, dtype=np.int64))
+    if k.size <= 1 or k.size == g.order or not g.is_normal(k):
+        return False
+    kmask = g.mask(k)
+    return all(kmask[g.centralizer(int(x))].all() for x in k if x)
+
+
+def test_frobenius_check_matches_per_element_reference():
+    groups = [g for _, g in catalog_groups()]
+    groups.append(parse_family("twisted_affine(2,4,1)", max_order=4000))
+    seen = Counter()
+    for g in groups:
+        der = g.derived_subgroup()
+        want = reference_is_frobenius(g, der)
+        assert g.is_frobenius_with_kernel(der) == want, g.name
+        seen[want] += 1
+    assert seen[True] and seen[False]
 
 
 def test_fingerprint_separates_and_matches():
@@ -712,10 +736,10 @@ def reference_semidirect_table(spec):
     act = spec.validate()
     tk, th = spec.kernel.table, spec.acting.table
     nk, nh = len(tk), len(th)
-    table = np.empty((nk * nh, nk * nh), dtype=np.int32)
+    table = np.empty((nk * nh, nk * nh), dtype=np.uint16)
     for a1 in range(nk):
         for h1 in range(nh):
-            row = np.repeat((tk[a1, act[h1]] * nh).astype(np.int32), nh)
+            row = np.repeat((tk[a1, act[h1]] * nh).astype(np.uint16), nh)
             table[a1 * nh + h1] = row + np.tile(th[h1], nk)
     return table
 
@@ -854,3 +878,58 @@ def test_action_check_matches_pair_loop(block, monkeypatch):
             assert str(err.value) == want
     assert set(seen) >= {"identity must act trivially", "a permutation",
                          "an automorphism", "a homomorphism"}
+
+
+# -- narrow tables: uint16 up to 2**16 elements, the values unchanged --------
+
+# sha256 of each table as little-endian int64 bytes, recorded while tables
+# were int32: every catalog group, the seven groups of the relabeled-table
+# benchmark and the order-3840 witness group
+TABLE_DIGESTS = json.loads((Path(__file__).parent / "table_digests.json").read_text())
+
+
+def test_table_digests_cover_the_catalog():
+    assert set(CATALOG_SPECS) < set(TABLE_DIGESTS)
+    assert "twisted_affine(2,4,1)" in TABLE_DIGESTS
+
+
+@pytest.mark.parametrize("spec", list(TABLE_DIGESTS))
+def test_tables_are_uint16_with_the_int32_values(spec):
+    g = parse_family(spec, max_order=4000)
+    assert g.table.dtype == np.uint16 and g.inv.dtype == np.uint16
+    wide = np.asarray(g.table, dtype="<i8")
+    assert hashlib.sha256(wide.tobytes()).hexdigest() == TABLE_DIGESTS[spec]
+    assert np.array_equal(g.inv, np.argmin(wide, axis=1))
+
+
+def test_quotient_and_subgroup_tables_are_uint16_with_the_int64_values():
+    g = parse_family("central(SL2(3),SL2(3))")
+    t = np.asarray(g.table, dtype=np.int64)
+    # the former int64 forms: searchsorted of coset minima, of the elements
+    kernel = g.center()
+    coset_min = t[:, kernel].min(axis=1)
+    reps = np.unique(coset_min)
+    q = g.quotient(kernel).group
+    assert q.table.dtype == np.uint16
+    assert np.array_equal(q.table, np.searchsorted(reps, coset_min)[t[np.ix_(reps, reps)]])
+    elems = g.derived_subgroup()
+    sub, _ = g.subgroup_as_group(elems)
+    assert sub.table.dtype == np.uint16
+    assert np.array_equal(sub.table, np.searchsorted(elems, t[np.ix_(elems, elems)]))
+
+
+def test_table_dtype_is_uint16_up_to_two_to_the_sixteen():
+    for n in (1, 3840, 1 << 16):
+        assert table_dtype(n) == np.uint16
+    for n in ((1 << 16) + 1, 1 << 20):
+        assert table_dtype(n) == np.int32
+
+
+@pytest.mark.parametrize("big", [65536, 65537, 65539])
+def test_range_check_runs_before_narrowing(big):
+    table = cyclic_table(4)
+    table[1, (big - 1) % 4] = big  # (1 + j) mod 4 == big mod 2**16
+    assert np.array_equal(table.astype(np.uint16), cyclic_table(4))
+    for arg in (table, table.tolist()):
+        with pytest.raises(UnsupportedInputError, match="out of range"):
+            FiniteGroup(arg)

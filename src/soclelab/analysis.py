@@ -17,9 +17,10 @@ import time
 from .errors import ConsistencyError, InapplicableError, UnsupportedInputError
 from .fplin import P_LIMIT, is_prime
 from .groups import FiniteGroup, prime_factors
-from .structure import (check_annihilator_reduction, check_quotient_decomposition,
-                        characterize_socle_ideal, examine_sylow_split,
-                        reduce_to_core, split_into_central_factors)
+from .structure import (AnalysisContext, check_annihilator_reduction,
+                        check_quotient_decomposition, characterize_socle_ideal,
+                        examine_sylow_split, reduce_to_core,
+                        split_into_central_factors)
 
 SCHEMA_VERSION = 1
 
@@ -35,18 +36,28 @@ def default_prime(group: FiniteGroup) -> int:
     return facs[0]
 
 
-def _witness_summary(w: dict) -> dict:
-    return {
-        "seed": w["seed"],
-        "multiplier": w["multiplier"],
-        "fixer": w["fixer"],
-        "commutator_core_order": w["commutator_core_order"],
-        "second_derived_order": w["second_derived_order"],
-        "support_classes": w["support_classes"],
-        "nonzero_coefficients": sum(1 for v in w["vector"] if v),
-        "kernel_functional": w["kernel_functional"],
-        "checks": w["checks"],
+def _quotient_decomposition(ctx: AnalysisContext) -> dict:
+    """The decomposition of G/G''. Its checks are promised only when the
+    socle is an ideal; otherwise they do not run and the status is
+    "computed"."""
+    dec = ctx.decomposition()
+    entry = {
+        "n": dec.n,
+        "factor_sizes": [int(f.size) for f in dec.factors],
+        "multipliers": [None if m is None else int(m) for m in dec.multipliers],
+        "fixers": [None if h is None else int(h) for h in dec.fixers],
+        "central_image_order": int(dec.central_image.size),
     }
+    if ctx.alg.socle_ideal_verdict()[0]:
+        entry["checks"] = check_quotient_decomposition(ctx)
+    else:
+        entry["status"] = "computed"
+    return entry
+
+
+def _reduction(ctx: AnalysisContext) -> dict:
+    core, steps = reduce_to_core(ctx)
+    return {"core_order": int(core.order), "steps": steps}
 
 
 def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
@@ -117,67 +128,22 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
         return report
 
-    th = report["theorems"]
-
-    def quotient_decomposition() -> dict:
-        dec = ctx.decomposition()
-        entry = {
-            "status": "computed",
-            "n": dec.n,
-            "factor_sizes": [int(f.size) for f in dec.factors],
-            "multipliers": [None if m is None else int(m)
-                            for m in dec.multipliers],
-            "fixers": [None if h is None else int(h) for h in dec.fixers],
-            "central_image_order": int(dec.central_image.size),
-        }
-        if direct:
-            entry["checks"] = check_quotient_decomposition(ctx)
-            entry["status"] = "passed"
-        return entry
-
-    def ideal_characterization() -> dict:
-        ch = characterize_socle_ideal(ctx)
-        return {
-            "status": "passed",
-            "affine_match": ch.affine_match,
-            "affine_method": ch.affine_method,
-            "has_fixer": ch.has_fixer,
-            "derived_camina": ch.derived_camina,
-            "predicted": ch.predicted,
-            "direct": ch.direct,
-            "witness": None if ch.witness is None else _witness_summary(ch.witness),
-            "notes": ch.notes,
-        }
-
-    def central_split() -> dict:
-        cs = split_into_central_factors(ctx)
-        return {
-            "status": "passed",
-            "seeds": cs.seeds,
-            "multipliers": cs.multipliers,
-            "component_orders": cs.component_orders,
-            "model_method": cs.model_method,
-        }
-
-    def annihilator_reduction() -> dict:
-        return {"status": "passed",
-                **check_annihilator_reduction(ctx)}
-
-    def reduction() -> dict:
-        core, steps = reduce_to_core(ctx)
-        return {"status": "passed", "core_order": int(core.order), "steps": steps}
-
-    # each check's entry goes under its name; unmet preconditions make it
+    # built per call, so that a caller who rebinds a check in its module
+    # (a tracer, a test) is seen; unmet preconditions make a check
     # inapplicable, a falsified verification makes it failed
-    for check in (quotient_decomposition, ideal_characterization, central_split,
-                  annihilator_reduction, reduction):
+    checks = (("quotient_decomposition", _quotient_decomposition),
+              ("ideal_characterization", characterize_socle_ideal),
+              ("central_split", split_into_central_factors),
+              ("annihilator_reduction", check_annihilator_reduction),
+              ("reduction", _reduction))
+    for name, check in checks:
         try:
-            th[check.__name__] = check()
+            report["theorems"][name] = {"status": "passed", **check(ctx)}
         except InapplicableError as e:
-            th[check.__name__] = {"status": "inapplicable", "reason": str(e)}
+            report["theorems"][name] = {"status": "inapplicable", "reason": str(e)}
         except ConsistencyError as e:
             failures.append(str(e))
-            th[check.__name__] = {"status": "failed", "reason": str(e)}
+            report["theorems"][name] = {"status": "failed", "reason": str(e)}
 
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
     return report

@@ -2,8 +2,8 @@
 
 Every constructor returns a FiniteGroup on a full multiplication table with
 the identity at index 0. Representative choices are deterministic: field
-moduli are the lexicographically smallest irreducible polynomials, searched
-automorphisms take the first hit in index order.
+moduli are the lexicographically smallest irreducible polynomials, and
+automorphisms are given by formula or by images of fixed generators.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
     return g
 
 
-# -- searched / specialized constructions -----------------------------------
+# -- specialized constructions ---------------------------------------------
 
 
 def _perm_order(perm: np.ndarray) -> int:
@@ -361,52 +361,29 @@ def _perm_order(perm: np.ndarray) -> int:
     return out
 
 
+def _heisenberg3_automorphism() -> np.ndarray:
+    """theta(a, b, c) = (a + b, a, ab + a(a - 1)/2 - c) mod 3 on the triples
+    of _heisenberg3, as a permutation of their indices a*9 + b*3 + c. It is
+    an automorphism of order 8: on H/Z(H) = F_3^2 it is the matrix
+    [[1, 1], [1, 0]], of order 8 with no eigenvalue 1, so it moves every
+    non-central coset of the center."""
+    a, b, c = np.indices((3, 3, 3)).reshape(3, 27)
+    return (a + b) % 3 * 9 + a * 3 + (a * b + a * (a - 1) // 2 - c) % 3
+
+
 def heisenberg_affine(p: int) -> FiniteGroup:
     """Heisenberg group of order p^3 extended by a cyclic group acting
-    fixed-point-freely on the p^2 quotient. Provided for p = 3 (order 216)."""
+    fixed-point-freely on the p^2 quotient. Provided for p = 3 (order 216):
+    C_8 acts by the powers of _heisenberg3_automorphism."""
     if p != 3:
         raise UnsupportedInputError("heisenberg_affine provided for p = 3 only")
-    h = _heisenberg3()
-    center = h.center()
-    zmask = np.zeros(27, dtype=bool)
-    zmask[center] = True
-    # two noncentral generators (the greedy set wastes one on the center)
-    x = next(i for i in range(1, 27) if not zmask[i])
-    y = next(i for i in range(1, 27)
-             if h.subgroup_closure([x, i]).size == 27)
-    gens = [x, y]
-    theta = None
-    for u in range(1, 27):
-        if zmask[u]:
-            continue
-        for v in range(1, 27):
-            if zmask[v]:
-                continue
-            fmap = hom_from_images(h, gens, h, [u, v])
-            if fmap is None or len(fmap) != 27:
-                continue
-            perm = np.array([fmap[x] for x in range(27)], dtype=np.int64)
-            if len(set(map(int, perm))) != 27:
-                continue
-            if _perm_order(perm) != 8:
-                continue
-            # must act without fixed points on nonidentity cosets of the center
-            fixed = [x for x in range(27) if not zmask[x]
-                     and zmask[h.mul(int(perm[x]), h.inverse(x))]]
-            if fixed:
-                continue
-            theta = perm
-            break
-        if theta is not None:
-            break
-    if theta is None:
-        raise UnsupportedInputError("no order-8 automorphism found")
+    theta = _heisenberg3_automorphism()
     action = np.empty((8, 27), dtype=np.int64)
     action[0] = np.arange(27)
     for i in range(1, 8):
         action[i] = theta[action[i - 1]]
     g, _, _ = semidirect_product(
-        SemidirectSpec(kernel=h, acting=cyclic(8), action=action),
+        SemidirectSpec(kernel=_heisenberg3(), acting=cyclic(8), action=action),
         name=f"heisenberg_affine({p})")
     return g
 

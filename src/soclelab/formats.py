@@ -196,15 +196,23 @@ def _parse_perm(lines, head, max_order, name) -> FiniteGroup:
     return _perm_table(sorted(elems), name=name)
 
 
-def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER
-                    ) -> tuple[FiniteGroup, int | None]:
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text; an unreadable or undecodable file is
+    unsupported input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as ex:
         raise UnsupportedInputError(f"cannot read {path}: {ex}") from ex
+    except UnicodeDecodeError as ex:
+        raise UnsupportedInputError(
+            f"{path} is not UTF-8 text: byte offset {ex.start}: {ex.reason}") from ex
+
+
+def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER
+                    ) -> tuple[FiniteGroup, int | None]:
     base = os.path.basename(path)
-    return parse_group_text(text, max_order=max_order, name=base)
+    return parse_group_text(_read_text(path), max_order=max_order, name=base)
 
 
 def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,
@@ -214,11 +222,7 @@ def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,
     if kernel.order * acting.order > max_order:
         raise UnsupportedInputError(
             f"group order {kernel.order * acting.order} exceeds the cap {max_order}")
-    try:
-        with open(action_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as ex:
-        raise UnsupportedInputError(f"cannot read {action_path}: {ex}") from ex
+    lines = _read_text(action_path).splitlines()
     if not lines or lines[0].split() != ["action"]:
         raise UnsupportedInputError("action file must start with 'action'")
     body = [ln for ln in lines[1:] if ln.strip()]

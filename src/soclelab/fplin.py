@@ -121,9 +121,6 @@ class FpMatrix:
             and bool(np.array_equal(self.a, other.a))
         )
 
-    def __hash__(self):
-        return hash((self.p, self.a.shape, self.a.tobytes()))
-
     def add(self, other):
         return FpMatrix(self.p, (self.a + other.a) % self.p)
 
@@ -139,9 +136,6 @@ class FpMatrix:
             raise ValueError("square matrix expected")
         return binary_power(self, e, lambda x, y: x @ y,
                             lambda: FpMatrix.identity(self.p, self.a.shape[0]))
-
-    def rank(self) -> int:
-        return len(rref(self.a, self.p)[1])
 
     def kernel(self) -> "Subspace":
         return Subspace(self.p, self.a.shape[1], kernel_basis(self.a, self.p))
@@ -200,11 +194,6 @@ class Subspace:
     def contains_vector(self, v) -> bool:
         return not self.reduce(v).any()
 
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient or self.p != other.p:
-            raise ValueError("incompatible subspaces")
-        return all(self.contains_vector(row) for row in other.basis)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -213,9 +202,6 @@ class Subspace:
             and self.dim == other.dim
             and bool(np.array_equal(self.basis, other.basis))
         )
-
-    def __hash__(self):
-        return hash((self.p, self.ambient, self.basis.tobytes()))
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.p, self.ambient, np.vstack([self.basis, other.basis]))

@@ -37,6 +37,15 @@ def int_p_part(n: int, p: int) -> int:
 
 
 class FiniteGroup:
+    """A group on its full multiplication table, identity at index 0.
+
+    The table is held in table_dtype(n) and is read-only. A table passed in
+    that is already C-contiguous in that dtype is adopted without a copy and
+    frozen, so the caller's array becomes read-only too; copying it would
+    add one n x n table at the peak of the constructions that build one.
+    Pass a copy to keep a writeable array.
+    """
+
     def __init__(self, table, name: str | None = None, labels=None, check: bool = True):
         t = np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -382,9 +391,15 @@ class FiniteGroup:
         return self._memo[key]
 
     def hall_complement(self, p: int, sylow=None) -> np.ndarray | None:
-        """Subgroup of order |G| / |Sylow_p|, or None if the search finds none.
+        """Subgroup of order |G| / |Sylow_p|, or None if the greedy pass
+        below ends short of it.
 
-        Exhaustive when the Sylow subgroup is normal (complement then exists).
+        Precondition: the Sylow p-subgroup is normal. Then every p'-subgroup
+        lies in a complement (Schur-Zassenhaus: complements exist and are
+        conjugate), so one pass that keeps each p'-element whose closure with
+        the kept ones stays a p'-group never gets stuck. Elements of larger
+        order go first, since cyclic complements are common. For a Sylow
+        subgroup that is not normal the pass may end short (sym(5), p = 5).
         """
         key = ("hall", p)
         if key in self._memo:
@@ -392,52 +407,29 @@ class FiniteGroup:
         if sylow is None:
             sylow = self.sylow_subgroup(p)
         m = self.order // sylow.size
-        if m == 1:
-            self._memo[key] = np.array([0], dtype=np.int64)
-            return self._memo[key]
         orders = self.element_orders()
         pprime = [x for x in range(1, self.order) if int(orders[x]) % p != 0]
-        # try large-order elements first; cyclic complements are common
         pprime.sort(key=lambda x: (-int(orders[x]), x))
-        seen: set[bytes] = set()
-
-        def extend(cur: np.ndarray) -> np.ndarray | None:
+        cur = np.array([0], dtype=np.int64)
+        for y in pprime:
             if cur.size == m:
-                return cur
-            mask = np.zeros(self.order, dtype=bool)
-            mask[cur] = True
-            for y in pprime:
-                if mask[y]:
-                    continue
+                break
+            if y not in cur:
                 new = self.subgroup_closure(list(cur) + [y])
-                if new.size % p == 0 or m % new.size:
-                    continue
-                sig = new.tobytes()
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                got = extend(new)
-                if got is not None:
-                    return got
-            return None
-
-        out = extend(np.array([0], dtype=np.int64))
-        self._memo[key] = out
-        return out
+                if new.size % p:
+                    cur = new
+        self._memo[key] = cur if cur.size == m else None
+        return self._memo[key]
 
     # -- cores and residuals ----------------------------------------------
 
-    def _core(self, p: int, want_p_group: bool) -> np.ndarray:
-        """Union of the classes whose normal closure stays inside the
-        element-order envelope (p-elements, or p'-elements): a normal
-        subgroup lies in the core iff its elements all lie in the envelope."""
-        key = ("core", p, want_p_group)
+    def p_prime_core(self, p: int) -> np.ndarray:
+        """Largest normal subgroup of order coprime to p: the union of the
+        classes whose normal closure holds only p'-elements, since a normal
+        subgroup lies in the core iff all its elements are p'-elements."""
+        key = ("core", p)
         if key not in self._memo:
-            orders = self.element_orders()
-            if want_p_group:  # element orders divide |G|
-                good = int_p_part(self.order, p) % orders == 0
-            else:
-                good = orders % p != 0
+            good = self.element_orders() % p != 0
             inside = np.zeros(self.order, dtype=bool)
             inside[0] = True
             for c in self.conjugacy_classes():
@@ -451,14 +443,6 @@ class FiniteGroup:
             core.flags.writeable = False
             self._memo[key] = core
         return self._memo[key]
-
-    def p_core(self, p: int) -> np.ndarray:
-        """Largest normal p-subgroup."""
-        return self._core(p, want_p_group=True)
-
-    def p_prime_core(self, p: int) -> np.ndarray:
-        """Largest normal subgroup of order coprime to p."""
-        return self._core(p, want_p_group=False)
 
     def p_residual(self, p: int) -> np.ndarray:
         """Smallest normal subgroup with p-group quotient: closure of all p'-elements."""
@@ -506,9 +490,6 @@ class FiniteGroup:
         return g, elems
 
     # -- predicates ----------------------------------------------------------
-
-    def is_abelian(self) -> bool:
-        return self.center().size == self.order
 
     def is_camina(self) -> bool:
         """[g] = g G' for every g outside G'. Both sides are the same for

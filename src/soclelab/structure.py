@@ -548,31 +548,6 @@ def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
 # the ideal characterization
 
 
-@dataclass
-class IdealCharacterization:
-    """Three-condition test for soc(ZFG) being an ideal of FG.
-
-    affine_match       Q = G/G'' is the one dimensional affine group of the
-                       field with |Q'| elements
-    affine_method      how affine_match was decided
-    has_fixer          some nontrivial complement element centralizes G''
-    derived_camina     G' is a Camina group
-    predicted          conjunction of the three conditions
-    direct             the computed ideal verdict
-    witness            certificate of non-ideality when one could be built
-    """
-
-    affine_match: bool
-    affine_method: str
-    has_fixer: bool
-    derived_camina: bool
-    predicted: bool
-    direct: bool
-    criterion: bool
-    witness: dict | None
-    notes: list[str]
-
-
 def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
     """Is q the direct product of the affine groups AGL(1, s), s in sizes?
     Returns (match, method): decided by order when the orders differ, else
@@ -591,12 +566,22 @@ def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
     return q._memo[key]
 
 
-def characterize_socle_ideal(ctx: AnalysisContext) -> IdealCharacterization:
+def characterize_socle_ideal(ctx: AnalysisContext) -> dict:
     """Decide the ideal question from group structure and verify the answer
     against the direct computation. Disagreement raises ConsistencyError.
 
     Applies when the group has the reduced shape, Z(G') = G'', and the image
-    of G' is a minimal normal subgroup of G/G''.
+    of G' is a minimal normal subgroup of G/G''. Returns the report entry:
+      affine_match     Q = G/G'' is the one dimensional affine group of the
+                       field with |Q'| elements
+      affine_method    how affine_match was decided
+      has_fixer        some nontrivial complement element centralizes G''
+      derived_camina   G' is a Camina group
+      predicted        conjunction of the three conditions
+      direct           the computed ideal verdict
+      witness          build_nonideal_witness without its vector, when one
+                       was built
+      notes            remarks, such as why no witness was built
     """
     dec = ctx.decomposition()  # raises unless the shape is reduced
     g, p = ctx.group, ctx.p
@@ -629,7 +614,7 @@ def characterize_socle_ideal(ctx: AnalysisContext) -> IdealCharacterization:
     camina = ctx.derived_camina
 
     predicted = bool(affine and has_fixer and camina)
-    direct, criterion = ctx.alg.socle_ideal_verdict()
+    direct = ctx.alg.socle_ideal_verdict()[0]
     if predicted != direct:
         raise ConsistencyError(
             f"structural prediction {predicted} contradicts the computed "
@@ -653,6 +638,7 @@ def characterize_socle_ideal(ctx: AnalysisContext) -> IdealCharacterization:
         if affine and has_fixer:
             try:
                 witness = build_nonideal_witness(ctx)
+                del witness["vector"]
             except InapplicableError as e:
                 notes.append(f"witness construction inapplicable: {e}")
         else:
@@ -663,10 +649,10 @@ def characterize_socle_ideal(ctx: AnalysisContext) -> IdealCharacterization:
                 missing.append("no complement element centralizes G''")
             notes.append("witness construction inapplicable: " + "; ".join(missing))
 
-    return IdealCharacterization(
-        affine_match=affine, affine_method=method, has_fixer=has_fixer,
-        derived_camina=camina, predicted=predicted, direct=direct,
-        criterion=criterion, witness=witness, notes=notes)
+    return {"affine_match": affine, "affine_method": method,
+            "has_fixer": has_fixer, "derived_camina": camina,
+            "predicted": predicted, "direct": direct, "witness": witness,
+            "notes": notes}
 
 
 def _factor_seed(ctx: AnalysisContext, i: int,
@@ -812,6 +798,7 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
         "commutator_core_order": int(core.size),
         "second_derived_order": int(second.size),
         "support_classes": sorted(int(c) for c in support),
+        "nonzero_coefficients": int(np.count_nonzero(avec)),
         "vector": [int(v) for v in avec],
         "checks": {
             "central": True,
@@ -826,27 +813,15 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
 # central product splitting
 
 
-@dataclass
-class CentralFactorSplit:
-    """Decomposition of G into pairwise commuting generating subgroups, one
-    per minimal factor, each generated by one p-element and one multiplier.
-    """
-
-    seeds: list[int]
-    multipliers: list[int]
-    component_elems: list[np.ndarray]
-    component_orders: list[int]
-    checks: dict[str, bool]
-    model_method: str
-
-
-def split_into_central_factors(ctx: AnalysisContext) -> CentralFactorSplit:
-    """Split G into a central product of one subgroup per factor, then
-    verify every promised property of the pieces.
+def split_into_central_factors(ctx: AnalysisContext) -> dict:
+    """Split G into a central product of pairwise commuting subgroups, one
+    per minimal factor, each generated by one p-element (its seed) and one
+    multiplier; then verify every promised property of the pieces.
 
     Applies when the group has the reduced shape, Z(G') = G'', and the
     socle is an ideal; under those hypotheses a failed verification is a
-    ConsistencyError.
+    ConsistencyError. Returns the report entry: seeds, multipliers, the
+    component orders and how the affine model was matched.
     """
     dec = ctx.decomposition()  # raises unless the shape is reduced
     g, p = ctx.group, ctx.p
@@ -953,13 +928,11 @@ def split_into_central_factors(ctx: AnalysisContext) -> CentralFactorSplit:
     pres = [qm.preimage_of_set(f) for f in dec.factors]
     checks["factor_preimages_commute"] = all(
         g.commute(pres[i], pres[j]) for i in range(dec.n) for j in range(i + 1, dec.n))
-    checks = _verified(checks, "central splitting")
-    return CentralFactorSplit(
-        seeds=[int(s) for s in seeds],
-        multipliers=[int(e) for e in dec.multipliers],
-        component_elems=parts,
-        component_orders=[grp.order for grp in part_groups],
-        checks=checks, model_method=method)
+    _verified(checks, "central splitting")
+    return {"seeds": [int(s) for s in seeds],
+            "multipliers": [int(e) for e in dec.multipliers],
+            "component_orders": [grp.order for grp in part_groups],
+            "model_method": method}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from soclelab.errors import UnsupportedInputError
-from soclelab.families import _prime_power, agl1, gf, parse_family
+from soclelab.families import (_heisenberg3, _heisenberg3_automorphism,
+                               _prime_power, agl1, gf, parse_family)
 from soclelab.groups import (FiniteGroup, SemidirectSpec, groups_isomorphic,
                              semidirect_product)
 
@@ -82,7 +83,7 @@ def test_extraspecial_plus_minus_differ():
 def test_metacyclic_nonabelian():
     g = parse_family("metacyclic(13,4,5)")
     assert g.order == 52
-    assert not g.is_abelian()
+    assert g.center().size < g.order
     assert g.derived_subgroup().size == 13
 
 
@@ -93,6 +94,21 @@ def test_heisenberg_affine_shape():
     der = g.derived_subgroup()
     assert der.size == 27
     assert np.array_equal(g.sylow_subgroup(3), der)
+
+
+def test_heisenberg_automorphism_by_formula():
+    """theta is an automorphism of order 8 that moves every non-central
+    coset of the center: the two properties the former search checked."""
+    h, theta = _heisenberg3(), _heisenberg3_automorphism()
+    assert sorted(theta) == list(range(27))
+    assert np.array_equal(theta[h.table], h.table[np.ix_(theta, theta)])
+    power, order = theta, 1
+    while not np.array_equal(power, np.arange(27)):
+        power, order = theta[power], order + 1
+    assert order == 8
+    central = h.mask(h.center())
+    assert all(not central[h.mul(int(theta[x]), h.inverse(x))]
+               for x in range(27) if not central[x])
 
 
 def test_twisted_affine_small():
@@ -114,7 +130,7 @@ def test_q8q8_diag_c3():
 def test_direct_product_nary():
     g = parse_family("direct(cyclic(2),cyclic(3),cyclic(5))")
     assert g.order == 30
-    assert g.is_abelian()
+    assert g.center().size == g.order
 
 
 def test_central_product_order():

@@ -40,9 +40,9 @@ def test_perm_format():
     g, _ = parse_group_text("perm 3\n(1 2 3)\n")
     assert g.order == 3
     g2, _ = parse_group_text("perm 4\n(1 2)\n(3 4)\n")
-    assert g2.order == 4 and g2.is_abelian()
+    assert g2.order == 4 and g2.center().size == 4
     g3, _ = parse_group_text("perm 3\n(1 2)\n(1 2 3)\n")
-    assert g3.order == 6 and not g3.is_abelian()
+    assert g3.order == 6 and g3.center().size < 6
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -208,6 +208,41 @@ def test_scan_directory(capsys, tmp_path):
     r = json.loads(out)
     assert len(r["rows"]) == 2
     assert all(row["status"] == "ok" for row in r["rows"])
+
+
+NOT_UTF8 = b"cayley 2\n0 1\n1 0 \xff\n"  # 0xff at byte offset 17
+
+
+def test_non_utf8_file_is_unsupported_input(capsys, tmp_path):
+    bad = tmp_path / "bad.cay"
+    bad.write_bytes(NOT_UTF8)
+    assert cli.run(["analyze", str(bad)]) == 3
+    assert "byte offset 17" in capsys.readouterr().err
+
+
+def test_scan_gives_non_utf8_file_an_error_row(capsys, tmp_path):
+    d = tmp_path / "grp"
+    d.mkdir()
+    write_cayley(parse_family("cyclic(4)"), str(d / "a.cay"))
+    (d / "b.cay").write_bytes(NOT_UTF8)
+    write_cayley(parse_family("q8"), str(d / "c.cay"))
+    code, out = run_cli(capsys, "scan", str(d), "--p", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["status"] for row in rows] == ["ok", "error", "ok"]
+    assert "byte offset 17" in rows[1]["error"]
+
+
+def test_sdp_with_non_utf8_action_file(capsys, tmp_path):
+    write_cayley(parse_family("cyclic(3)"), str(tmp_path / "k.cay"))
+    write_cayley(parse_family("cyclic(2)"), str(tmp_path / "h.cay"))
+    action = tmp_path / "act.txt"
+    spec = f"sdp({tmp_path / 'k.cay'},{tmp_path / 'h.cay'},{action})"
+    action.write_text("action\n0 1 2\n0 2 1\n")
+    assert run_cli(capsys, "analyze", spec)[0] == 0  # sym(3)
+    action.write_bytes(b"action\n0 1 2\n0 2 \xe9\n")
+    assert cli.run(["analyze", spec]) == 3
+    assert "byte offset 17" in capsys.readouterr().err
 
 
 def test_scan_table_output(capsys):

@@ -40,7 +40,7 @@ def test_matrix_inverse(p):
     found = 0
     while found < 10:
         m = FpMatrix(p, rng.integers(0, p, size=(4, 4)))
-        if m.rank() < 4:
+        if len(rref(m.a, p)[1]) < 4:
             continue
         found += 1
         assert m @ m.inverse() == FpMatrix.identity(p, 4)
@@ -93,7 +93,8 @@ def test_sum_intersect_dimension_formula(p):
         assert su.dim + it.dim == a.dim + b.dim
         for v in it.basis:
             assert a.contains_vector(v) and b.contains_vector(v)
-        assert su.contains(a) and su.contains(b)
+        for v in np.vstack([a.basis, b.basis]):
+            assert su.contains_vector(v)
 
 
 def test_annihilator_dims_and_orthogonality():
@@ -112,7 +113,6 @@ def test_zero_and_full_subspace():
     assert not z.contains_vector([1, 0, 0])
     f = Subspace(2, 3, np.eye(3, dtype=np.int64))
     assert f.dim == 3
-    assert f.contains(z)
 
 
 # -- the column loop and the re-reducing kernel, kept as references ----------

@@ -124,7 +124,7 @@ def test_associativity_exact_above_order_512():
 def test_cyclic_basics():
     g = FiniteGroup(cyclic_table(12))
     assert g.order == 12
-    assert g.is_abelian()
+    assert g.center().size == g.order
     assert g.element_order(1) == 12
     assert g.element_order(4) == 3
     assert g.inverse(5) == 7
@@ -209,7 +209,7 @@ def test_quotient_sym4_by_klein():
     g = parse_family("sym(4)")
     qm = g.quotient(g.second_derived())
     assert qm.group.order == 6
-    assert not qm.group.is_abelian()
+    assert qm.group.center().size < qm.group.order
     # projection is a homomorphism
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -249,10 +249,67 @@ def test_sylow_and_hall_sl23():
     assert not g.is_normal(syl3)
 
 
+def reference_hall_complement(g, p, sylow):
+    """Depth-first search over p'-subgroups, larger element orders first,
+    backtracking when a branch cannot reach order |G| / |sylow|."""
+    m = g.order // sylow.size
+    orders = g.element_orders()
+    pprime = [x for x in range(1, g.order) if int(orders[x]) % p != 0]
+    pprime.sort(key=lambda x: (-int(orders[x]), x))
+    seen = set()
+
+    def extend(cur):
+        if cur.size == m:
+            return cur
+        mask = np.zeros(g.order, dtype=bool)
+        mask[cur] = True
+        for y in pprime:
+            if mask[y]:
+                continue
+            new = g.subgroup_closure(list(cur) + [y])
+            if new.size % p == 0 or m % new.size or new.tobytes() in seen:
+                continue
+            seen.add(new.tobytes())
+            got = extend(new)
+            if got is not None:
+                return got
+        return None
+
+    return extend(np.array([0], dtype=np.int64))
+
+
+HALL_EXTRA_SPECS = ("twisted_affine(2,3,1)", "twisted_affine(3,2,1)",
+                    "twisted_affine(2,4,1)", "direct(AGL(1,16),cyclic(3))")
+
+
+def test_hall_complement_matches_search_for_normal_sylow():
+    """With a normal Sylow subgroup the greedy pass is the search's first
+    branch, on every such (group, p) of the catalog and four larger groups."""
+    groups = [g for _, g in catalog_groups()]
+    groups += [parse_family(s, max_order=4000) for s in HALL_EXTRA_SPECS]
+    pairs = 0
+    for g in groups:
+        for p in prime_factors(g.order):
+            syl = g.sylow_subgroup(p)
+            if g.is_normal(syl):
+                assert_same_elems(g.hall_complement(p, sylow=syl),
+                                  reference_hall_complement(g, p, syl))
+                pairs += 1
+    assert pairs == 53
+
+
+def test_hall_complement_needs_a_normal_sylow():
+    # sym(5) at p = 5: the search finds an S4, the greedy pass ends short
+    g = parse_family("sym(5)")
+    syl = g.sylow_subgroup(5)
+    assert not g.is_normal(syl)
+    assert reference_hall_complement(g, 5, syl).size == 24
+    assert g.hall_complement(5, sylow=syl) is None
+
+
 def test_cores_and_residuals():
     g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
     assert g.p_prime_core(2).size == 5
-    assert g.p_core(2).size == 8
     # abelianization C3 x C5 has trivial 2-part, so no proper 2-group quotient
     assert g.p_residual(2).size == 120
     assert g.p_residual(5).size == 24
@@ -489,14 +546,13 @@ def reference_sub_derived(g, elems):
     return reference_normal_closure(g, comms, conjugators=gens)
 
 
-def reference_core(g, p, want_p_group):
-    """Join the normal closures of class representatives that stay inside
-    the element-order envelope, re-closing after each one."""
+def reference_core(g, p):
+    """Join the normal closures of class representatives that hold only
+    p'-elements, re-closing after each one."""
     orders = g.element_orders()
 
     def good(x):
-        o = int(orders[x])
-        return (o == int_p_part(o, p)) if want_p_group else (o % p != 0)
+        return int(orders[x]) % p != 0
 
     acc = np.array([0], dtype=np.int64)
     gset = set()
@@ -550,8 +606,7 @@ def test_normal_subgroups_match_element_references(spec, g):
         assert_same_elems(grp.derived_subgroup(),
                           reference_sub_derived(grp, np.arange(grp.order)))
         for p in prime_factors(grp.order) or [2]:
-            assert_same_elems(grp.p_core(p), reference_core(grp, p, True))
-            assert_same_elems(grp.p_prime_core(p), reference_core(grp, p, False))
+            assert_same_elems(grp.p_prime_core(p), reference_core(grp, p))
         assert grp.is_camina() == reference_is_camina(grp)
 
 
@@ -573,7 +628,7 @@ def test_core_is_memoized(monkeypatch):
     calls = count_calls(monkeypatch, "normal_closure")
     assert_same_elems(g.p_prime_core(2), first)
     assert calls == []
-    assert g.p_core(2).size == 8 and len(calls) > 0
+    assert g.p_prime_core(3).size == 40 and len(calls) > 0
 
 
 def test_normal_closure_is_one_subgroup_closure(monkeypatch):
@@ -764,7 +819,7 @@ def test_center_and_products_match_full_table_forms(monkeypatch):
     built += [families_module.agl1(q) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
     for g in built:
         assert_same_elems(g.center(), reference_center(g))
-        assert g.is_abelian() == bool((g.table == g.table.T).all())
+        assert (g.center().size == g.order) == bool((g.table == g.table.T).all())
     assert len(made) >= len(PRODUCT_SPECS)
     for spec, g in made:
         want = reference_semidirect_table(spec)
@@ -923,6 +978,17 @@ def test_table_dtype_is_uint16_up_to_two_to_the_sixteen():
         assert table_dtype(n) == np.uint16
     for n in ((1 << 16) + 1, 1 << 20):
         assert table_dtype(n) == np.int32
+
+
+def test_table_in_table_dtype_is_adopted_and_frozen():
+    table = cyclic_table(12).astype(table_dtype(12))
+    g = FiniteGroup(table)
+    assert np.shares_memory(g.table, table)
+    assert not table.flags.writeable
+    # any other dtype or layout is copied, and the caller's array is untouched
+    wide = cyclic_table(12)
+    assert not np.shares_memory(FiniteGroup(wide).table, wide)
+    assert wide.flags.writeable
 
 
 @pytest.mark.parametrize("big", [65536, 65537, 65539])

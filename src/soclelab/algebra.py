@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
-from .fplin import FpMatrix, Subspace, binary_power, check_prime, kernel_basis, rref
+from .fplin import Subspace, binary_power, check_prime, kernel_basis, rref
 from .groups import BLOCK_CELLS, FiniteGroup, QuotientMap
 
 
@@ -106,27 +106,29 @@ class CenterAlgebra:
 
     # -- radical and socle -----------------------------------------------------
 
-    def power_map_matrix(self) -> FpMatrix:
+    def power_map_matrix(self) -> np.ndarray:
         """Matrix of x -> x^p (F_p-linear since the center is commutative)."""
         cols = np.empty((self.k, self.k), dtype=np.int64)
         for j in range(self.k):
             cols[:, j] = self.power(self.class_sum_vec(j), self.p)
-        return FpMatrix(self.p, cols)
+        return cols
 
     def jacobson_radical(self) -> Subspace:
         """Nilradical of the center: kernel of enough iterates of x -> x^p."""
         if "radical" in self.__dict__:
             return self.__dict__["radical"]
+        k, p = self.k, self.p
         m = 0
-        while self.p ** m < self.k:
+        while p ** m < k:
             m += 1
-        rad = self.power_map_matrix().matpow(m).kernel()
+        power = binary_power(self.power_map_matrix(), m, lambda a, b: a @ b % p,
+                             lambda: np.eye(k, dtype=np.int64))
+        rad = Subspace(p, k, kernel_basis(power, p))
         # x -> x^p is linear: the radical is nilpotent iff m rounds of it,
         # applied by multiply to a basis of each image, reach 0
         image = rad
         for _ in range(m):
-            image = Subspace(self.p, self.k,
-                             [self.power(b, self.p) for b in image.basis])
+            image = Subspace(p, k, [self.power(b, p) for b in image.basis])
         if image.dim:
             raise ConsistencyError("radical vector is not nilpotent")
         self.__dict__["radical"] = rad

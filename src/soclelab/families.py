@@ -345,22 +345,6 @@ def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
 # -- specialized constructions ---------------------------------------------
 
 
-def _perm_order(perm: np.ndarray) -> int:
-    n = perm.size
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            ln += 1
-        out = out * ln // math.gcd(out, ln)
-    return out
-
-
 def _heisenberg3_automorphism() -> np.ndarray:
     """theta(a, b, c) = (a + b, a, ab + a(a - 1)/2 - c) mod 3 on the triples
     of _heisenberg3, as a permutation of their indices a*9 + b*3 + c. It is
@@ -427,14 +411,12 @@ def q8q8_diag_c3() -> FiniteGroup:
     if fmap is None or len(fmap) != 8:
         raise UnsupportedInputError("triality automorphism construction failed")
     rho = np.array([fmap[x] for x in range(8)], dtype=np.int64)
-    if _perm_order(rho) != 3:
+    ident = np.arange(8)
+    if np.array_equal(rho, ident) or not np.array_equal(rho[rho[rho]], ident):
         raise UnsupportedInputError("automorphism does not have order 3")
     prod, e1, e2 = direct_product(q8, q8)
     # direct_product index: (x in factor 1, y in factor 2) at y*8 + x
-    rho2 = np.empty(64, dtype=np.int64)
-    for y in range(8):
-        for x in range(8):
-            rho2[y * 8 + x] = int(rho[y]) * 8 + int(rho[x])
+    rho2 = (rho[:, None] * 8 + rho).ravel()
     action = np.empty((3, 64), dtype=np.int64)
     action[0] = np.arange(64)
     action[1] = rho2

@@ -88,70 +88,6 @@ def kernel_basis(a, p: int) -> np.ndarray:
     return basis
 
 
-class FpMatrix:
-    """Immutable matrix over F_p."""
-
-    __slots__ = ("p", "a")
-
-    def __init__(self, p, data):
-        self.p = check_prime(p)
-        a = residues(self.p, data)
-        if a.ndim != 2:
-            raise ValueError("2-D array expected")
-        a.flags.writeable = False
-        self.a = a
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p, r, c):
-        return cls(p, np.zeros((r, c), dtype=np.int64))
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def add(self, other):
-        return FpMatrix(self.p, (self.a + other.a) % self.p)
-
-    def matmul(self, other):
-        # int64 holds n * (p-1)^2 for every size used here
-        return FpMatrix(self.p, (self.a @ other.a) % self.p)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    def matpow(self, e: int):
-        if self.a.shape[0] != self.a.shape[1]:
-            raise ValueError("square matrix expected")
-        return binary_power(self, e, lambda x, y: x @ y,
-                            lambda: FpMatrix.identity(self.p, self.a.shape[0]))
-
-    def kernel(self) -> "Subspace":
-        return Subspace(self.p, self.a.shape[1], kernel_basis(self.a, self.p))
-
-    def inverse(self) -> "FpMatrix":
-        """Inverse mod p via row reduction of the augmented matrix."""
-        n, m = self.a.shape
-        if n != m:
-            raise ValueError("square matrix expected")
-        aug = np.concatenate([self.a, np.eye(n, dtype=np.int64)], axis=1)
-        r, piv = rref(aug, self.p)
-        if piv[:n] != list(range(n)):
-            raise ValueError("matrix is singular mod p")
-        return FpMatrix(self.p, r[:, n:])
-
-
 class Subspace:
     """Subspace of F_p^ambient with a canonical RREF basis (no zero rows)."""
 
@@ -203,9 +139,6 @@ class Subspace:
             and bool(np.array_equal(self.basis, other.basis))
         )
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.p, self.ambient, np.vstack([self.basis, other.basis]))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         # kernel of the concatenation: coefficient rows (x, y) with
         # x @ A + y @ B = 0 give intersection vectors x @ A = -(y @ B)
@@ -217,12 +150,6 @@ class Subspace:
             return Subspace(self.p, self.ambient)
         vecs = (coeffs[:, : self.dim] @ self.basis) % self.p
         return Subspace(self.p, self.ambient, vecs)
-
-    def annihilator(self) -> "Subspace":
-        """Functionals (as coordinate vectors) vanishing on this subspace."""
-        if self.dim == 0:
-            return Subspace(self.p, self.ambient, np.eye(self.ambient, dtype=np.int64))
-        return Subspace(self.p, self.ambient, kernel_basis(self.basis, self.p))
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"

@@ -46,7 +46,7 @@ class FiniteGroup:
     Pass a copy to keep a writeable array.
     """
 
-    def __init__(self, table, name: str | None = None, labels=None, check: bool = True):
+    def __init__(self, table, name: str | None = None, check: bool = True):
         t = np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise UnsupportedInputError("multiplication table must be square")
@@ -59,9 +59,6 @@ class FiniteGroup:
         self.table = np.ascontiguousarray(t, dtype=table_dtype(n))
         self.order = n
         self.name = name or f"group_of_order_{n}"
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise UnsupportedInputError("label count mismatch")
         self._memo: dict = {}
         self.inv = self._build_inverses(check)
         if check:
@@ -390,7 +387,7 @@ class FiniteGroup:
             self._memo[key] = s
         return self._memo[key]
 
-    def hall_complement(self, p: int, sylow=None) -> np.ndarray | None:
+    def hall_complement(self, p: int) -> np.ndarray | None:
         """Subgroup of order |G| / |Sylow_p|, or None if the greedy pass
         below ends short of it.
 
@@ -404,9 +401,7 @@ class FiniteGroup:
         key = ("hall", p)
         if key in self._memo:
             return self._memo[key]
-        if sylow is None:
-            sylow = self.sylow_subgroup(p)
-        m = self.order // sylow.size
+        m = self.order // self.sylow_subgroup(p).size
         orders = self.element_orders()
         pprime = [x for x in range(1, self.order) if int(orders[x]) % p != 0]
         pprime.sort(key=lambda x: (-int(orders[x]), x))
@@ -467,10 +462,7 @@ class FiniteGroup:
             raise ConsistencyError("coset bookkeeping failed")
         proj = np.searchsorted(reps, coset_min).astype(np.int64)
         qtable = proj.astype(table_dtype(reps.size))[self.table[np.ix_(reps, reps)]]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[int(r)] + "*" for r in reps]
-        q = FiniteGroup(qtable, name=f"{self.name}_mod_{k.size}", labels=labels)
+        q = FiniteGroup(qtable, name=f"{self.name}_mod_{k.size}")
         proj.flags.writeable = False
         reps.flags.writeable = False
         return QuotientMap(parent=self, kernel=k, group=q, proj=proj, section=reps)
@@ -482,11 +474,8 @@ class FiniteGroup:
         pos = np.zeros(self.order, dtype=table_dtype(elems.size))
         pos[elems] = np.arange(elems.size)
         sub_table = pos[self.table[np.ix_(elems, elems)]]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[int(e)] for e in elems]
         g = FiniteGroup(sub_table, name=name or f"{self.name}_sub{elems.size}",
-                        labels=labels, check=False)
+                        check=False)
         return g, elems
 
     # -- predicates ----------------------------------------------------------
@@ -702,10 +691,7 @@ def semidirect_product(spec: SemidirectSpec, name: str | None = None):
     table = np.empty((nk * nh, nk * nh), dtype=dtype)
     np.add((tk[:, act].astype(dtype, copy=False) * nh)[:, :, :, None],
            th[None, :, None, :], out=table.reshape(nk, nh, nk, nh))
-    labels = None
-    if kg.labels is not None and hg.labels is not None:
-        labels = [f"({kg.labels[a]},{hg.labels[h]})" for a in range(nk) for h in range(nh)]
-    g = FiniteGroup(table, name=name or f"{kg.name}_by_{hg.name}", labels=labels)
+    g = FiniteGroup(table, name=name or f"{kg.name}_by_{hg.name}")
     embed_k = np.arange(nk, dtype=np.int64) * nh
     embed_h = np.arange(nh, dtype=np.int64)
     return g, embed_k, embed_h

@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError
 from .families import agl1, sl2_3
-from .fplin import FpMatrix, Subspace, kernel_basis
+from .fplin import Subspace, kernel_basis
 from .groups import (ISO_ORDER_LIMIT, FiniteGroup, QuotientMap, direct_product,
                      groups_isomorphic)
 
@@ -103,7 +103,7 @@ def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
     if syl.size == g.order:
         complement = np.array([0], dtype=np.int64)
     elif sylow_normal:
-        complement = g.hall_complement(p, sylow=syl)
+        complement = g.hall_complement(p)
 
     zd = g.sub_center(der)
     second = g.sub_derived(der)
@@ -155,15 +155,6 @@ def _elementary_coords(g: FiniteGroup, elems, p: int):
     if len(coord) != len(eset) or set(coord) != set(eset):
         raise ConsistencyError("coordinate domain is not elementary abelian")
     return basis, coord
-
-
-def _elems_from_coords(g: FiniteGroup, basis: list[int], vec) -> int:
-    out = 0
-    for j, b in enumerate(basis):
-        k = int(vec[j])
-        if k:
-            out = g.mul(out, g.power(b, k))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,6 @@ class QuotientDecomposition:
                     transitively on the nonidentity part of that factor and
                     centralizing every other factor; None when no such
                     element exists
-    multiplier_orders    per factor: |factor| - 1
     cofactors       per factor i: the subgroup of G that maps onto the
                     product of the other factors and the central image
     fixers          per factor: smallest nontrivial element of H that
@@ -234,7 +224,6 @@ class QuotientDecomposition:
     factor_span: np.ndarray
     factors: list[np.ndarray]
     multipliers: list[int | None]
-    multiplier_orders: list[int]
     cofactors: list[np.ndarray]
     fixers: list[int | None]
     factor_components: dict = field(repr=False, default_factory=dict)
@@ -246,38 +235,27 @@ class QuotientDecomposition:
 
 def _averaging_projector(q: FiniteGroup, p: int, basis: list[int],
                          coord: dict, target: Subspace,
-                         actors: list[int]) -> FpMatrix:
+                         actors: list[int]) -> np.ndarray:
     """Projector of the coordinate space onto target commuting with the
     conjugation action of the given (images of) complement elements.
 
     Vectors act as rows, v -> v @ P. Requires the number of actors to be
-    invertible mod p and target to be stable under each actor.
+    invertible mod p, the actors to be closed under inverses (they are the
+    image of a subgroup, so A_h^-1 = A_{h^-1} and nothing is inverted), and
+    target to be stable under each actor.
     """
     k = len(basis)
-    if k == 0:
-        return FpMatrix.identity(p, 0)
-    # plain projector onto target along the complementary coordinate axes
-    tb = target.basis
-    free = [c for c in range(k) if c not in set(target.pivots)]
-    full = np.zeros((k, k), dtype=np.int64)
-    full[: tb.shape[0]] = tb
-    for i, c in enumerate(free):
-        full[tb.shape[0] + i, c] = 1
-    b = FpMatrix(p, full)
-    binv = b.inverse()
-    e = np.zeros((k, k), dtype=np.int64)
-    for i in range(tb.shape[0]):
-        e[i, i] = 1
-    p0 = binv @ FpMatrix(p, e) @ b
-
-    acc = FpMatrix.zeros(p, k, k)
+    # plain projector onto target along the non-pivot coordinate axes:
+    # e_{pivots[i]} -> target.basis[i], every other axis -> 0
+    p0 = np.zeros((k, k), dtype=np.int64)
+    p0[list(target.pivots)] = target.basis
+    mats = {h: np.array([coord[q.conj(h, bb)] for bb in basis],
+                        dtype=np.int64).reshape(k, k) for h in actors}
+    acc = np.zeros((k, k), dtype=np.int64)
     for h in actors:
-        rows = np.array([coord[q.conj(h, bb)] for bb in basis], dtype=np.int64)
-        a = FpMatrix(p, rows)
-        acc = acc.add(a @ p0 @ a.inverse())
-    scale = pow(len(actors), p - 2, p)
-    proj = FpMatrix(p, (acc.a * scale) % p)
-    if (proj @ proj) != proj:
+        acc += mats[h] @ p0 % p @ mats[q.inverse(h)] % p
+    proj = acc * pow(len(actors), p - 2, p) % p
+    if not np.array_equal(proj @ proj % p, proj):
         raise ConsistencyError("averaged map is not a projector")
     return proj
 
@@ -339,13 +317,14 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
 
     actors = sorted({int(qm.proj[int(h)]) for h in comp})
     proj = _averaging_projector(q, p, basis, coord, wspace, actors)
-    tspace = Subspace(p, k, kernel_basis(proj.a.T, p))
+    tspace = Subspace(p, k, kernel_basis(proj.T, p))
     if tspace.dim + wspace.dim != k or tspace.intersect(wspace).dim != 0:
         raise ConsistencyError("projector kernel does not complement the center image")
 
-    tele = sorted(_elems_from_coords(q, basis, v)
-                  for v in _all_combinations(p, tspace))
-    tspan = np.array(tele, dtype=np.int64)
+    # coord is a bijection from mbar onto F_p^k: the span is the kernel's preimage
+    crows = np.array([coord[int(x)] for x in mbar],
+                     dtype=np.int64).reshape(mbar.size, k)
+    tspan = mbar[~(crows @ proj % p).any(axis=1)]
     if not q.is_subgroup(tspan) or not q.is_normal(tspan):
         raise ConsistencyError("factor span is not a normal subgroup")
     tmask = q.mask(tspan)
@@ -398,24 +377,8 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
     return QuotientDecomposition(
         qmap=qm, quotient=q, derived_image=der_im,
         central_image=central_im, factor_span=tspan, factors=factors,
-        multipliers=multipliers,
-        multiplier_orders=[int(f.size) - 1 for f in factors],
-        cofactors=cofactors, fixers=fixers, factor_components=prod_map)
-
-
-def _all_combinations(p: int, space: Subspace):
-    """Every vector of a subspace, as rows."""
-    if space.dim == 0:
-        yield np.zeros(space.ambient, dtype=np.int64)
-        return
-    coeffs = np.zeros(space.dim, dtype=np.int64)
-    total = p ** space.dim
-    for idx in range(total):
-        rem = idx
-        for j in range(space.dim):
-            coeffs[j] = rem % p
-            rem //= p
-        yield (coeffs @ space.basis) % p
+        multipliers=multipliers, cofactors=cofactors, fixers=fixers,
+        factor_components=prod_map)
 
 
 def _find_multiplier(q: FiniteGroup, qm: QuotientMap, comp,
@@ -1034,7 +997,7 @@ def reduce_to_core(ctx: AnalysisContext) -> tuple[FiniteGroup, list[dict]]:
                     "verdict_before": v0, "verdict_after": v1})
         g = qm.group
         syl = g.sylow_subgroup(p)
-        comp = g.hall_complement(p, sylow=syl)
+        comp = g.hall_complement(p)
         if comp is None:
             raise ConsistencyError(
                 "complement vanished after the coprime-core quotient")

@@ -242,7 +242,7 @@ def test_sylow_and_hall_sl23():
     syl = g.sylow_subgroup(2)
     assert syl.size == 8
     assert g.is_normal(syl)
-    comp = g.hall_complement(2, sylow=syl)
+    comp = g.hall_complement(2)
     assert comp is not None and comp.size == 3
     syl3 = g.sylow_subgroup(3)
     assert syl3.size == 3
@@ -292,7 +292,7 @@ def test_hall_complement_matches_search_for_normal_sylow():
         for p in prime_factors(g.order):
             syl = g.sylow_subgroup(p)
             if g.is_normal(syl):
-                assert_same_elems(g.hall_complement(p, sylow=syl),
+                assert_same_elems(g.hall_complement(p),
                                   reference_hall_complement(g, p, syl))
                 pairs += 1
     assert pairs == 53
@@ -304,7 +304,7 @@ def test_hall_complement_needs_a_normal_sylow():
     syl = g.sylow_subgroup(5)
     assert not g.is_normal(syl)
     assert reference_hall_complement(g, 5, syl).size == 24
-    assert g.hall_complement(5, sylow=syl) is None
+    assert g.hall_complement(5) is None
 
 
 def test_cores_and_residuals():

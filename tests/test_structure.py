@@ -6,8 +6,10 @@ import pytest
 from soclelab import structure
 from soclelab.algebra import CenterAlgebra
 from soclelab.analysis import analyze_group
+from soclelab.catalog import catalog_groups
 from soclelab.errors import ConsistencyError, InapplicableError
 from soclelab.families import parse_family
+from soclelab.fplin import Subspace, kernel_basis, rref
 from soclelab.groups import FiniteGroup, direct_product, prime_factors
 from soclelab.structure import (_matches_affine_model, build_nonideal_witness,
                                 characterize_socle_ideal,
@@ -311,3 +313,93 @@ def test_affine_model_compared_once_per_quotient(spec, monkeypatch):
     for p in prime_factors(g.order):
         analyze_group(g, p)
     assert searches and len(searches) == len(set(searches))
+
+
+# -- the former projector and span enumeration, kept as references -----------
+
+def rref_inverse(a, p):
+    """Inverse mod p: the RREF of [a | 1] is [1 | a^-1]."""
+    n = a.shape[0]
+    r, piv = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
+    assert piv[:n] == list(range(n)), "matrix is singular mod p"
+    return r[:, n:]
+
+
+def reference_averaging_projector(q, p, basis, coord, target, actors):
+    """The former projector: the plain projector conjugated in from the basis
+    (target basis, then the free axes), averaged as A_h P0 A_h^-1 with each
+    A_h inverted by row reduction."""
+    k, tb = len(basis), target.basis
+    free = [c for c in range(k) if c not in set(target.pivots)]
+    full = np.zeros((k, k), dtype=np.int64)
+    full[: tb.shape[0]] = tb
+    for i, c in enumerate(free):
+        full[tb.shape[0] + i, c] = 1
+    e = np.diag([1] * tb.shape[0] + [0] * len(free)).astype(np.int64)
+    p0 = rref_inverse(full, p) @ e % p @ full % p
+    acc = np.zeros((k, k), dtype=np.int64)
+    for h in actors:
+        a = np.array([coord[q.conj(h, bb)] for bb in basis], dtype=np.int64)
+        acc = (acc + a @ p0 % p @ rref_inverse(a, p) % p) % p
+    return acc * pow(len(actors), p - 2, p) % p
+
+
+def reference_span(q, p, basis, proj):
+    """The former factor span: every vector of the projector's kernel,
+    mapped to its element as a product of basis powers."""
+    space = Subspace(p, len(basis), kernel_basis(proj.T, p))
+    elems = []
+    for idx in range(p ** space.dim):
+        coeffs = np.array([idx // p ** j % p for j in range(space.dim)],
+                          dtype=np.int64)
+        vec = coeffs @ space.basis % p
+        out = 0
+        for j, b in enumerate(basis):
+            if vec[j]:
+                out = q.mul(out, q.power(b, int(vec[j])))
+        elems.append(out)
+    return np.array(sorted(elems), dtype=np.int64)
+
+
+PROJECTOR_EXTRA_SPECS = ("twisted_affine(2,3,1)", "twisted_affine(2,4,1)",
+                         "twisted_affine(3,2,1)")
+
+
+def test_projector_and_span_match_inverting_references(monkeypatch):
+    """The inverse-free projector and the kernel-preimage span equal the
+    former inverting projector and enumeration on every (group, p) of the
+    catalog and three larger groups that reaches the projector."""
+    events = []
+    real_proj = structure._averaging_projector
+    real_inside = structure._minimal_normal_inside
+
+    def projector(*args):
+        proj = real_proj(*args)
+        events.append(("proj", args, proj))
+        return proj
+
+    def inside(q, elems):
+        events.append(("span", np.asarray(elems)))
+        return real_inside(q, elems)
+
+    monkeypatch.setattr(structure, "_averaging_projector", projector)
+    monkeypatch.setattr(structure, "_minimal_normal_inside", inside)
+    groups = [g for _, g in catalog_groups()]
+    groups += [parse_family(s, max_order=4000) for s in PROJECTOR_EXTRA_SPECS]
+    pairs = 0
+    for g in groups:
+        for p in prime_factors(g.order):
+            events.clear()
+            try:
+                examine_sylow_split(g, p).decomposition()
+            except InapplicableError:
+                pass
+            if not events:
+                continue
+            (kind, (q, pp, basis, coord, target, actors), proj), span = events[:2]
+            assert kind == "proj" and span[0] == "span"
+            want = reference_averaging_projector(q, pp, basis, coord, target, actors)
+            assert proj.dtype == np.int64 and np.array_equal(proj, want)
+            assert np.array_equal(span[1], reference_span(q, pp, basis, want))
+            pairs += 1
+    assert pairs == 21

@@ -26,91 +26,35 @@ DEFAULT_MAX_ORDER = 2000
 # -- finite fields -----------------------------------------------------------
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-def _is_irreducible(m, p):
-    d = len(m) - 1
-    if d == 1:
-        return True
-    # trial division by every monic polynomial of degree 1..d//2
-    for e in range(1, d // 2 + 1):
-        for t in range(p ** e):
-            div = _int_to_poly(t, p, e) + [1]
-            r = _poly_mod(m, div, p)
-            if len(r) == 1 and r[0] == 0:
-                return False
-    return True
-
-
-def _int_to_poly(t, p, d):
-    """Base-p digits of t as d coefficients, constant term last in the int."""
-    out = []
-    for _ in range(d):
-        out.append(t % p)
-        t //= p
-    return out  # out[i] is the coefficient of x^i
-
-
 class GF:
-    """F_{p^d} with elements coded 0..q-1 (base-p coefficient vectors)."""
+    """F_{p^d} with elements coded 0..q-1: base-p digit i of a code is its
+    coefficient of x^i. The modulus x^d + low is the first candidate, with
+    low taken in code order, whose own product table has no zero divisor:
+    F_p[x]/(m) is a field exactly when m is irreducible."""
 
     def __init__(self, p: int, d: int):
         if d < 1:
             raise UnsupportedInputError("field degree must be >= 1")
         self.p, self.d, self.q = p, d, p ** d
-        self.modulus = self._find_modulus()
         q = self.q
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
-        polys = [_int_to_poly(t, p, d) for t in range(q)]
-        for i in range(q):
-            for j in range(q):
-                add[i, j] = self._encode([(x + y) % p for x, y in zip(polys[i], polys[j])])
-                mul[i, j] = self._encode(
-                    _poly_mod(_poly_mul(polys[i], polys[j], p), self.modulus, p))
-        self.add, self.mul = add, mul
-        self.neg = np.argmin(add, axis=1)
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            inv[x] = int(np.flatnonzero(mul[x] == 1)[0])
-        self.inv = inv
-
-    def _find_modulus(self):
-        p, d = self.p, self.d
-        # smallest (c_{d-1},...,c_0) lexicographically, read high to low
-        for t in range(p ** d):
-            m = _int_to_poly(t, p, d) + [1]      # coefficient list, x^d monic
-            if _is_irreducible(m, p):
-                return m
-        raise UnsupportedInputError("no irreducible modulus found")
-
-    def _encode(self, coeffs) -> int:
-        t = 0
-        for i, c in enumerate(coeffs):
-            t += (c % self.p) * (self.p ** i)
-        return t
+        weights = p ** np.arange(d)
+        digits = np.arange(q)[:, None] // weights % p          # [code, i]
+        self.add = (digits[:, None] + digits) % p @ weights
+        # conv[a, b, k] is the coefficient of x^k in the product of a and b
+        conv = np.zeros((q, q, 2 * d - 1), dtype=np.int64)
+        for i in range(d):
+            conv[:, :, i:i + d] += digits[:, None, i, None] * digits
+        rows = np.eye(2 * d - 1, d, dtype=np.int64)            # x^k mod m
+        for low in digits:
+            for k in range(d, 2 * d - 1):                      # x^d = -low
+                rows[k] = (np.append(0, rows[k - 1, :-1]) - rows[k - 1, -1] * low) % p
+            mul = conv @ rows % p @ weights
+            if mul[1:, 1:].all():
+                break
+        else:
+            raise UnsupportedInputError("no irreducible modulus found")
+        self.modulus = [int(c) for c in low] + [1]
+        self.mul, self.inv = mul, np.argmax(mul == 1, axis=1)
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
@@ -174,38 +118,29 @@ def dihedral(m: int) -> FiniteGroup:
     """Order 2m: rotations r^k and reflections, index k + m*s."""
     if m < 1:
         raise UnsupportedInputError("dihedral parameter must be >= 1")
-    n = 2 * m
-    table = np.empty((n, n), dtype=table_dtype(n))
-    for r1 in range(m):
-        for s1 in range(2):
-            i = r1 + m * s1
-            for r2 in range(m):
-                for s2 in range(2):
-                    r = (r1 + (r2 if s1 == 0 else -r2)) % m
-                    table[i, r2 + m * s2] = r + m * (s1 ^ s2)
-    return FiniteGroup(table, name=f"dihedral({m})")
+    return _inverted_cyclic(m, 0, name=f"dihedral({m})")
 
 
 def dicyclic(m: int) -> FiniteGroup:
     """Order 4m: <a,b | a^(2m)=1, b^2=a^m, b a b^-1 = a^-1>, index r + 2m*s."""
     if m < 1:
         raise UnsupportedInputError("dicyclic parameter must be >= 1")
-    mm = 2 * m
-    n = 4 * m
-    table = np.empty((n, n), dtype=table_dtype(n))
-    for r1 in range(mm):
-        for s1 in range(2):
-            i = r1 + mm * s1
-            for r2 in range(mm):
-                for s2 in range(2):
-                    if s1 == 0:
-                        r, s = (r1 + r2) % mm, s2
-                    else:
-                        r, s = (r1 - r2) % mm, 1 ^ s2
-                        if s2 == 1:
-                            r = (r + m) % mm  # b^2 = a^m
-                    table[i, r2 + mm * s2] = r + mm * s
-    return FiniteGroup(table, name=f"dicyclic({m})")
+    return _inverted_cyclic(2 * m, m, name=f"dicyclic({m})")
+
+
+def _inverted_cyclic(k: int, shift: int, name: str) -> FiniteGroup:
+    """<a, b | a^k = 1, b^2 = a^shift, b a b^-1 = a^-1>, a^r b^s at r + k s:
+    a^r1 b^s1 a^r2 b^s2 = a^(r1 + (-1)^s1 r2 + shift s1 s2) b^(s1 xor s2).
+    Written in the table dtype, where every sum below stays under 2k."""
+    s1, s2, r2 = np.ix_(range(2), range(2), range(k))
+    step = ((1 - 2 * s1) * r2 + shift * s1 * s2) % k         # [s1, s2, r2]
+    table = np.empty((2 * k, 2 * k), dtype=table_dtype(2 * k))
+    t = table.reshape(2, k, 2, k)                            # [s1, r1, s2, r2]
+    np.add(np.arange(k, dtype=table.dtype)[:, None, None],
+           step.astype(table.dtype)[:, None], out=t)
+    np.remainder(t, k, out=t)
+    np.add(t, (k * (s1 ^ s2)).astype(table.dtype)[:, None], out=t)
+    return FiniteGroup(table, name=name)
 
 
 def quaternion(n: int) -> FiniteGroup:
@@ -217,63 +152,47 @@ def quaternion(n: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if n < 1 or math.factorial(n) > DEFAULT_MAX_ORDER:
-        raise UnsupportedInputError("symmetric degree out of range")
-    perms = list(itertools.permutations(range(n)))
-    return _perm_table(perms, name=f"sym({n})")
+    if n < 1:
+        raise UnsupportedInputError("symmetric degree must be >= 1")
+    return _perm_table(np.array(list(itertools.permutations(range(n)))),
+                       name=f"sym({n})")
 
 
 def alternating(n: int) -> FiniteGroup:
-    if n < 3 or math.factorial(n) // 2 > DEFAULT_MAX_ORDER:
-        raise UnsupportedInputError("alternating degree out of range")
-    perms = [s for s in itertools.permutations(range(n)) if _perm_sign(s) == 1]
-    return _perm_table(perms, name=f"alt({n})")
+    if n < 3:
+        raise UnsupportedInputError("alternating degree must be >= 3")
+    perms = np.array(list(itertools.permutations(range(n))))
+    i, j = np.triu_indices(n, 1)
+    even = (perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0  # inversions
+    return _perm_table(perms[even], name=f"alt({n})")
 
 
-def _perm_sign(s) -> int:
-    sign = 1
-    seen = [False] * len(s)
-    for i in range(len(s)):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = s[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _perm_table(perms, name: str) -> FiniteGroup:
-    perms = sorted(perms)  # identity is lexicographically first
-    index = {s: i for i, s in enumerate(perms)}
-    n = len(perms)
+def _perm_table(perms: np.ndarray, name: str) -> FiniteGroup:
+    """The group of the rows of perms, permutations of 0..k-1 closed under
+    (a b)(x) = a(b(x)) and sorted lexicographically, so the identity comes
+    first and the base-k codes of the rows increase (they fit in int64 for
+    k <= 15). Row i of the table is perms[i][perms], located by its codes."""
+    n, k = perms.shape
+    weights = k ** np.arange(k - 1, -1, -1)
+    codes = perms @ weights
     table = np.empty((n, n), dtype=table_dtype(n))
     for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            table[i, j] = index[tuple(a[b[x]] for x in range(len(a)))]
+        table[i] = np.searchsorted(codes, a[perms] @ weights)
     return FiniteGroup(table, name=name)
 
 
 def sl2_3() -> FiniteGroup:
-    mats = []
-    for a, b, c, d in itertools.product(range(3), repeat=4):
-        if (a * d - b * c) % 3 == 1:
-            mats.append((a, b, c, d))
-    ident = (1, 0, 0, 1)
-    mats.sort()
-    mats.remove(ident)
-    mats.insert(0, ident)
-    index = {m: i for i, m in enumerate(mats)}
-    n = len(mats)
-    table = np.empty((n, n), dtype=table_dtype(n))
-    for i, (a, b, c, d) in enumerate(mats):
-        for j, (e, f, g, h) in enumerate(mats):
-            table[i, j] = index[((a * e + b * g) % 3, (a * f + b * h) % 3,
-                                 (c * e + d * g) % 3, (c * f + d * h) % 3)]
-    return FiniteGroup(table, name="SL2(3)")
+    """The 24 matrices [[a, b], [c, d]] of determinant 1 over F_3, the
+    identity first and the rest in lexicographic order of (a, b, c, d)."""
+    dt = table_dtype(24)
+    a, b, c, d = entries = np.indices((3, 3, 3, 3), dtype=dt).reshape(4, 81)
+    codes = np.flatnonzero((a * d + 2 * b * c) % 3 == 1)     # 27 a + 9 b + 3 c + d
+    codes = np.concatenate([[28], codes[codes != 28]])
+    index = np.zeros(81, dtype=dt)
+    index[codes] = np.arange(24)
+    mats = entries[:, codes].T.reshape(24, 2, 2)
+    prods = (mats[:, None] @ mats % 3).reshape(24, 24, 4)
+    return FiniteGroup(index[prods @ np.array([27, 9, 3, 1], dtype=dt)], name="SL2(3)")
 
 
 def agl1(q: int) -> FiniteGroup:
@@ -317,15 +236,9 @@ def extraspecial(order: int, kind: str) -> FiniteGroup:
 
 
 def _heisenberg3() -> FiniteGroup:
-    # triples (a,b,c), product (a,b,c)(x,y,z) = (a+x, b+y, c+z+a*y) mod 3
-    def idx(a, b, c):
-        return a * 9 + b * 3 + c
-
-    table = np.empty((27, 27), dtype=table_dtype(27))
-    for a, b, c in itertools.product(range(3), repeat=3):
-        for x, y, z in itertools.product(range(3), repeat=3):
-            table[idx(a, b, c), idx(x, y, z)] = idx((a + x) % 3, (b + y) % 3,
-                                                    (c + z + a * y) % 3)
+    # triples (a,b,c) at 9a + 3b + c, (a,b,c)(x,y,z) = (a+x, b+y, c+z+a*y) mod 3
+    a, b, c = np.indices((3, 3, 3), dtype=table_dtype(27)).reshape(3, 27, 1)
+    table = (a + a.T) % 3 * 9 + (b + b.T) % 3 * 3 + (c + c.T + a * b.T) % 3
     return FiniteGroup(table, name="heisenberg(3)")
 
 
@@ -495,10 +408,19 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
         return parse_family(args[i], max_order=max_order, file_loader=file_loader)
 
     key = name.lower()
+    if key in _INT_FAMILIES:
+        arity, order, build = _INT_FAMILIES[key]
+        a = ints(len(args) if arity is None else arity)
+        _check_order(order(*a), max_order)
+        return build(*a)
     if key == "q8" and not args:
+        _check_order(8, max_order)
         g = dicyclic(2)
         g.name = "Q8"
-        return _capped(g, max_order)
+        return g
+    if key == "q8q8_diag_c3" and not args:
+        _check_order(192, max_order)
+        return q8q8_diag_c3()
     if key == "agl":
         a = ints(2)
         if a[0] != 1:
@@ -508,25 +430,8 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
     if key == "sl2":
         if ints(1)[0] != 3:
             raise UnsupportedInputError("only SL2(3) is provided")
+        _check_order(24, max_order)
         return sl2_3()
-    if key == "cyclic":
-        return _capped(cyclic(ints(1)[0]), max_order)
-    if key == "abelian":
-        return _capped(abelian(ints(len(args))), max_order)
-    if key == "elementary" or key == "elementary_abelian":
-        a = ints(2)
-        _check_order(a[0] ** a[1], max_order)
-        return elementary_abelian(a[0], a[1])
-    if key == "dihedral":
-        return _capped(dihedral(ints(1)[0]), max_order)
-    if key == "dicyclic":
-        return _capped(dicyclic(ints(1)[0]), max_order)
-    if key == "quaternion":
-        return _capped(quaternion(ints(1)[0]), max_order)
-    if key == "sym":
-        return _capped(symmetric(ints(1)[0]), max_order)
-    if key == "alt":
-        return _capped(alternating(ints(1)[0]), max_order)
     if key == "extraspecial":
         if len(args) != 2:
             raise UnsupportedInputError("extraspecial expects (order, type)")
@@ -534,19 +439,8 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
             order = int(args[0])
         except ValueError as ex:
             raise UnsupportedInputError("extraspecial order must be an integer") from ex
-        return _capped(extraspecial(order, args[1]), max_order)
-    if key == "metacyclic":
-        a = ints(3)
-        _check_order(a[0] * a[1], max_order)
-        return metacyclic(*a)
-    if key == "heisenberg_affine":
-        return _capped(heisenberg_affine(ints(1)[0]), max_order)
-    if key == "twisted_affine":
-        a = ints(3)
-        _check_order((a[0] ** a[1]) ** 2 * (a[0] ** a[1] - 1), max_order)
-        return twisted_affine(*a)
-    if key == "q8q8_diag_c3" and not args:
-        return _capped(q8q8_diag_c3(), max_order)
+        _check_order(order, max_order)
+        return extraspecial(order, args[1])
     if key in ("direct", "direct_product"):
         if len(args) < 2:
             raise UnsupportedInputError("direct product needs at least two factors")
@@ -570,16 +464,32 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
             raise UnsupportedInputError("sdp(...) requires file inputs")
         if len(args) != 3:
             raise UnsupportedInputError("sdp expects (kernel_file, acting_file, action_file)")
-        return _capped(file_loader(args[0], args[1], args[2]), max_order)
+        return file_loader(args[0], args[1], args[2])  # checks the cap itself
     raise UnsupportedInputError(f"unknown family {name!r}")
+
+
+# Families of integer arguments: name -> (number of arguments, or None for
+# any, the group order from the arguments, constructor). parse_family checks
+# the order against the cap before it calls the constructor.
+_INT_FAMILIES = {
+    "cyclic": (1, lambda n: n, cyclic),
+    "abelian": (None, lambda *invs: math.prod(invs), lambda *invs: abelian(invs)),
+    "elementary": (2, lambda p, d: p ** d, elementary_abelian),
+    "dihedral": (1, lambda m: 2 * m, dihedral),
+    "dicyclic": (1, lambda m: 4 * m, dicyclic),
+    "quaternion": (1, lambda n: n, quaternion),
+    "sym": (1, lambda n: math.factorial(max(n, 0)), symmetric),
+    "alt": (1, lambda n: math.factorial(max(n, 0)) // 2, alternating),
+    "metacyclic": (3, lambda m, k, r: m * k, metacyclic),
+    "heisenberg_affine": (1, lambda p: p ** 3 * (p * p - 1), heisenberg_affine),
+    "twisted_affine": (3, lambda p, d, k: p ** (2 * d) * (p ** d - 1), twisted_affine),
+}
+_INT_FAMILIES["elementary_abelian"] = _INT_FAMILIES["elementary"]
 
 
 def _check_order(n: int, max_order: int):
     if n > max_order:
+        # str() refuses integers of more than 4300 digits
+        shown = n if n < 10 ** 30 else "above 10^30"
         raise UnsupportedInputError(
-            f"group order {n} exceeds the cap {max_order}")
-
-
-def _capped(g: FiniteGroup, max_order: int) -> FiniteGroup:
-    _check_order(g.order, max_order)
-    return g
+            f"group order {shown} exceeds the cap {max_order}")

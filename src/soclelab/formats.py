@@ -193,7 +193,7 @@ def _parse_perm(lines, head, max_order, name) -> FiniteGroup:
                     elems.add(b)
                     new.append(b)
         frontier = new
-    return _perm_table(sorted(elems), name=name)
+    return _perm_table(np.array(sorted(elems)), name=name)
 
 
 def _read_text(path: str) -> str:

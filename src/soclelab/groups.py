@@ -372,13 +372,12 @@ class FiniteGroup:
                 pp[m] *= p
             # seed with the p-part of the first element of maximal p-part order
             s = self.subgroup_closure([self.element_p_part(int(pp.argmax()), p)])
-            # extend by the first p-element c outside s, c^p in s, normalizing s
-            ar = np.arange(n)
-            pth = binary_power(ar, p, lambda a, b: t[a, b], lambda: ar)
+            # extend by the first p-element c outside s normalizing s: then
+            # s<c> is a p-group, as s is normal in it and c has p-power order
             mask = np.zeros(n, dtype=bool)
             while s.size < pk:
                 mask[s] = True
-                for c in (~mask & (pp == orders) & mask[pth]).nonzero()[0]:
+                for c in (~mask & (pp == orders)).nonzero()[0]:
                     if mask[t[t[c, s], inv[c]]].all():
                         break
                 else:
@@ -713,40 +712,16 @@ def cyclic_generator(g: FiniteGroup, elems: np.ndarray) -> int | None:
     return None
 
 
-def central_product(a: FiniteGroup, b: FiniteGroup, za=None, zb=None,
-                    iso: dict[int, int] | None = None, name: str | None = None):
-    """Quotient of a x b identifying central subgroups za ~ zb.
-
-    Defaults: za = Z(a), zb = Z(b), identified along a generator when both are
-    cyclic of equal order. Returns (group, embed_a, embed_b).
-    """
-    za = a.center() if za is None else np.unique(np.asarray(za, dtype=np.int64))
-    zb = b.center() if zb is None else np.unique(np.asarray(zb, dtype=np.int64))
-    if not a.mask(a.center())[za].all() or not b.mask(b.center())[zb].all():
-        raise UnsupportedInputError("identified subgroups must be central")
-    if za.size != zb.size:
-        raise UnsupportedInputError("identified subgroups must be isomorphic")
-    if iso is None:
-        ga = cyclic_generator(a, za)
-        gb = cyclic_generator(b, zb)
-        if ga is None or gb is None:
-            raise UnsupportedInputError(
-                "default identification needs cyclic centers; pass iso=")
-        iso = {}
-        xa, xb = 0, 0
-        for _ in range(za.size):
-            iso[xa] = xb
-            xa, xb = a.mul(xa, ga), b.mul(xb, gb)
-    for x in map(int, za):
-        for y in map(int, za):
-            if iso[a.mul(x, y)] != b.mul(iso[x], iso[y]):
-                raise UnsupportedInputError("identification is not a homomorphism")
-    if len(set(iso.values())) != za.size or set(iso.values()) != {int(v) for v in zb}:
-        raise UnsupportedInputError("identification is not a bijection onto zb")
+def central_product(a: FiniteGroup, b: FiniteGroup):
+    """Quotient of a x b identifying Z(a) with Z(b), both cyclic of equal
+    order, along their smallest generators ga ~ gb. The glued subgroup is
+    generated by (ga, gb^-1). Returns (group, embed_a, embed_b)."""
+    za, zb = a.center(), b.center()
+    ga, gb = cyclic_generator(a, za), cyclic_generator(b, zb)
+    if za.size != zb.size or ga is None or gb is None:
+        raise UnsupportedInputError(
+            "central product needs cyclic centers of equal order")
     prod, ea, eb = direct_product(a, b)
-    glued = [prod.mul(int(ea[z]), int(eb[b.inverse(iso[int(z)])])) for z in za]
-    qm = prod.quotient(prod.subgroup_closure(glued))
-    g = qm.group
-    if name:
-        g.name = name
-    return g, qm.proj[ea], qm.proj[eb]
+    glue = prod.mul(int(ea[ga]), int(eb[b.inverse(gb)]))
+    qm = prod.quotient(prod.subgroup_closure([glue]))
+    return qm.group, qm.proj[ea], qm.proj[eb]

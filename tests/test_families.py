@@ -1,11 +1,16 @@
 """Constructions: orders, invariants, and spec-string errors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from soclelab import families
 from soclelab.errors import UnsupportedInputError
-from soclelab.families import (_heisenberg3, _heisenberg3_automorphism,
-                               _prime_power, agl1, gf, parse_family)
+from soclelab.families import (GF, _heisenberg3, _heisenberg3_automorphism,
+                               _prime_power, agl1, dicyclic, dihedral, gf,
+                               parse_family, sl2_3)
+from soclelab.formats import parse_group_text
 from soclelab.groups import (FiniteGroup, SemidirectSpec, groups_isomorphic,
                              semidirect_product)
 
@@ -164,6 +169,35 @@ def test_max_order_cap():
     assert parse_family("twisted_affine(2,4,1)", max_order=4000).order == 3840
 
 
+@pytest.mark.parametrize("spec,key", [("dihedral(3000)", "dihedral"),
+                                      ("cyclic(1000000000)", "cyclic"),
+                                      ("abelian(1000,1000)", "abelian")])
+def test_cap_is_checked_before_construction(spec, key, monkeypatch):
+    arity, order, _ = families._INT_FAMILIES[key]
+
+    def fail(*args):
+        raise AssertionError(f"{key}{args} built before the cap check")
+
+    monkeypatch.setitem(families._INT_FAMILIES, key, (arity, order, fail))
+    with pytest.raises(UnsupportedInputError, match="exceeds the cap 2000"):
+        parse_family(spec)
+
+
+def test_symmetric_degree_follows_the_callers_cap():
+    with pytest.raises(UnsupportedInputError, match="order 5040 exceeds the cap 4000"):
+        parse_family("sym(7)", max_order=4000)
+    assert parse_family("sym(7)", max_order=6000).order == 5040
+    assert parse_family("alt(7)", max_order=4000).order == 2520
+
+
+@pytest.mark.parametrize("spec", ["sym(2000)", "elementary(3,10000)",
+                                  "twisted_affine(2,5000,1)"])
+def test_huge_order_is_refused_without_printing_it(spec):
+    # each order has more than 4300 digits, which str() refuses
+    with pytest.raises(UnsupportedInputError, match=r"order above 10\^30 exceeds the cap 2000"):
+        parse_family(spec)
+
+
 # -- broadcast constructions against their loop forms ------------------------
 
 def reference_agl1_table(q):
@@ -221,3 +255,157 @@ def test_twisted_affine_matches_loop_form(p, d, k):
     got = parse_family(f"twisted_affine({p},{d},{k})").table
     want = reference_twisted_affine(p, d, k).table
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# -- the polynomial field and the loop-built tables, as references ----------
+
+def reference_gf(p, d):
+    """F_{p^d} one polynomial at a time: the modulus is the first monic
+    degree-d polynomial, low coefficients in code order, that no monic
+    polynomial of degree 1..d/2 divides; every cell multiplies and reduces
+    two coefficient lists. Returns (modulus, add, mul, inv)."""
+    def poly(t):
+        return [t // p ** i % p for i in range(d)]
+
+    def code(coeffs):
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    def mod(a, m):
+        a = list(a)
+        while len(a) >= len(m):
+            lead, shift = a[-1], len(a) - len(m)
+            for i, c in enumerate(m):
+                a[shift + i] = (a[shift + i] - lead * c) % p
+            a.pop()
+        return a
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def irreducible(m):
+        return all(any(mod(m, [t // p ** i % p for i in range(e)] + [1]))
+                   for e in range(1, d // 2 + 1) for t in range(p ** e))
+
+    modulus = next(m for m in (poly(t) + [1] for t in range(p ** d)) if irreducible(m))
+    q = p ** d
+    add = np.array([[code([x + y for x, y in zip(poly(a), poly(b))]) for b in range(q)]
+                    for a in range(q)])
+    mul = np.array([[code(mod(times(poly(a), poly(b)), modulus)) for b in range(q)]
+                    for a in range(q)])
+    inv = np.array([0] + [next(b for b in range(q) if mul[a, b] == 1) for a in range(1, q)])
+    return modulus, add, mul, inv
+
+
+# every field the catalog, the relabeled benchmark specs and these tests
+# build has q <= 32; the rest reach (2, 6), (3, 4) and (7, 2)
+FIELDS = [(p, d) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+          for d in range(1, 7) if p ** d <= 81]
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+def test_field_matches_polynomial_arithmetic(p, d):
+    field = GF(p, d)
+    modulus, add, mul, inv = reference_gf(p, d)
+    assert (field.p, field.d, field.q, field.modulus) == (p, d, p ** d, modulus)
+    for got, want in ((field.add, add), (field.mul, mul), (field.inv, inv)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_field_needs_a_prime():
+    with pytest.raises(UnsupportedInputError, match="no irreducible modulus"):
+        GF(4, 1)
+
+
+def reference_dihedral(m):
+    n = 2 * m
+    table = np.empty((n, n), dtype=np.int64)
+    for r1, s1, r2, s2 in itertools.product(range(m), range(2), range(m), range(2)):
+        table[r1 + m * s1, r2 + m * s2] = (r1 + (r2 if s1 == 0 else -r2)) % m + m * (s1 ^ s2)
+    return table.astype(np.uint16)
+
+
+def reference_dicyclic(m):
+    mm, n = 2 * m, 4 * m
+    table = np.empty((n, n), dtype=np.int64)
+    for r1, s1, r2, s2 in itertools.product(range(mm), range(2), range(mm), range(2)):
+        if s1 == 0:
+            r, s = (r1 + r2) % mm, s2
+        else:
+            r, s = (r1 - r2 + m * s2) % mm, 1 ^ s2   # b^2 = a^m
+        table[r1 + mm * s1, r2 + mm * s2] = r + mm * s
+    return table.astype(np.uint16)
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_dihedral_and_dicyclic_match_loop_form(m):
+    for build, reference in ((dihedral, reference_dihedral), (dicyclic, reference_dicyclic)):
+        got, want = build(m).table, reference(m)
+        assert got.dtype == want.dtype == np.uint16 and np.array_equal(got, want)
+
+
+def reference_perm_sign(s):
+    sign, seen = 1, [False] * len(s)
+    for i in range(len(s)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j], j, length = True, s[j], length + 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def reference_perm_table(perms):
+    perms = sorted(perms)
+    index = {s: i for i, s in enumerate(perms)}
+    table = np.array([[index[tuple(a[x] for x in b)] for b in perms] for a in perms])
+    return table.astype(np.uint16)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_groups_match_loop_form(n):
+    perms = list(itertools.permutations(range(n)))
+    cases = [(f"sym({n})", perms)]
+    if n >= 3:
+        cases.append((f"alt({n})", [s for s in perms if reference_perm_sign(s) == 1]))
+    for spec, elems in cases:
+        got, want = parse_family(spec).table, reference_perm_table(elems)
+        assert got.dtype == want.dtype == np.uint16 and np.array_equal(got, want)
+
+
+def test_perm_file_matches_loop_form():
+    gens = [(1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2)]          # (1 2 3)(4 5 6), (1 4)(2 5)(3 6)
+    elems, frontier = {tuple(range(6))}, [tuple(range(6))]
+    while frontier:
+        frontier = [b for b in {tuple(a[x] for x in g) for a in frontier for g in gens}
+                    if b not in elems]
+        elems.update(frontier)
+    got = parse_group_text("perm 6\n(1 2 3)(4 5 6)\n(1 4)(2 5)(3 6)\n")[0].table
+    want = reference_perm_table(elems)
+    assert got.dtype == want.dtype == np.uint16 and np.array_equal(got, want)
+
+
+def reference_sl2_3():
+    mats = sorted(m for m in itertools.product(range(3), repeat=4)
+                  if (m[0] * m[3] - m[1] * m[2]) % 3 == 1)
+    mats.remove((1, 0, 0, 1))
+    mats.insert(0, (1, 0, 0, 1))
+    index = {m: i for i, m in enumerate(mats)}
+    return np.array([[index[((a * e + b * g) % 3, (a * f + b * h) % 3,
+                             (c * e + d * g) % 3, (c * f + d * h) % 3)]
+                      for e, f, g, h in mats] for a, b, c, d in mats], dtype=np.uint16)
+
+
+def reference_heisenberg3():
+    triples = list(itertools.product(range(3), repeat=3))
+    return np.array([[(a + x) % 3 * 9 + (b + y) % 3 * 3 + (c + z + a * y) % 3
+                      for x, y, z in triples] for a, b, c in triples], dtype=np.uint16)
+
+
+def test_sl2_3_and_heisenberg3_match_loop_form():
+    for got, want in ((sl2_3().table, reference_sl2_3()),
+                      (_heisenberg3().table, reference_heisenberg3())):
+        assert got.dtype == want.dtype == np.uint16 and np.array_equal(got, want)

@@ -133,6 +133,13 @@ def test_analyze_unsupported_exit_code(capsys):
     assert cli.run(["analyze", "cyclic(5000)"]) == 3
 
 
+@pytest.mark.parametrize("spec", ["central(SL2(3),cyclic(3))",       # centers of order 2, 3
+                                  "central(abelian(2,2),abelian(2,2))"])  # non-cyclic
+def test_central_product_refusals_exit_3(spec, capsys):
+    assert cli.run(["analyze", spec]) == 3
+    assert "cyclic centers of equal order" in capsys.readouterr().err
+
+
 def test_consistency_failure_exit_code(capsys, monkeypatch):
     fake = {"consistency_failures": ["forced for the exit-code contract"],
             "schema_version": 1}

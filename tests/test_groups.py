@@ -480,8 +480,14 @@ def reference_sylow(g, p):
     return s
 
 
+# the products below have non-normal Sylow subgroups, and on several of
+# them the ascent's choice of element differs from the reference's
 SYLOW_EXTRA = ("twisted_affine(2,4,1)", "sym(5)", "sym(6)", "dihedral(300)", "agl(1,32)",
-               "twisted_affine(3,2,1)", "cyclic(101)", "abelian(2,4,8)")
+               "twisted_affine(3,2,1)", "cyclic(101)", "abelian(2,4,8)", "abelian(4,4)",
+               "direct(sym(3),abelian(4,4))", "direct(abelian(4,4),sym(3))",
+               "direct(dihedral(8),sym(3))", "direct(sym(4),cyclic(4))",
+               "direct(cyclic(8),sym(4))", "direct(quaternion(16),sym(3))",
+               "direct(alt(4),abelian(2,4))")
 SYLOW_GROUPS = [(spec, g) for spec, g in catalog_groups()] + [
     (spec, parse_family(spec, max_order=4000)) for spec in SYLOW_EXTRA]
 

@@ -289,8 +289,6 @@ def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
     """Central-type extension of F_q by F_q twisted by the p^k Frobenius,
     extended by F_q^x acting as (a,b) -> (ua, u^(1+p^k) b). Order q^2 (q-1)."""
     q = p ** d
-    if q * q * (q - 1) > 6000:
-        raise UnsupportedInputError("twisted_affine parameters too large")
     field = gf(p, d)
     pk = p ** (k % d) if d > 0 else 1
     frob = np.array([field.pow(x, pk) for x in range(q)], dtype=np.int64)
@@ -411,7 +409,7 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
     if key in _INT_FAMILIES:
         arity, order, build = _INT_FAMILIES[key]
         a = ints(len(args) if arity is None else arity)
-        _check_order(order(*a), max_order)
+        _check_order(order(max(max_order, 10 ** 30), *a), max_order)
         return build(*a)
     if key == "q8" and not args:
         _check_order(8, max_order)
@@ -468,21 +466,37 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
     raise UnsupportedInputError(f"unknown family {name!r}")
 
 
+def _capped_pow(p: int, d: int, limit: int) -> int:
+    """p ** d, or a number of its sign beyond +-limit when p ** d is: the
+    exponent is cut to the bit length of limit, keeping its parity."""
+    b = limit.bit_length()
+    if d > b:
+        d = b + (d - b) % 2
+    return p ** d
+
+
+def _capped_factorial(n: int, limit: int) -> int:
+    """n! (1 for n < 0), or a number above limit when n! is: k! >= 2^(k-1)."""
+    return math.factorial(min(max(n, 0), limit.bit_length() + 1))
+
+
 # Families of integer arguments: name -> (number of arguments, or None for
-# any, the group order from the arguments, constructor). parse_family checks
-# the order against the cap before it calls the constructor.
+# any, the group order, constructor). parse_family checks the order against
+# the cap before it calls the constructor. The order takes a limit, at least
+# the cap and 10^30, past which it may be any larger number.
 _INT_FAMILIES = {
-    "cyclic": (1, lambda n: n, cyclic),
-    "abelian": (None, lambda *invs: math.prod(invs), lambda *invs: abelian(invs)),
-    "elementary": (2, lambda p, d: p ** d, elementary_abelian),
-    "dihedral": (1, lambda m: 2 * m, dihedral),
-    "dicyclic": (1, lambda m: 4 * m, dicyclic),
-    "quaternion": (1, lambda n: n, quaternion),
-    "sym": (1, lambda n: math.factorial(max(n, 0)), symmetric),
-    "alt": (1, lambda n: math.factorial(max(n, 0)) // 2, alternating),
-    "metacyclic": (3, lambda m, k, r: m * k, metacyclic),
-    "heisenberg_affine": (1, lambda p: p ** 3 * (p * p - 1), heisenberg_affine),
-    "twisted_affine": (3, lambda p, d, k: p ** (2 * d) * (p ** d - 1), twisted_affine),
+    "cyclic": (1, lambda lim, n: n, cyclic),
+    "abelian": (None, lambda lim, *invs: math.prod(invs), lambda *invs: abelian(invs)),
+    "elementary": (2, lambda lim, p, d: _capped_pow(p, d, lim), elementary_abelian),
+    "dihedral": (1, lambda lim, m: 2 * m, dihedral),
+    "dicyclic": (1, lambda lim, m: 4 * m, dicyclic),
+    "quaternion": (1, lambda lim, n: n, quaternion),
+    "sym": (1, lambda lim, n: _capped_factorial(n, lim), symmetric),
+    "alt": (1, lambda lim, n: _capped_factorial(n, 2 * lim) // 2, alternating),
+    "metacyclic": (3, lambda lim, m, k, r: m * k, metacyclic),
+    "heisenberg_affine": (1, lambda lim, p: p ** 3 * (p * p - 1), heisenberg_affine),
+    "twisted_affine": (3, lambda lim, p, d, k: (q := _capped_pow(p, d, lim)) * q * (q - 1),
+                       twisted_affine),
 }
 _INT_FAMILIES["elementary_abelian"] = _INT_FAMILIES["elementary"]
 

@@ -13,24 +13,52 @@ Formats:
 from __future__ import annotations
 
 import os
+import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
 from .errors import UnsupportedInputError
 from .families import DEFAULT_MAX_ORDER, _perm_table, parse_family
 from .fplin import P_LIMIT, is_prime
-from .groups import FiniteGroup, SemidirectSpec, semidirect_product, table_dtype
+from .groups import (BLOCK_CELLS, FiniteGroup, SemidirectSpec, semidirect_product,
+                     table_dtype)
 
 
 def _fail(line_no: int, col: int, msg: str):
     raise UnsupportedInputError(f"line {line_no}, column {col}: {msg}")
 
 
+def _file_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file as str.splitlines() of its whole text gives
+    them, decoded one newline-terminated line at a time: neither a multibyte
+    sequence nor a CR LF pair spans a newline byte. Errors are unsupported
+    input."""
+    try:
+        with open(path, "rb") as fh:
+            start = 0
+            for raw in fh:
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as ex:
+                    raise UnsupportedInputError(
+                        f"{path} is not UTF-8 text: byte offset {start + ex.start}: "
+                        f"{ex.reason}") from ex
+                yield from text.splitlines()
+                start += len(raw)
+    except OSError as ex:
+        raise UnsupportedInputError(f"cannot read {path}: {ex}") from ex
+
+
 def _reindex_identity_first(table: np.ndarray) -> np.ndarray:
-    """The table relabeled, in its own dtype, so that its first two-sided
-    identity is 0. An identity e has e 0 = 0, so only the rows r with
-    table[r, 0] == 0 are candidates, each checked in O(n)."""
-    ar = np.arange(table.shape[0])
+    """Relabel the table in place, so that its first two-sided identity e
+    is 0, and return it: the argument is mutated. Only rows r with
+    table[r, 0] == 0 can be e, each checked in O(n). Rows 0..e-1 move down
+    one, in blocks from the bottom, the saved row e becomes row 0, and each
+    block of rows then gets the same column move and its values relabeled;
+    no temporary exceeds a block of BLOCK_CELLS cells."""
+    n = table.shape[0]
+    ar = np.arange(n)
     for e in np.flatnonzero(table[:, 0] == 0):
         if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
             break
@@ -38,29 +66,59 @@ def _reindex_identity_first(table: np.ndarray) -> np.ndarray:
         raise UnsupportedInputError("table has no two-sided identity")
     if e == 0:
         return table
+    step = max(1, BLOCK_CELLS // n)
+    row_e = table[e].copy()
+    for hi in range(e, 0, -step):
+        lo = max(0, hi - step)
+        table[lo + 1:hi + 1] = table[lo:hi]
+    table[0] = row_e
     order = np.concatenate([[e], np.delete(ar, e)])
-    return np.argsort(order).astype(table.dtype)[table[np.ix_(order, order)]]
+    pos = np.argsort(order).astype(table.dtype)
+    for lo in range(0, n, step):
+        blk = table[lo:lo + step]
+        # entries are in range; mode="raise" would buffer out
+        np.take(pos, blk[:, order], out=blk, mode="clip")
+    return table
 
 
 def parse_group_text(text: str, max_order: int = DEFAULT_MAX_ORDER,
                      name: str = "input") -> tuple[FiniteGroup, int | None]:
     """Parse cayley/perm format text. Returns (group, optional prime hint)."""
-    lines = text.splitlines()
-    if not lines:
-        _fail(1, 1, "empty input")
-    head = lines[0].split()
-    if not head:
-        _fail(1, 1, "missing header")
-    kind = head[0].lower()
-    if kind == "cayley":
-        return _parse_cayley(lines, head, max_order, name)
-    if kind == "perm":
+    return _parse_lines(iter(text.splitlines()), max_order, name)
+
+
+def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER
+                    ) -> tuple[FiniteGroup, int | None]:
+    """parse_group_text of a UTF-8 file, read one line at a time."""
+    return _parse_lines(_file_lines(path), max_order, os.path.basename(path))
+
+
+def _parse_lines(lines: Iterator[str], max_order: int, name: str
+                 ) -> tuple[FiniteGroup, int | None]:
+    """Parse the lines as they arrive. After a parse error the rest are
+    still read, and dropped, so that a file's decode error wins over it."""
+    try:
+        first = next(lines, None)
+        if first is None:
+            _fail(1, 1, "empty input")
+        head = first.split()
+        if not head:
+            _fail(1, 1, "missing header")
+        kind = head[0].lower()
+        if kind == "cayley":
+            return _parse_cayley(lines, head, max_order, name)
+        if kind != "perm":
+            _fail(1, 1, f"unknown format {head[0]!r} (expected 'cayley' or 'perm')")
         return _parse_perm(lines, head, max_order, name), None
-    _fail(1, 1, f"unknown format {head[0]!r} (expected 'cayley' or 'perm')")
-    raise AssertionError  # unreachable
+    except UnsupportedInputError:
+        for _ in lines:
+            pass
+        raise
 
 
 def _parse_cayley(lines, head, max_order, name):
+    """Rows are stored into the preallocated table as they arrive. Past a
+    bad row lines are only counted: a wrong row count is reported first."""
     if len(head) not in (2, 3):
         _fail(1, 1, "cayley header is 'cayley n' or 'cayley n p'")
     try:
@@ -81,56 +139,61 @@ def _parse_cayley(lines, head, max_order, name):
         _fail(1, 1, "order must be positive")
     if n > max_order:
         _fail(1, 1, f"order {n} exceeds the cap {max_order}")
-    body = [(i + 1, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
-    if len(body) != n:
-        _fail(len(lines), 1, f"expected {n} table rows, found {len(body)}")
-    table = _plain_table(body, n)
-    if table is None:
-        table = np.empty((n, n), dtype=table_dtype(n))
-        for i, (line_no, ln) in enumerate(body):
-            parts = ln.split()
-            if len(parts) != n:
-                _fail(line_no + 1, 1, f"expected {n} entries, found {len(parts)}")
-            try:
-                row = [int(x) for x in parts]
-            except ValueError:
-                bad = next(i for i, x in enumerate(parts) if not _is_int(x))
-                _fail(line_no + 1, bad + 1, "entry is not an integer")
-            if any(x < 0 or x >= n for x in row):
-                bad = next(i for i, x in enumerate(row) if x < 0 or x >= n)
-                _fail(line_no + 1, bad + 1, "entry out of range")
-            table[i] = row
+    table = np.empty((n, n), dtype=table_dtype(n))
+    rows, line_no, error = 0, 1, None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # for _plain_row
+        for line_no, ln in enumerate(lines, 2):
+            if not ln.strip():
+                continue
+            if rows < n and error is None:
+                try:
+                    _read_row(table[rows], ln, line_no)
+                except UnsupportedInputError as ex:
+                    error = ex
+            rows += 1
+    if rows != n:
+        _fail(line_no, 1, f"expected {n} table rows, found {rows}")
+    if error is not None:
+        raise error
     return FiniteGroup(_reindex_identity_first(table), name=name), p_hint
 
 
-def _plain_table(body, n):
-    """The table if numpy reads each row as n entries below n, else None.
-    Any sign also gives None: fromstring reads a lone sign as 0. Each row
-    is range-checked and then stored in the preallocated narrow table."""
-    import warnings
-    if any("+" in ln or "-" in ln for _, ln in body):
-        return None
-    table = np.empty((n, n), dtype=table_dtype(n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for i, (_, ln) in enumerate(body):
+def _read_row(out: np.ndarray, ln: str, line_no: int) -> None:
+    """Store one table row into out. A row numpy does not read is read
+    entry by entry, which words its error."""
+    n = out.size
+    row = _plain_row(ln, n)
+    if row is None:
+        parts = ln.split()
+        if len(parts) != n:
+            _fail(line_no, 1, f"expected {n} entries, found {len(parts)}")
+        row = []
+        for col, x in enumerate(parts, 1):
             try:
-                row = np.fromstring(ln, dtype=np.int64, sep=" ")
-            except (ValueError, DeprecationWarning):
-                return None
-            # an entry too large for int64 reads as 2**63 - 1
-            if row.shape != (n,) or row.max() >= n:
-                return None
-            table[i] = row
-    return table
+                row.append(int(x))
+            except ValueError:
+                _fail(line_no, col, "entry is not an integer")
+        for col, x in enumerate(row, 1):
+            if not 0 <= x < n:
+                _fail(line_no, col, "entry out of range")
+    out[:] = row
 
 
-def _is_int(s: str) -> bool:
+def _plain_row(ln: str, n: int) -> np.ndarray | None:
+    """The row if numpy reads it as n entries below n, else None. Any sign
+    also gives None: fromstring reads a lone sign as 0. Warnings must be
+    errors, as fromstring only warns at text it cannot read."""
+    if "+" in ln or "-" in ln:
+        return None
     try:
-        int(s)
-        return True
-    except ValueError:
-        return False
+        row = np.fromstring(ln, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    # an entry too large for int64 reads as 2**63 - 1
+    if row.shape != (n,) or row.max() >= n:
+        return None
+    return row
 
 
 def _parse_cycles(line: str, k: int, line_no: int) -> tuple[int, ...]:
@@ -174,10 +237,8 @@ def _parse_perm(lines, head, max_order, name) -> FiniteGroup:
         _fail(1, len("perm "), "point count is not an integer")
     if k < 1 or k > 12:
         _fail(1, 1, "point count out of range 1..12")
-    gens = []
-    for i, ln in enumerate(lines[1:]):
-        if ln.strip():
-            gens.append(_parse_cycles(ln, k, i + 2))
+    gens = [_parse_cycles(ln, k, line_no)
+            for line_no, ln in enumerate(lines, 2) if ln.strip()]
     ident = tuple(range(k))
     elems = {ident}
     frontier = [ident]
@@ -196,25 +257,6 @@ def _parse_perm(lines, head, max_order, name) -> FiniteGroup:
     return _perm_table(np.array(sorted(elems)), name=name)
 
 
-def _read_text(path: str) -> str:
-    """The file as UTF-8 text; an unreadable or undecodable file is
-    unsupported input."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as ex:
-        raise UnsupportedInputError(f"cannot read {path}: {ex}") from ex
-    except UnicodeDecodeError as ex:
-        raise UnsupportedInputError(
-            f"{path} is not UTF-8 text: byte offset {ex.start}: {ex.reason}") from ex
-
-
-def load_group_file(path: str, max_order: int = DEFAULT_MAX_ORDER
-                    ) -> tuple[FiniteGroup, int | None]:
-    base = os.path.basename(path)
-    return parse_group_text(_read_text(path), max_order=max_order, name=base)
-
-
 def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,
                     max_order: int) -> FiniteGroup:
     kernel, _ = load_group_file(kernel_path, max_order)
@@ -222,7 +264,7 @@ def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,
     if kernel.order * acting.order > max_order:
         raise UnsupportedInputError(
             f"group order {kernel.order * acting.order} exceeds the cap {max_order}")
-    lines = _read_text(action_path).splitlines()
+    lines = list(_file_lines(action_path))
     if not lines or lines[0].split() != ["action"]:
         raise UnsupportedInputError("action file must start with 'action'")
     body = [ln for ln in lines[1:] if ln.strip()]
@@ -260,13 +302,17 @@ def build_group(source: str, max_order: int = DEFAULT_MAX_ORDER
     return g, None
 
 
-def format_cayley(g: FiniteGroup) -> str:
-    out = [f"cayley {g.order}"]
+def _cayley_lines(g: FiniteGroup) -> Iterator[str]:
+    yield f"cayley {g.order}\n"
     for row in g.table:
-        out.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(out) + "\n"
+        yield " ".join(map(str, row.tolist())) + "\n"
+
+
+def format_cayley(g: FiniteGroup) -> str:
+    return "".join(_cayley_lines(g))
 
 
 def write_cayley(g: FiniteGroup, path: str):
+    """The table in the cayley format, written one row at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_cayley(g))
+        fh.writelines(_cayley_lines(g))

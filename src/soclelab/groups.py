@@ -246,9 +246,13 @@ class FiniteGroup:
         mask[np.asarray(elems, dtype=np.int64)] = True
         return mask
 
+    def element_set(self, elems) -> np.ndarray:
+        """np.unique of elements, in int64, without importing numpy.ma."""
+        return np.flatnonzero(self.mask(elems))
+
     def is_subgroup(self, elems) -> bool:
         """elems is a subgroup: its closure adds no element to it."""
-        return self.subgroup_closure(elems).size == np.unique(elems).size
+        return self.subgroup_closure(elems).size == np.count_nonzero(self.mask(elems))
 
     def commute(self, a, b) -> bool:
         """Every element of a commutes with every element of b."""
@@ -354,7 +358,8 @@ class FiniteGroup:
         return series
 
     def sub_center(self, elems) -> np.ndarray:
-        return self.centralizer(elems, within=elems)
+        """Z(H): the elements of H that commute with a generating set of H."""
+        return self.centralizer(self.sub_generators(elems), within=elems)
 
     # -- Sylow and Hall ----------------------------------------------------
 
@@ -451,12 +456,12 @@ class FiniteGroup:
         return all(mask[t[t[g, elems], inv[g]]].all() for g in self.generators())
 
     def quotient(self, kernel_elems) -> "QuotientMap":
-        k = np.unique(np.asarray(kernel_elems, dtype=np.int64))
+        k = self.element_set(kernel_elems)
         self._check_subgroup(k)
         if not self.is_normal(k):
             raise UnsupportedInputError("quotient by a non-normal subgroup")
         coset_min = self.table[:, k].min(axis=1)
-        reps = np.unique(coset_min)
+        reps = self.element_set(coset_min)
         if reps.size * k.size != self.order:
             raise ConsistencyError("coset bookkeeping failed")
         proj = np.searchsorted(reps, coset_min).astype(np.int64)
@@ -468,7 +473,7 @@ class FiniteGroup:
 
     def subgroup_as_group(self, elems, name: str | None = None):
         """Reindexed copy of a subgroup. Returns (group, parent_elements)."""
-        elems = np.unique(np.asarray(elems, dtype=np.int64))
+        elems = self.element_set(elems)
         self._check_subgroup(elems)
         pos = np.zeros(self.order, dtype=table_dtype(elems.size))
         pos[elems] = np.arange(elems.size)
@@ -495,7 +500,7 @@ class FiniteGroup:
         centralizer of each of its nonidentity elements. K is a union of
         classes and C(g x g^-1) = g C(x) g^-1, so one element per class
         decides: the first element of K in it."""
-        k = np.unique(np.asarray(kernel_elems, dtype=np.int64))
+        k = self.element_set(kernel_elems)
         if k.size <= 1 or k.size == self.order or not self.is_normal(k):
             return False
         kmask = self.mask(k)

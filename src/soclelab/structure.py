@@ -56,6 +56,7 @@ class AnalysisContext:
     group: FiniteGroup
     p: int
     derived: np.ndarray
+    derived_center: np.ndarray      # Z(G')
     sylow: np.ndarray
     sylow_normal: bool
     complement: np.ndarray | None
@@ -113,8 +114,8 @@ def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
         "pprime_core_trivial": bool(g.p_prime_core(p).size == 1),
         "derived_center_is_second_derived": np.array_equal(zd, second),
     }
-    return AnalysisContext(group=g, p=p, derived=der, sylow=syl,
-                           sylow_normal=sylow_normal,
+    return AnalysisContext(group=g, p=p, derived=der, derived_center=zd,
+                           sylow=syl, sylow_normal=sylow_normal,
                            complement=complement, flags=flags,
                            alg=CenterAlgebra(g, p))
 
@@ -170,7 +171,7 @@ def _minimal_normal_inside(q: FiniteGroup, elems) -> list[np.ndarray]:
     """
     classes = q.conjugacy_classes()
     seen: dict[bytes, np.ndarray] = {}
-    for ci in np.unique(q.class_index_of()[np.atleast_1d(elems)]):
+    for ci in np.flatnonzero(np.bincount(q.class_index_of()[np.atleast_1d(elems)])):
         if ci:
             nc = q.normal_closure([classes[ci].rep])
             seen[nc.tobytes()] = nc
@@ -184,7 +185,7 @@ def _minimal_normal_inside(q: FiniteGroup, elems) -> list[np.ndarray]:
 def is_minimal_normal(q: FiniteGroup, elems) -> bool:
     """A nontrivial normal N is minimal iff it is the only inclusion-minimal
     normal closure of its elements."""
-    elems = np.unique(np.asarray(elems, dtype=np.int64))
+    elems = q.element_set(elems)
     if elems.size <= 1 or not q.is_normal(elems):
         return False
     inside = _minimal_normal_inside(q, elems)
@@ -288,9 +289,9 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
 
     qm = g.second_derived_quotient()
     q = qm.group
-    der_im = np.unique(qm.proj[ctx.derived])
-    zc = g.sub_center(ctx.derived)
-    central_im = np.unique(qm.proj[zc])
+    der_im = q.element_set(qm.proj[ctx.derived])
+    zc = ctx.derived_center
+    central_im = q.element_set(qm.proj[zc])
     if not q.commute(der_im, der_im):
         raise ConsistencyError("derived image in the quotient is not abelian")
 
@@ -300,17 +301,16 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
                         if qm.proj[g.power(int(x), p)] == 0], dtype=np.int64)
     if not g.is_subgroup(dropped) or not g.is_normal(dropped):
         conditional_fail("p-th power preimage set is not a normal subgroup")
-    prod = np.unique(g.table[np.ix_(dropped, zc)])
+    prod = g.element_set(g.table[np.ix_(dropped, zc)])
     if not np.array_equal(prod, ctx.derived):
         conditional_fail(
             "derived subgroup is not covered by the p-th power set and the center")
 
-    mbar = np.unique(qm.proj[dropped])
+    mbar = q.element_set(qm.proj[dropped])
     basis, coord = _elementary_coords(q, mbar, p)
     k = len(basis)
 
-    winters = np.intersect1d(np.unique(qm.proj[np.intersect1d(dropped, zc)]),
-                             mbar)
+    winters = q.element_set(qm.proj[dropped[g.mask(zc)[dropped]]])  # inside mbar
     wrows = np.array([coord[int(x)] for x in winters], dtype=np.int64
                      ) if winters.size else np.zeros((0, k), dtype=np.int64)
     wspace = Subspace(p, k, wrows)
@@ -332,9 +332,9 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
         if not tmask[q.table[q.table[h, tspan], q.inverse(h)]].all():
             raise ConsistencyError("factor span is not stable under the complement")
     # directness of span x central image inside the derived image
-    cover = np.unique(q.table[np.ix_(tspan, central_im)])
+    cover = q.element_set(q.table[np.ix_(tspan, central_im)])
     if (not np.array_equal(cover, der_im)
-            or np.intersect1d(tspan, central_im).size != 1):
+            or np.count_nonzero(tmask[central_im]) != 1):
         conditional_fail("derived image does not split over the center image")
 
     factors = _minimal_normal_inside(q, tspan)
@@ -366,8 +366,8 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
         rest = np.array([0], dtype=np.int64)
         for j, other in enumerate(factors):
             if j != i:
-                rest = np.unique(q.table[np.ix_(rest, other)])
-        rest = np.unique(q.table[np.ix_(rest, central_im)])
+                rest = q.element_set(q.table[np.ix_(rest, other)])
+        rest = q.element_set(q.table[np.ix_(rest, central_im)])
         cof = qm.preimage_of_set(rest)
         cofactors.append(cof)
         cent = g.centralizer(cof, within=comp)
@@ -439,9 +439,9 @@ def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
     qcls = q.class_index_of()
     checks: dict[str, bool] = {}
 
-    cover = np.unique(q.table[np.ix_(dec.factor_span, dec.central_image)])
+    cover = q.element_set(q.table[np.ix_(dec.factor_span, dec.central_image)])
     checks["derived_image_splits"] = (
-        np.intersect1d(dec.factor_span, dec.central_image).size == 1
+        np.count_nonzero(q.mask(dec.factor_span)[dec.central_image]) == 1
         and np.array_equal(cover, dec.derived_image))
     checks["factors_minimal_normal"] = all(is_minimal_normal(q, f) for f in dec.factors)
     checks["factor_sizes_at_least_three"] = all(int(f.size) >= 3 for f in dec.factors)
@@ -641,7 +641,7 @@ def _factor_seed(ctx: AnalysisContext, i: int,
     if int(u_set.size) != int(dec.factors[i].size):
         raise ConsistencyError("fixer class size does not match its factor")
     second = g.second_derived()
-    outside = np.setdiff1d(u_set, second)
+    outside = u_set[~g.mask(second)[u_set]]
     if outside.size == 0:
         raise ConsistencyError("translate set collapses into G''")
     seed = int(outside[0])
@@ -703,7 +703,7 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
     classes = g.conjugacy_classes()
     g1_class = classes[int(cls_of[g1])].elems
     coset = np.sort(np.array([g.mul(g1, int(u)) for u in second], dtype=np.int64))
-    meet = np.intersect1d(g1_class, coset)
+    meet = g1_class[g.mask(coset)[g1_class]]
     shifted = np.sort(np.array([g.mul(int(c), g1) for c in core], dtype=np.int64))
     if not np.array_equal(meet, shifted):
         raise ConsistencyError(
@@ -826,10 +826,10 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
             checks["component_center_match"] = False
         sec_local = cg.second_derived()
         sec_global = parts[i][sec_local]
-        if not np.array_equal(sec_global, np.intersect1d(parts[i], second)):
+        if not np.array_equal(sec_global, parts[i][g.mask(second)[parts[i]]]):
             checks["component_second_derived"] = False
         qi = cg.quotient(sec_local)
-        der_im_i = np.unique(qi.proj[cg.derived_subgroup()])
+        der_im_i = qi.group.element_set(qi.proj[cg.derived_subgroup()])
         if der_im_i.size <= 1 or not is_minimal_normal(qi.group, der_im_i):
             checks["component_derived_image_minimal"] = False
 
@@ -853,7 +853,7 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
             if int(h) == 0:
                 continue
             u_h, _ = _factor_seed(ctx, i, fixer=int(h))
-            outside = np.setdiff1d(u_h, second)
+            outside = u_h[~g.mask(second)[u_h]]
             if not all(int(cls_of[int(x)]) == cid for x in outside):
                 choice_ok = False
     checks["seed_conjugate_to_inverse"] = inv_ok
@@ -868,7 +868,7 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
 
     cover = second
     for u in u_sets:
-        cover = np.unique(g.table[np.ix_(cover, u)])
+        cover = g.element_set(g.table[np.ix_(cover, u)])
     checks["derived_covered_by_translates"] = np.array_equal(cover, ctx.derived)
 
     checks["multiplier_orders"] = all(g.element_order(int(e)) == int(f.size) - 1
@@ -881,7 +881,7 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
     cyc = [g.subgroup_closure([int(e)]) for e in dec.multipliers]
     for i in range(dec.n):
         for j in range(i + 1, dec.n):
-            if np.intersect1d(cyc[i], cyc[j]).size != 1:
+            if np.count_nonzero(g.mask(cyc[i])[cyc[j]]) != 1:
                 inter_ok = False
     checks["multiplier_subgroups_independent"] = inter_ok
 

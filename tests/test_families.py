@@ -1,11 +1,13 @@
 """Constructions: orders, invariants, and spec-string errors."""
 
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
-from soclelab import families
+from soclelab import cli, families
 from soclelab.errors import UnsupportedInputError
 from soclelab.families import (GF, _heisenberg3, _heisenberg3_automorphism,
                                _prime_power, agl1, dicyclic, dihedral, gf,
@@ -196,6 +198,49 @@ def test_huge_order_is_refused_without_printing_it(spec):
     # each order has more than 4300 digits, which str() refuses
     with pytest.raises(UnsupportedInputError, match=r"order above 10\^30 exceeds the cap 2000"):
         parse_family(spec)
+
+
+@pytest.mark.parametrize("spec", ["sym(1000000)", "alt(1000000)",
+                                  f"elementary(3,{10 ** 100})",
+                                  f"twisted_affine(2,{10 ** 100},1)"])
+def test_absurd_arguments_exit_3_at_once(spec, capsys):
+    # the exact orders would take seconds (10^6!) or never finish (3^(10^100))
+    start = time.perf_counter()
+    assert cli.run(["analyze", spec]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "order above 10^30 exceeds the cap 2000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, d, limit", [(2, 10, 2000), (3, 10 ** 100, 10 ** 30),
+                                         (-2, 10 ** 9 + 1, 2000), (-2, 10 ** 9, 2000),
+                                         (1, 10 ** 100, 2000), (-1, 10 ** 9 + 1, 2000),
+                                         (0, 10 ** 9, 2000), (2, -1, 2000)])
+def test_capped_power_keeps_sign_and_passes_the_limit(p, d, limit):
+    got = families._capped_pow(p, d, limit)
+    if abs(p) <= 1 or d <= 64:
+        assert got == p ** d
+    else:
+        assert abs(got) > limit and (got < 0) == (p < 0 and d % 2 == 1)
+
+
+def test_capped_factorial_is_exact_up_to_the_limit():
+    for n in range(-1, 40):
+        exact = math.factorial(max(n, 0))
+        got = families._capped_factorial(n, 10 ** 30)
+        assert got == exact if exact <= 10 ** 30 else got > 10 ** 30
+
+
+def test_twisted_affine_follows_the_callers_cap(monkeypatch):
+    # twisted_affine(2,5,1) has order 32^2 * 31 = 31,744 and a 2 GB table:
+    # it is never built here
+    with pytest.raises(UnsupportedInputError, match="order 31744 exceeds the cap 31743"):
+        parse_family("twisted_affine(2,5,1)", max_order=31743)
+    arity, order, _ = families._INT_FAMILIES["twisted_affine"]
+    built = []
+    monkeypatch.setitem(families._INT_FAMILIES, "twisted_affine",
+                        (arity, order, lambda *args: built.append(args) or "built"))
+    assert parse_family("twisted_affine(2,5,1)", max_order=31744) == "built"
+    assert built == [(2, 5, 1)]
 
 
 # -- broadcast constructions against their loop forms ------------------------

@@ -2,16 +2,21 @@
 
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soclelab import cli, formats
 from soclelab.errors import UnsupportedInputError
-from soclelab.families import parse_family
+from soclelab.families import DEFAULT_MAX_ORDER, _perm_table, parse_family
 from soclelab.formats import (build_group, format_cayley, load_group_file,
                               parse_group_text, write_cayley)
-from soclelab.groups import groups_isomorphic
+from soclelab.groups import FiniteGroup, groups_isomorphic
 
 
 def test_cayley_round_trip(tmp_path):
@@ -308,8 +313,10 @@ def test_identity_relabeling_matches_loop(spec):
         perm[[0, j]] = perm[[j, 0]]
         relabeled = np.empty_like(t)
         relabeled[np.ix_(perm, perm)] = perm[t]
+        # the reference first: the call relabels its argument in place
+        want = loop_reindex_identity_first(relabeled.copy())
         got = formats._reindex_identity_first(relabeled)
-        want = loop_reindex_identity_first(relabeled)
+        assert got is relabeled
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -337,11 +344,13 @@ IDENTITY_SEARCH_CASES = {
                          ids=IDENTITY_SEARCH_CASES.keys())
 def test_identity_search_matches_loop(table, ident):
     t = np.array(table, dtype=np.int64)
+    want = loop_reindex_identity_first(t.copy())
     got = formats._reindex_identity_first(t)
-    assert got.dtype == t.dtype and np.array_equal(got, loop_reindex_identity_first(t))
+    assert got.dtype == t.dtype and np.array_equal(got, want)
     assert np.array_equal(got[0], np.arange(len(t)))
     assert np.array_equal(got[:, 0], np.arange(len(t)))
-    assert (got is t) == (ident == 0)
+    assert got is t
+    assert ident == 0 or not np.array_equal(want, table)
 
 
 def test_cayley_tables_are_uint16_on_both_reader_paths(monkeypatch):
@@ -354,13 +363,14 @@ def test_cayley_tables_are_uint16_on_both_reader_paths(monkeypatch):
     want = loop_reindex_identity_first(relabeled)
     assert want.dtype == np.int64 and not np.array_equal(want, relabeled)
     read = []
-    real = formats._plain_table
-    for reader in (lambda body, n: read.append(real(body, n)) or read[-1],
-                   lambda body, n: None):
-        monkeypatch.setattr(formats, "_plain_table", reader)
+    real = formats._plain_row
+    for reader in (lambda ln, n: read.append(real(ln, n)) or read[-1],
+                   lambda ln, n: None):
+        monkeypatch.setattr(formats, "_plain_row", reader)
         g, _ = parse_group_text(text)
         assert g.table.dtype == np.uint16 and np.array_equal(g.table, want)
-    assert read[0] is not None and read[0].dtype == np.uint16
+    # numpy read every row on the first pass
+    assert len(read) == 24 and all(row is not None for row in read)
 
 
 def _c11_text(old: str, new: str) -> str:
@@ -372,7 +382,8 @@ def _c11_text(old: str, new: str) -> str:
 
 
 C3 = "cayley 3\n{}\n1 2 0\n2 0 1\n"
-# text, whether numpy's reader takes it, the error fragment (None: accepted)
+# text, whether numpy's reader takes every row it is given, the error
+# fragment (None: accepted)
 CAYLEY_READER_CASES = {
     "plain": (C3.format("0 1 2"), True, None),
     "plus": (C3.format("0 +1 2"), False, None),
@@ -409,15 +420,240 @@ def _parse_outcome(text):
                          ids=CAYLEY_READER_CASES.keys())
 def test_cayley_reader_matches_checked_loop(text, plain, fragment, monkeypatch):
     read = []
-    real = formats._plain_table
-    monkeypatch.setattr(formats, "_plain_table",
-                        lambda body, n: read.append(real(body, n)) or read[-1])
+    real = formats._plain_row
+    monkeypatch.setattr(formats, "_plain_row",
+                        lambda ln, n: read.append(real(ln, n)) or read[-1])
     got = _parse_outcome(text)
-    assert (read[0] is not None) == plain
+    assert all(row is not None for row in read) == plain
     if fragment is None:
         assert not isinstance(got, str)
     else:
         assert isinstance(got, str) and fragment in got
-    # the per-line loop alone gives the same table or the same message
-    monkeypatch.setattr(formats, "_plain_table", lambda body, n: None)
+    # the per-entry loop alone gives the same table or the same message
+    monkeypatch.setattr(formats, "_plain_row", lambda ln, n: None)
     assert _parse_outcome(text) == got
+
+
+# -- the line reader against the whole-text reader it replaced -----------------
+
+def _reference_read_text(path):
+    """Reference: the file decoded whole, as before the line reader."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as ex:
+        raise UnsupportedInputError(f"cannot read {path}: {ex}") from ex
+    except UnicodeDecodeError as ex:
+        raise UnsupportedInputError(
+            f"{path} is not UTF-8 text: byte offset {ex.start}: {ex.reason}") from ex
+
+
+def _is_int(s):
+    try:
+        int(s)
+        return True
+    except ValueError:
+        return False
+
+
+def _reference_parse_text(text, max_order=DEFAULT_MAX_ORDER):
+    """Reference: the whole-text reader that preceded the line reader, with
+    its numpy fast path left out (test_cayley_reader_matches_checked_loop
+    pins that path to this per-entry loop). Returns (group, p hint)."""
+    fail = formats._fail
+    lines = text.splitlines()
+    if not lines:
+        fail(1, 1, "empty input")
+    head = lines[0].split()
+    if not head:
+        fail(1, 1, "missing header")
+    kind = head[0].lower()
+    if kind == "perm":
+        if len(head) != 2:
+            fail(1, 1, "perm header is 'perm k'")
+        try:
+            k = int(head[1])
+        except ValueError:
+            fail(1, len("perm "), "point count is not an integer")
+        if k < 1 or k > 12:
+            fail(1, 1, "point count out of range 1..12")
+        gens = [formats._parse_cycles(ln, k, i + 2)
+                for i, ln in enumerate(lines[1:]) if ln.strip()]
+        elems, frontier = {tuple(range(k))}, [tuple(range(k))]
+        while frontier:
+            new = []
+            for a in frontier:
+                for g in gens:
+                    b = tuple(a[g[x]] for x in range(k))
+                    if b not in elems:
+                        if len(elems) >= max_order:
+                            raise UnsupportedInputError(
+                                f"generated group exceeds the cap {max_order}")
+                        elems.add(b)
+                        new.append(b)
+            frontier = new
+        return _perm_table(np.array(sorted(elems)), name="input"), None
+    if kind != "cayley":
+        fail(1, 1, f"unknown format {head[0]!r} (expected 'cayley' or 'perm')")
+    if len(head) not in (2, 3):
+        fail(1, 1, "cayley header is 'cayley n' or 'cayley n p'")
+    try:
+        n = int(head[1])
+    except ValueError:
+        fail(1, len("cayley "), "order is not an integer")
+    p_hint = None
+    if len(head) == 3:
+        try:
+            p_hint = int(head[2])
+        except ValueError:
+            fail(1, 1, "prime hint is not an integer")
+        if p_hint >= 1 << 16:
+            fail(1, 1, f"{p_hint} is not a prime below 2**16")
+        if p_hint < 2 or any(p_hint % d == 0 for d in range(2, int(p_hint ** 0.5) + 1)):
+            fail(1, 1, f"{p_hint} is not prime")
+    if n < 1:
+        fail(1, 1, "order must be positive")
+    if n > max_order:
+        fail(1, 1, f"order {n} exceeds the cap {max_order}")
+    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
+    if len(body) != n:
+        fail(len(lines), 1, f"expected {n} table rows, found {len(body)}")
+    table = np.empty((n, n), dtype=np.int64)
+    for i, (line_no, ln) in enumerate(body):
+        parts = ln.split()
+        if len(parts) != n:
+            fail(line_no, 1, f"expected {n} entries, found {len(parts)}")
+        try:
+            row = [int(x) for x in parts]
+        except ValueError:
+            bad = next(i for i, x in enumerate(parts) if not _is_int(x))
+            fail(line_no, bad + 1, "entry is not an integer")
+        if any(x < 0 or x >= n for x in row):
+            bad = next(i for i, x in enumerate(row) if x < 0 or x >= n)
+            fail(line_no, bad + 1, "entry out of range")
+        table[i] = row
+    return FiniteGroup(loop_reindex_identity_first(table)), p_hint
+
+
+def _outcome(read, *args):
+    """(table, its dtype, p hint) of a successful read, else the message."""
+    try:
+        g, p = read(*args)
+    except UnsupportedInputError as e:
+        return str(e)
+    return g.table.tolist(), g.table.dtype, p
+
+
+LINE_SEPARATORS = [b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                   "\x85".encode(), "\u2028".encode()]
+READER_TOKENS = ([b"cayley", b"perm", b"0", b"1", b"2", b"3", b"5", b"12", b"+", b"-",
+                  b" ", b"\t", b"(", b")"] + LINE_SEPARATORS)
+NOT_UTF8_TOKENS = [b"\xff", b"\xe2"]
+READER_HEADERS = [b"", b"cayley 3\n", b"cayley 2 3\n", b"perm 3\n"]
+READER_BASES = [
+    b"cayley 3\n1 2 0\n2 0 1\n0 1 2\n",
+    b"cayley 2 3\n0 1\n1 0\n",
+    format_cayley(parse_family("sym(3)")).encode(),
+    b"perm 3\n(1 2 3)\n(1 2)\n",
+    b"perm 4\n(1 2)(3 4)\n\n",
+]
+
+
+@st.composite
+def reader_bytes(draw):
+    """A valid table or generator file with a few edits, or a header and a
+    token soup; one in four may hold bytes that are not UTF-8."""
+    tokens = READER_TOKENS + (NOT_UTF8_TOKENS if draw(st.integers(0, 3)) == 0 else [])
+    if draw(st.booleans()):
+        return draw(st.sampled_from(READER_HEADERS)) + b"".join(
+            draw(st.lists(st.sampled_from(tokens), max_size=40)))
+    data = bytearray(draw(st.sampled_from(READER_BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 2))
+        data[i:i + cut] = b"".join(draw(st.lists(st.sampled_from(tokens), max_size=2)))
+    return bytes(data)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(data=reader_bytes())
+def test_line_reader_matches_whole_text_reader(data, tmp_path_factory):
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.cay")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    want = _outcome(lambda: _reference_parse_text(_reference_read_text(path)))
+    assert _outcome(load_group_file, path) == want
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    assert _outcome(parse_group_text, text) == _outcome(_reference_parse_text, text)
+
+
+def test_line_reader_splits_lines_as_splitlines(tmp_path):
+    path = tmp_path / "lines.txt"
+    data = b"a\rb\r\nc\x0bd\x0ce\x1cf\x1dg\x1eh" + "\x85i\u2028j \n\nk\r".encode()
+    path.write_bytes(data)
+    assert list(formats._file_lines(str(path))) == data.decode().splitlines()
+
+
+def _relabeled_file(path, spec, seed):
+    t = np.asarray(parse_family(spec).table, dtype=np.int64)
+    n = t.shape[0]
+    perm = np.random.default_rng(seed).permutation(n)
+    relabeled = np.empty_like(t)
+    relabeled[np.ix_(perm, perm)] = perm[t]
+    assert relabeled[0, 0] != 0  # the identity is not at 0
+    path.write_text(f"cayley {n}\n" + "\n".join(
+        " ".join(map(str, row)) for row in relabeled.tolist()) + "\n")
+    return loop_reindex_identity_first(relabeled)
+
+
+def test_file_load_peaks_near_one_table(tmp_path):
+    path = tmp_path / "agl32.cay"
+    want = _relabeled_file(path, "agl(1,32)", 3)  # n = 992
+    tracemalloc.start()
+    try:
+        g, _ = load_group_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.table, want)
+    assert peak < 3 * g.table.nbytes
+
+
+def test_file_over_the_cap_is_rejected_before_any_row(tmp_path, monkeypatch):
+    path = tmp_path / "agl32.cay"
+    _relabeled_file(path, "agl(1,32)", 3)
+    monkeypatch.setattr(formats, "_read_row", None)  # a stored row would fail
+    with pytest.raises(UnsupportedInputError,
+                       match="line 1, column 1: order 992 exceeds the cap 991"):
+        load_group_file(str(path), max_order=991)
+
+
+def test_writer_is_byte_identical_to_the_whole_string_form(tmp_path):
+    g = parse_family("agl(1,9)")
+    want = "\n".join([f"cayley {g.order}"] + [" ".join(str(int(x)) for x in row)
+                                              for row in g.table]) + "\n"
+    assert format_cayley(g) == want
+    write_cayley(g, str(tmp_path / "g.cay"))
+    assert (tmp_path / "g.cay").read_bytes() == want.encode()
+
+
+def test_cli_run_never_imports_numpy_ma(tmp_path):
+    """np.unique without return_counts or return_index, intersect1d and
+    setdiff1d import numpy.ma on first use, about 15 ms per process."""
+    path = tmp_path / "agl9.cay"
+    _relabeled_file(path, "agl(1,9)", 1)
+    code = ("import sys\n"
+            "from soclelab.cli import run\n"
+            "code = run(sys.argv[1:])\n"
+            "sys.stderr.write(f'exit {code} numpy.ma {\"numpy.ma\" in sys.modules}')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", code, "scan", "SL2(3)", "heisenberg_affine(3)",
+         "twisted_affine(2,3,1)", "central(SL2(3),SL2(3))", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.stderr.endswith("exit 0 numpy.ma False"), done.stderr[-2000:]
+    assert len(json.loads(done.stdout)["rows"]) == 10

@@ -396,6 +396,24 @@ def test_frobenius_check_matches_per_element_reference():
     assert seen[True] and seen[False]
 
 
+def reference_sub_center(g, elems):
+    """Reference: Z(H) as the elements of H commuting with all of H."""
+    return g.centralizer(elems, within=elems)
+
+
+def test_sub_center_from_generators_matches_all_elements():
+    groups = [g for _, g in catalog_groups()]
+    groups.append(parse_family("twisted_affine(2,4,1)", max_order=4000))
+    proper = 0
+    for g in groups:
+        subs = [g.derived_subgroup()] + [g.sylow_subgroup(p) for p in prime_factors(g.order)]
+        for h in subs:
+            got = g.sub_center(h)
+            assert_same_elems(got, reference_sub_center(g, h))
+            proper += 1 < got.size < h.size
+    assert proper  # some subgroup with a center neither trivial nor all of it
+
+
 def test_fingerprint_separates_and_matches():
     assert parse_family("q8").fingerprint() != parse_family("dihedral(4)").fingerprint()
     a = parse_family("cyclic(6)")

@@ -109,6 +109,8 @@ def abelian(invariants) -> FiniteGroup:
 
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
+    if p < 2:  # before [p] * d, which a huge d overflows: 1^d passes the cap
+        raise UnsupportedInputError("invalid invariant list")
     g = abelian([p] * d)
     g.name = f"elementary({p},{d})"
     return g
@@ -288,6 +290,8 @@ def heisenberg_affine(p: int) -> FiniteGroup:
 def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
     """Central-type extension of F_q by F_q twisted by the p^k Frobenius,
     extended by F_q^x acting as (a,b) -> (ua, u^(1+p^k) b). Order q^2 (q-1)."""
+    if p < 2:  # before p ** d: (-2)^odd gives a negative order, which passes the cap
+        raise UnsupportedInputError("twisted_affine needs p >= 2")
     q = p ** d
     field = gf(p, d)
     pk = p ** (k % d) if d > 0 else 1

@@ -140,23 +140,32 @@ def _parse_cayley(lines, head, max_order, name):
     if n > max_order:
         _fail(1, 1, f"order {n} exceeds the cap {max_order}")
     table = np.empty((n, n), dtype=table_dtype(n))
+    rows, line_no, error = _read_rows(lines, table)
+    if rows != n:
+        _fail(line_no, 1, f"expected {n} table rows, found {rows}")
+    if error is not None:
+        raise error
+    return FiniteGroup(_reindex_identity_first(table), name=name), p_hint
+
+
+def _read_rows(lines: Iterator[str], out: np.ndarray
+               ) -> tuple[int, int, UnsupportedInputError | None]:
+    """Store the non-blank lines, numbered from 2, into the rows of out as
+    they arrive; past a bad row or the last row of out they are only
+    counted. Returns (rows counted, last line number, first row error)."""
     rows, line_no, error = 0, 1, None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # for _plain_row
         for line_no, ln in enumerate(lines, 2):
             if not ln.strip():
                 continue
-            if rows < n and error is None:
+            if rows < len(out) and error is None:
                 try:
-                    _read_row(table[rows], ln, line_no)
+                    _read_row(out[rows], ln, line_no)
                 except UnsupportedInputError as ex:
                     error = ex
             rows += 1
-    if rows != n:
-        _fail(line_no, 1, f"expected {n} table rows, found {rows}")
-    if error is not None:
-        raise error
-    return FiniteGroup(_reindex_identity_first(table), name=name), p_hint
+    return rows, line_no, error
 
 
 def _read_row(out: np.ndarray, ln: str, line_no: int) -> None:
@@ -264,23 +273,16 @@ def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,
     if kernel.order * acting.order > max_order:
         raise UnsupportedInputError(
             f"group order {kernel.order * acting.order} exceeds the cap {max_order}")
-    lines = list(_file_lines(action_path))
-    if not lines or lines[0].split() != ["action"]:
+    lines = _file_lines(action_path)
+    headed = next(lines, "").split() == ["action"]
+    action = np.empty((acting.order, kernel.order), dtype=np.int64)
+    rows, _, error = _read_rows(lines, action)  # reads to the end: a decode error wins
+    if not headed:
         raise UnsupportedInputError("action file must start with 'action'")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != acting.order:
-        raise UnsupportedInputError(
-            f"expected {acting.order} action rows, found {len(body)}")
-    rows = []
-    for i, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != kernel.order:
-            _fail(i + 2, 1, f"expected {kernel.order} images")
-        try:
-            rows.append([int(x) for x in parts])
-        except ValueError:
-            _fail(i + 2, 1, "image is not an integer")
-    action = np.array(rows, dtype=np.int64)
+    if rows != acting.order:
+        raise UnsupportedInputError(f"expected {acting.order} action rows, found {rows}")
+    if error is not None:
+        raise error
     spec = SemidirectSpec(kernel=kernel, acting=acting, action=action)
     g, _, _ = semidirect_product(spec, name="sdp")
     return g

@@ -513,13 +513,16 @@ def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
 
 def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
     """Is q the direct product of the affine groups AGL(1, s), s in sizes?
-    Returns (match, method): decided by order when the orders differ, else
-    by isomorphism, which compares fingerprints above ISO_ORDER_LIMIT.
+    Returns (match, method): decided by order when the orders differ or
+    sizes is empty, else by isomorphism, which compares fingerprints above
+    ISO_ORDER_LIMIT.
     q is the memoized G/G'', so the answer is memoized on it."""
     key = ("affine", tuple(sizes))
     if key not in q._memo:
-        if not sizes or q.order != math.prod(s * (s - 1) for s in sizes):
+        if q.order != math.prod(s * (s - 1) for s in sizes):
             q._memo[key] = False, "order"
+        elif not sizes:  # the empty product, and q, are the trivial group
+            q._memo[key] = True, "order"
         else:
             model = agl1(sizes[0])
             for s in sizes[1:]:

@@ -211,6 +211,22 @@ def test_absurd_arguments_exit_3_at_once(spec, capsys):
     assert "order above 10^30 exceeds the cap 2000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    (f"elementary(1,{10 ** 20})", "invalid invariant list"),
+    (f"elementary(0,{10 ** 20})", "invalid invariant list"),
+    (f"elementary(-2,{10 ** 20 + 1})", "invalid invariant list"),
+    ("elementary(1,5)", "invalid invariant list"),
+    (f"twisted_affine(-2,{10 ** 20 + 1},1)", "needs p >= 2"),
+    ("twisted_affine(-2,3,1)", "needs p >= 2")])
+def test_base_below_2_is_refused_at_once(spec, message, capsys):
+    # 1^d, 0^d and (-2)^odd all pass the cap; [p] * 10^20 overflows, and
+    # (-2)^(10^20 + 1) never finishes
+    start = time.perf_counter()
+    assert cli.run(["analyze", spec]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p, d, limit", [(2, 10, 2000), (3, 10 ** 100, 10 ** 30),
                                          (-2, 10 ** 9 + 1, 2000), (-2, 10 ** 9, 2000),
                                          (1, 10 ** 100, 2000), (-1, 10 ** 9 + 1, 2000),

@@ -257,6 +257,48 @@ def test_sdp_with_non_utf8_action_file(capsys, tmp_path):
     assert "byte offset 17" in capsys.readouterr().err
 
 
+def _sdp_spec(tmp_path, action_text: str) -> str:
+    """sdp(...) of cyclic(3) by cyclic(2) through the given action file."""
+    write_cayley(parse_family("cyclic(3)"), str(tmp_path / "k.cay"))
+    write_cayley(parse_family("cyclic(2)"), str(tmp_path / "h.cay"))
+    (tmp_path / "act.txt").write_text(action_text)
+    return f"sdp({tmp_path / 'k.cay'},{tmp_path / 'h.cay'},{tmp_path / 'act.txt'})"
+
+
+@pytest.mark.parametrize("last, where", [
+    ("0 2 x", "line 5, column 3: entry is not an integer"),
+    ("0 2 7", "line 5, column 3: entry out of range"),
+    (f"0 2 {10 ** 30}", "line 5, column 3: entry out of range"),
+    ("0 2", "line 5, column 1: expected 3 entries, found 2")])
+def test_sdp_action_errors_carry_physical_position(capsys, tmp_path, last, where):
+    # the blank lines 2 and 3 count
+    assert cli.run(["analyze", _sdp_spec(tmp_path, f"action\n\n\n0 1 2\n{last}\n")]) == 3
+    assert where in capsys.readouterr().err
+
+
+def test_long_action_file_is_counted_not_stored(tmp_path):
+    spec = _sdp_spec(tmp_path, "action\n0 1 2\n0 2 1\n" + "0 1 2\n" * 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedInputError, match="expected 2 action rows, found 100002"):
+            build_group(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the file is 600 kB; its lines as a list take 7.8 MB
+
+
+def test_trivial_group_passes_its_own_checks(capsys):
+    code, out = run_cli(capsys, "analyze", "cyclic(1)")
+    assert code == 0
+    report = json.loads(out)
+    assert report["consistency_failures"] == []
+    assert report["theorems"]["central_split"]["status"] == "passed"
+    code, out = run_cli(capsys, "scan", "cyclic(1)", "elementary(2,1)")
+    assert code == 0
+    assert json.loads(out)["summary"]["consistency_failures"] == 0
+
+
 def test_scan_table_output(capsys):
     code, out = run_cli(capsys, "scan", "q8", "--p", "2", "--format", "table")
     assert code == 0
@@ -640,6 +682,41 @@ def test_writer_is_byte_identical_to_the_whole_string_form(tmp_path):
     assert (tmp_path / "g.cay").read_bytes() == want.encode()
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _fresh_python(code: str, **env) -> str:
+    """stdout of code run in a new interpreter that finds soclelab in src,
+    with OPENBLAS_NUM_THREADS unset unless given in env."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**base, **env}, timeout=60, check=True)
+    return done.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_openblas_without_workers():
+    out = _fresh_python("import os, soclelab.cli\n"
+                        "print(len(os.listdir('/proc/self/task')),"
+                        " 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert out.split() == ["1", "False"]
+
+
+def test_caller_openblas_setting_is_kept():
+    out = _fresh_python("import os, soclelab.cli\n"
+                        "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                        OPENBLAS_NUM_THREADS="3")
+    assert out.split() == ["3"]
+
+
+def test_numpy_imported_before_soclelab():
+    out = _fresh_python("import os, numpy, soclelab.cli\n"
+                        "print(soclelab.cli.run(['analyze', 'cyclic(2)']),"
+                        " 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert out.split()[-2:] == ["0", "False"]
+
+
 def test_cli_run_never_imports_numpy_ma(tmp_path):
     """np.unique without return_counts or return_index, intersect1d and
     setdiff1d import numpy.ma on first use, about 15 ms per process."""
@@ -649,8 +726,7 @@ def test_cli_run_never_imports_numpy_ma(tmp_path):
             "from soclelab.cli import run\n"
             "code = run(sys.argv[1:])\n"
             "sys.stderr.write(f'exit {code} numpy.ma {\"numpy.ma\" in sys.modules}')\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=_SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
         [sys.executable, "-c", code, "scan", "SL2(3)", "heisenberg_affine(3)",
          "twisted_affine(2,3,1)", "central(SL2(3),SL2(3))", str(path)],

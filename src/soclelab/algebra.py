@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
 from .fplin import Subspace, binary_power, check_prime, kernel_basis, rref
-from .groups import BLOCK_CELLS, FiniteGroup, QuotientMap
+from .groups import FiniteGroup, QuotientMap, block_rows, table_dtype
 
 
 class CenterAlgebra:
@@ -31,7 +31,7 @@ class CenterAlgebra:
         # element order grouped by class, for summing over classes at once
         self._by_class = np.argsort(self.cls_of, kind="stable")
         # P[i, j] = class of g_i^-1 rep_j, with g_i the i-th element in class order
-        self._prodcls = self.cls_of[
+        self._prodcls = self.cls_of.astype(table_dtype(self.k))[
             group.table[group.inv[self._by_class][:, None], self.reps]]
         sizes = np.array([c.size for c in self.classes], dtype=np.int64)
         self.class_sizes = sizes
@@ -75,18 +75,35 @@ class CenterAlgebra:
 
     def multiply(self, u, v) -> np.ndarray:
         """Product of central elements, class basis in and out. v is one
-        vector (k,) or a stack of rows (d, k); a stack gives u * v_i per row.
-        Entry j sums u(t) v[class of t^-1 rep_j] over the support of u only."""
-        uf = np.repeat(np.asarray(u, dtype=np.int64) % self.p, self.class_sizes)
-        s = np.flatnonzero(uf)
+        vector (k,) or a stack of rows (d, k); one u gives u * v_i per row,
+        a stack u (d, k) gives u_i * v_i. Entry j sums u(t) v[class of t^-1
+        rep_j] over the support of u only, gathered in blocks of BLOCK_BYTES."""
+        u = np.asarray(u, dtype=np.int64) % self.p
         v = np.asarray(v, dtype=np.int64) % self.p
-        step = max(1, BLOCK_CELLS // max(1, v.size))  # v.size cells per t
-        if v.ndim == 1 and s.size <= step:
-            return uf[s] @ v[self._prodcls[s]] % self.p
-        out = np.zeros(v.shape, dtype=np.int64)
-        for lo in range(0, s.size, step):
-            c = s[lo:lo + step]
-            out += np.einsum("c,...ck->...k", uf[c], v[..., self._prodcls[c]])
+        if u.ndim == 1:
+            uf = np.repeat(u, self.class_sizes)
+            s = np.flatnonzero(uf)
+            step = block_rows(v.nbytes)  # a gathered copy of v per t
+            if v.ndim == 1 and s.size <= step:
+                return uf[s] @ v[self._prodcls[s]] % self.p
+            out = np.zeros(v.shape, dtype=np.int64)
+            for lo in range(0, s.size, step):
+                c = s[lo:lo + step]
+                out += np.einsum("c,...ck->...k", uf[c], v[..., self._prodcls[c]])
+            return out % self.p
+        # stacked u: blocks of (row, element) pairs; a pair gathers, sums, updates k int64
+        f = np.flatnonzero(u)  # (row, class) pairs, sorted by row
+        bounds = np.concatenate([[0], np.cumsum(self.class_sizes[f % self.k])])
+        out, step = np.zeros(u.shape, dtype=np.int64), block_rows(24 * self.k)
+        for lo in range(0, bounds[-1], step):
+            e = np.arange(lo, min(lo + step, bounds[-1]))
+            q = np.searchsorted(bounds, e, side="right") - 1
+            i, c = np.divmod(f[q], self.k)
+            terms = np.broadcast_to(v, u.shape)[
+                i[:, None], self._prodcls[e - bounds[q] + self._starts[c]]]
+            terms *= u[i, c, None]
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            out[i[first]] += np.add.reduceat(terms, first)
         return out % self.p
 
     def power(self, u, e: int) -> np.ndarray:
@@ -108,10 +125,9 @@ class CenterAlgebra:
 
     def power_map_matrix(self) -> np.ndarray:
         """Matrix of x -> x^p (F_p-linear since the center is commutative)."""
-        cols = np.empty((self.k, self.k), dtype=np.int64)
-        for j in range(self.k):
-            cols[:, j] = self.power(self.class_sum_vec(j), self.p)
-        return cols
+        unit, step = np.eye(self.k, dtype=np.int64), block_rows(64 * self.k)
+        return np.concatenate([self.power(unit[lo:lo + step], self.p)
+                               for lo in range(0, self.k, step)]).T
 
     def jacobson_radical(self) -> Subspace:
         """Nilradical of the center: kernel of enough iterates of x -> x^p."""
@@ -179,8 +195,8 @@ class CenterAlgebra:
     def derived_coset_ids(self) -> np.ndarray:
         """Smallest element of the G'-coset of each element."""
         if "coset_ids" not in self.__dict__:
-            der = self.group.derived_subgroup()
-            self.__dict__["coset_ids"] = self.group.table[der, :].min(axis=0)
+            self.__dict__["coset_ids"] = self.group.coset_min(
+                self.group.derived_subgroup())
         return self.__dict__["coset_ids"]
 
     def lies_in_derived_coset_span(self, center_vec) -> bool:
@@ -269,8 +285,7 @@ class CenterAlgebra:
         """
         soc = self.socle()
         # widened: key below holds n, which wraps to 0 in uint16 at n = 2**16
-        cid = self.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(
-            axis=0).astype(np.int64)
+        cid = self.group.coset_min(sylow_elems).astype(np.int64)
         by_class = cid[self._by_class]
         lo = np.minimum.reduceat(by_class, self._starts)
         whole = lo == np.maximum.reduceat(by_class, self._starts)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import UnsupportedInputError
 from .families import DEFAULT_MAX_ORDER, _perm_table, parse_family
 from .fplin import P_LIMIT, is_prime
-from .groups import (BLOCK_CELLS, FiniteGroup, SemidirectSpec, semidirect_product,
+from .groups import (FiniteGroup, SemidirectSpec, block_rows, semidirect_product,
                      table_dtype)
 
 
@@ -55,8 +55,8 @@ def _reindex_identity_first(table: np.ndarray) -> np.ndarray:
     is 0, and return it: the argument is mutated. Only rows r with
     table[r, 0] == 0 can be e, each checked in O(n). Rows 0..e-1 move down
     one, in blocks from the bottom, the saved row e becomes row 0, and each
-    block of rows then gets the same column move and its values relabeled;
-    no temporary exceeds a block of BLOCK_CELLS cells."""
+    block of rows then gets the same column move and its values relabeled,
+    within BLOCK_BYTES together with the intp copy np.take makes of it."""
     n = table.shape[0]
     ar = np.arange(n)
     for e in np.flatnonzero(table[:, 0] == 0):
@@ -66,7 +66,7 @@ def _reindex_identity_first(table: np.ndarray) -> np.ndarray:
         raise UnsupportedInputError("table has no two-sided identity")
     if e == 0:
         return table
-    step = max(1, BLOCK_CELLS // n)
+    step = block_rows(n * (table.itemsize + 8))
     row_e = table[e].copy()
     for hi in range(e, 0, -step):
         lo = max(0, hi - step)

@@ -9,6 +9,7 @@ ties are broken by smallest element index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -16,8 +17,13 @@ from .errors import ConsistencyError, UnsupportedInputError
 from .fplin import binary_power
 
 ISO_ORDER_LIMIT = 512
-# cells of the largest temporary one blockwise check or center product builds
-BLOCK_CELLS = 1 << 18
+# bytes the temporaries of one block of a blockwise loop may take
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per block, at least one, when a row takes row_bytes."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 def table_dtype(n: int) -> np.dtype:
@@ -97,10 +103,11 @@ class FiniteGroup:
         for the generators is passing for all (Clifford and Preston, The
         Algebraic Theory of Semigroups I, 1961, section 1.2). With the
         two-sided identity and inverses already checked, the table is then
-        a group. The block buffers are allocated once and refilled, as
-        fresh temporaries for every block fault in new pages."""
+        a group. The three block buffers share BLOCK_BYTES and are allocated
+        once and refilled, as fresh temporaries for every block fault in new
+        pages."""
         t, n = self.table, self.order
-        step = min(n, max(1, BLOCK_CELLS // n))
+        step = min(n, block_rows(n * (2 * t.itemsize + 1)))
         lhs = np.empty((step, n), dtype=t.dtype)
         rhs = np.empty((step, n), dtype=t.dtype)
         same = np.empty((step, n), dtype=bool)
@@ -450,6 +457,12 @@ class FiniteGroup:
 
     # -- quotients ---------------------------------------------------------
 
+    def coset_min(self, elems) -> np.ndarray:
+        """Smallest element of each coset H x, H the subgroup of elems."""
+        h, step = np.asarray(elems, dtype=np.int64), block_rows(self.table[0].nbytes)
+        return reduce(np.minimum, (self.table[h[lo:lo + step]].min(axis=0)
+                                   for lo in range(0, h.size, step)))
+
     def is_normal(self, elems) -> bool:
         elems = np.asarray(elems)
         mask, t, inv = self.mask(elems), self.table, self.inv
@@ -460,7 +473,7 @@ class FiniteGroup:
         self._check_subgroup(k)
         if not self.is_normal(k):
             raise UnsupportedInputError("quotient by a non-normal subgroup")
-        coset_min = self.table[:, k].min(axis=1)
+        coset_min = self.coset_min(k)  # K is normal: x K = K x
         reps = self.element_set(coset_min)
         if reps.size * k.size != self.order:
             raise ConsistencyError("coset bookkeeping failed")
@@ -655,9 +668,10 @@ class SemidirectSpec:
     action: np.ndarray  # shape (|acting|, |kernel|), action[h] a permutation
 
     def validate(self):
-        """The checks run blockwise over h under BLOCK_CELLS cells; the
-        error raised is that of the smallest failing h, its permutation check
-        before its automorphism check, and then of the homomorphism check."""
+        """The checks run over blocks of h within BLOCK_BYTES, one h at least;
+        the error raised is that of the smallest failing h, its permutation
+        check before its automorphism check, and then of the homomorphism
+        check."""
         nk, nh = self.kernel.order, self.acting.order
         act = np.asarray(self.action, dtype=np.int64)
         if act.shape != (nh, nk):
@@ -667,7 +681,7 @@ class SemidirectSpec:
         tk, th = self.kernel.table, self.acting.table
         perm = (np.sort(act, axis=1) == np.arange(nk)).all(axis=1)
         n_perm = nh if perm.all() else int(np.argmin(perm))
-        step = max(1, BLOCK_CELLS // (nk * nk))
+        step = block_rows(nk * nk * (8 + tk.itemsize + 1))  # int64, table, bool
         for lo in range(0, n_perm, step):
             ph = act[lo:min(lo + step, n_perm)]
             auto = (ph[:, tk] == tk[ph[:, :, None], ph[:, None, :]]).all(axis=(1, 2))
@@ -676,7 +690,7 @@ class SemidirectSpec:
                 raise UnsupportedInputError(f"action of {h} is not an automorphism")
         if n_perm < nh:
             raise UnsupportedInputError(f"action of {n_perm} is not a permutation")
-        step = max(1, BLOCK_CELLS // (nh * nk))
+        step = block_rows(nh * nk * 17)  # two int64 gathers and a bool
         for lo in range(0, nh, step):
             # act[h1 h2] == act[h1] o act[h2] for every h2 at once
             if not (act[th[lo:lo + step]] == act[lo:lo + step][:, act]).all():
@@ -692,10 +706,11 @@ def semidirect_product(spec: SemidirectSpec, name: str | None = None):
     tk, th = kg.table, hg.table
     # (a1, h1)(a2, h2) = (a1 act[h1](a2), h1 h2), element (a, h) at a nh + h
     dtype = table_dtype(nk * nh)
-    table = np.empty((nk * nh, nk * nh), dtype=dtype)
-    np.add((tk[:, act].astype(dtype, copy=False) * nh)[:, :, :, None],
-           th[None, :, None, :], out=table.reshape(nk, nh, nk, nh))
-    g = FiniteGroup(table, name=name or f"{kg.name}_by_{hg.name}")
+    table, step = np.empty((nk, nh, nk, nh), dtype), block_rows(nk * nk * dtype.itemsize)
+    for lo in range(0, nh, step):
+        np.add(np.multiply(tk[:, act[lo:lo + step]], nh, dtype=dtype)[..., None],
+               th[lo:lo + step, None, :], out=table[:, lo:lo + step])
+    g = FiniteGroup(table.reshape(nk * nh, nk * nh), name=name or f"{kg.name}_by_{hg.name}")
     embed_k = np.arange(nk, dtype=np.int64) * nh
     embed_h = np.arange(nh, dtype=np.int64)
     return g, embed_k, embed_h

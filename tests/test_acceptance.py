@@ -7,6 +7,7 @@ dividing its order once; the criteria below assert over those reports.
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,27 @@ from soclelab.catalog import CATALOG_SPECS, catalog_groups
 from soclelab.families import parse_family
 from soclelab.formats import write_cayley
 from soclelab.groups import FiniteGroup, prime_factors
+
+
+# alt(7) has 9 classes, so a copy of its table would dominate the peak; the
+# 2-group's 77 classes take about one table of temporaries, and the former
+# copy of its 512 table rows came on top of them (1.8 tables)
+@pytest.mark.parametrize("spec, tables", [("alt(7)", 0.5),
+                                          ("direct(dihedral(16),quaternion(16))", 1.5)])
+def test_analysis_copies_no_table_rows(spec, tables):
+    """The derived subgroup of alt(7) and the Sylow 2-subgroup of the other,
+    an order-512 2-group, are the whole group; their coset minima are taken
+    over blocks of rows, not over a copy of |H| = n table rows."""
+    g = parse_family(spec, max_order=3000)
+    assert g.table.nbytes > 1 << 18  # more than one block of rows
+    tracemalloc.start()
+    try:
+        report = analyze_group(g, 2, theorems="none")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["consistency_failures"] == []
+    assert peak < tables * g.table.nbytes
 
 
 @pytest.fixture(scope="session")

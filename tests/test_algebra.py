@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from soclelab import algebra, fplin
+from soclelab import groups as groups_module
 from soclelab.algebra import CenterAlgebra
 from soclelab.catalog import catalog_groups
 from soclelab.errors import ConsistencyError
@@ -143,20 +144,27 @@ def test_mult_matrix_matches_convolution(spec, p):
 @pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("spec, p", SMALL)
 def test_stacked_multiply_matches_rows(spec, p, block, monkeypatch):
-    """multiply(u, V) is u * V[i] row by row, also with one support element
-    per gather (block 1) so that every chunk boundary is crossed."""
+    """multiply(u, V) is u * V[i] and multiply(U, V) is U[i] * V[i] row by
+    row, also with the byte budget at its minimum (block 1), one support
+    element or one (row, element) pair per gather, so that every chunk
+    boundary is crossed."""
     if block is not None:
-        monkeypatch.setattr(algebra, "BLOCK_CELLS", block)
+        monkeypatch.setattr(groups_module, "BLOCK_BYTES", block)
     g = parse_family(spec)
     alg = CenterAlgebra(g, p)
     rng = np.random.default_rng(sum(map(ord, spec)) * 7 + p)
     for d in (1, 3, alg.k + 2):
         u = rng.integers(-2 * p, 2 * p, size=alg.k)  # unreduced on purpose
         rows = rng.integers(-2 * p, 2 * p, size=(d, alg.k))
+        lefts = rng.integers(-2 * p, 2 * p, size=(d, alg.k))
+        lefts[0] = 0  # a row with no support
         got = alg.multiply(u, rows)
+        paired = alg.multiply(lefts, rows)
         assert got.dtype == np.int64 and got.shape == (d, alg.k)
+        assert paired.dtype == np.int64 and paired.shape == (d, alg.k)
         for i in range(d):
             assert np.array_equal(got[i], alg.multiply(u, rows[i]))
+            assert np.array_equal(paired[i], alg.multiply(lefts[i], rows[i]))
             slow = fg_mul(g, alg.expand(u), alg.expand(rows[i]), p)
             assert np.array_equal(alg.expand(got[i]), slow)
     empty = alg.multiply(u, np.zeros((0, alg.k), dtype=np.int64))
@@ -454,6 +462,20 @@ def test_power_matches_loop(spec, p):
             assert np.array_equal(got, loop_power(alg, u, e))
     with pytest.raises(ValueError, match="negative exponent"):
         alg.power(u, -1)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_power_map_matches_per_class_powers(block, monkeypatch):
+    """Column j of the power map is the p-th power of class sum j taken on
+    its own, also with the byte budget at its minimum (block 1): one class
+    sum per stack and one (row, element) pair per gather."""
+    if block is not None:
+        monkeypatch.setattr(groups_module, "BLOCK_BYTES", block)
+    for spec, p in SMALL + [("dihedral(300)", 5), ("agl(1,32)", 31)]:
+        alg = CenterAlgebra(parse_family(spec), p)
+        want = [loop_power(alg, alg.class_sum_vec(j), p) for j in range(alg.k)]
+        got = alg.power_map_matrix()
+        assert got.dtype == np.int64 and np.array_equal(got, np.array(want).T)
 
 
 def test_power_two_is_one_multiply(monkeypatch):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -279,14 +280,15 @@ def reference_hall_complement(g, p, sylow):
 
 
 HALL_EXTRA_SPECS = ("twisted_affine(2,3,1)", "twisted_affine(3,2,1)",
-                    "twisted_affine(2,4,1)", "direct(AGL(1,16),cyclic(3))")
+                    "direct(AGL(1,16),cyclic(3))")
 
 
-def test_hall_complement_matches_search_for_normal_sylow():
+def test_hall_complement_matches_search_for_normal_sylow(witness_group):
     """With a normal Sylow subgroup the greedy pass is the search's first
     branch, on every such (group, p) of the catalog and four larger groups."""
     groups = [g for _, g in catalog_groups()]
     groups += [parse_family(s, max_order=4000) for s in HALL_EXTRA_SPECS]
+    groups.append(witness_group)
     pairs = 0
     for g in groups:
         for p in prime_factors(g.order):
@@ -384,9 +386,9 @@ def reference_is_frobenius(g, kernel):
     return all(kmask[g.centralizer(int(x))].all() for x in k if x)
 
 
-def test_frobenius_check_matches_per_element_reference():
+def test_frobenius_check_matches_per_element_reference(witness_group):
     groups = [g for _, g in catalog_groups()]
-    groups.append(parse_family("twisted_affine(2,4,1)", max_order=4000))
+    groups.append(witness_group)
     seen = Counter()
     for g in groups:
         der = g.derived_subgroup()
@@ -401,9 +403,9 @@ def reference_sub_center(g, elems):
     return g.centralizer(elems, within=elems)
 
 
-def test_sub_center_from_generators_matches_all_elements():
+def test_sub_center_from_generators_matches_all_elements(witness_group):
     groups = [g for _, g in catalog_groups()]
-    groups.append(parse_family("twisted_affine(2,4,1)", max_order=4000))
+    groups.append(witness_group)
     proper = 0
     for g in groups:
         subs = [g.derived_subgroup()] + [g.sylow_subgroup(p) for p in prime_factors(g.order)]
@@ -848,6 +850,54 @@ def test_center_and_products_match_full_table_forms(monkeypatch):
     for spec, g in made:
         want = reference_semidirect_table(spec)
         assert g.table.dtype == want.dtype and np.array_equal(g.table, want)
+    # the byte budget at its minimum: one acting element per block of the fill
+    monkeypatch.setattr(groups_module, "BLOCK_BYTES", 1)
+    for spec, g in made:
+        assert np.array_equal(original(spec)[0].table, g.table)
+
+
+def test_semidirect_build_peaks_near_its_table():
+    """The product's table is filled a block of acting elements at a time:
+    building the order-3840 witness holds no table-sized temporary beside
+    its 29.5 MB table (one broadcast of all acting elements took 4.1 MB)."""
+    tracemalloc.start()
+    try:
+        g = parse_family("twisted_affine(2,4,1)", max_order=4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - g.table.nbytes < 1_000_000
+
+
+# -- coset minima against the full-table copies they replaced ----------------
+
+COSET_SPECS = ("sym(4)", "sl2(3)", "dihedral(300)", "agl(1,32)",
+               "direct(dihedral(16),quaternion(16))", "central(SL2(3),SL2(3))")
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_coset_minima_match_full_copies(block, monkeypatch):
+    """coset_min and the quotient against the copies of |H| rows or columns
+    of the table, also with the byte budget at its minimum (block 1), one
+    row per block, on normal subgroups from the identity to the group."""
+    if block is not None:
+        monkeypatch.setattr(groups_module, "BLOCK_BYTES", block)
+    for spec in COSET_SPECS:
+        g = parse_family(spec)
+        t = np.asarray(g.table, dtype=np.int64)
+        normal = [np.array([0]), g.center(), g.derived_subgroup(), np.arange(g.order)]
+        normal += [s for p in prime_factors(g.order)
+                   if g.is_normal(s := g.sylow_subgroup(p))]
+        for h in normal:
+            got = g.coset_min(h)
+            assert got.dtype == g.table.dtype
+            assert np.array_equal(got, t[h, :].min(axis=0))
+            assert np.array_equal(got, t[:, h].min(axis=1))
+            q = g.quotient(h)
+            reps = np.unique(got)
+            assert np.array_equal(q.section, reps)
+            assert np.array_equal(q.group.table,
+                                  np.searchsorted(reps, got)[t[np.ix_(reps, reps)]])
 
 
 # -- the semidirect action check against its former pair-by-pair loop -------
@@ -922,10 +972,10 @@ ACTION_SPECS = ("twisted_affine(2,3,1)", "heisenberg_affine(3)", "metacyclic(7,3
 
 @pytest.mark.parametrize("block", [None, 1])
 def test_action_check_matches_pair_loop(block, monkeypatch):
-    """Also with one h per block (block 1), so that the offset of the
-    failing h inside a later block is exercised."""
+    """Also with the byte budget at its minimum (block 1), one h per block,
+    so that the offset of the failing h inside a later block is exercised."""
     if block is not None:
-        monkeypatch.setattr(groups_module, "BLOCK_CELLS", block)
+        monkeypatch.setattr(groups_module, "BLOCK_BYTES", block)
     made = []
     original = groups_module.semidirect_product
 

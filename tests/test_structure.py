@@ -145,8 +145,8 @@ class TestCharacterization:
         assert ch["predicted"] is False and ch["direct"] is False
         assert ch["witness"] is None  # witness construction needs a fixer
 
-    def test_non_camina_kernel_gets_witness(self):
-        ctx = setup_context("twisted_affine(2,4,1)", 2, max_order=4000)
+    def test_non_camina_kernel_gets_witness(self, witness_group):
+        ctx = examine_sylow_split(witness_group, 2)
         ch = characterize_socle_ideal(ctx)
         assert ch["affine_match"] and ch["has_fixer"]
         assert not ch["derived_camina"]
@@ -156,8 +156,8 @@ class TestCharacterization:
 
 
 class TestWitness:
-    def test_witness_vector_is_sound(self):
-        ctx = setup_context("twisted_affine(2,4,1)", 2, max_order=4000)
+    def test_witness_vector_is_sound(self, witness_group):
+        ctx = examine_sylow_split(witness_group, 2)
         alg = ctx.alg
         w = build_nonideal_witness(ctx)
         y = np.array(w["vector"])

@@ -48,7 +48,7 @@ def _quotient_decomposition(ctx: AnalysisContext) -> dict:
         "fixers": [None if h is None else int(h) for h in dec.fixers],
         "central_image_order": int(dec.central_image.size),
     }
-    if ctx.alg.socle_ideal_verdict()[0]:
+    if ctx.ideal:
         entry["checks"] = check_quotient_decomposition(ctx)
     else:
         entry["status"] = "computed"

@@ -236,12 +236,19 @@ class FiniteGroup:
 
     def _check_subgroup(self, elems: np.ndarray) -> None:
         """Raise unless the sorted distinct elements form a subgroup."""
-        mask = self.mask(elems)
-        if not mask[0]:
+        if 0 not in elems:
             raise UnsupportedInputError("subgroup must contain the identity")
-        prods = self.table[np.ix_(elems, elems)]
-        if not mask[prods].all():
+        if not self._closed(elems):
             raise UnsupportedInputError("element set is not closed under the product")
+
+    def _closed(self, elems: np.ndarray) -> bool:
+        """Every product of two elements of elems lies in elems. The |K|^2
+        products are gathered a block of rows at a time, so that a block's
+        table cells and their bool lookup share BLOCK_BYTES."""
+        mask, t = self.mask(elems), self.table
+        step = block_rows(elems.size * (t.itemsize + 1))
+        return all(mask[t[np.ix_(elems[lo:lo + step], elems)]].all()
+                   for lo in range(0, elems.size, step))
 
     # -- element sets ----------------------------------------------------
     # A set of elements is a sorted array of distinct indices, so two sets
@@ -444,7 +451,7 @@ class FiniteGroup:
                     if good[nc].all():
                         inside[nc] = True
             core = np.flatnonzero(inside)
-            if not inside[self.table[np.ix_(core, core)]].all():
+            if not self._closed(core):
                 raise ConsistencyError("core classes are not closed under the product")
             core.flags.writeable = False
             self._memo[key] = core

@@ -14,8 +14,11 @@ either a bug here or a wrong expectation, and both must stop the run.
 
 Everything the checks share for one (G, p) lives in one AnalysisContext,
 built by examine_sylow_split: the Sylow data and shape flags, the center
-algebra, and the decomposition of G/G'', computed on first request. Each
-check takes the context as its only argument.
+algebra and its ideal verdict, and the decomposition of G/G'', computed on
+first request. Each check takes the context as its only argument and is
+built from named steps that read it. A hypothesis two checks share is
+tested in one function: the characterization and the witness both pass
+_single_factor, and both read _affine_by_multiplier.
 """
 
 from __future__ import annotations
@@ -77,6 +80,12 @@ class AnalysisContext:
     def z_match(self) -> bool:
         return bool(self.flags["derived_center_is_second_derived"])
 
+    @property
+    def ideal(self) -> bool:
+        """soc(Z(F_pG)) is an ideal: the direct verdict, which the center
+        algebra computes once and checks against the criterion."""
+        return self.alg.socle_ideal_verdict()[0]
+
     @cached_property
     def derived_camina(self) -> bool:
         """G' as a group of its own is a Camina group; built once per context."""
@@ -121,41 +130,69 @@ def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
 
 
 # ---------------------------------------------------------------------------
-# elementary abelian coordinates
+# elementary abelian coordinates and element-set helpers
 
 
 def _elementary_coords(g: FiniteGroup, elems, p: int):
     """Exponent coordinates for an elementary abelian p-subgroup.
 
-    Returns (basis, coord) with coord a dict from element index to an int64
-    exponent vector over the greedily chosen basis (smallest elements first).
+    Returns (basis, coord): the greedily chosen basis (smallest elements
+    first) and an int64 array with one row per element of g, where coord[x]
+    is the exponent vector of x over the basis for x in elems and -1 in
+    every entry outside it.
+
+    Precondition: elems is abelian. What is checked is that the products of
+    basis powers meet every element of elems exactly once, which a
+    nonabelian group of exponent p can pass as well (extraspecial(27,+)).
     """
-    eset = sorted(int(x) for x in np.atleast_1d(elems))
-    if eset[0] != 0:
+    dom = np.sort(np.atleast_1d(np.asarray(elems, dtype=np.int64)))
+    if dom[0] != 0:
         raise ConsistencyError("coordinate domain must contain the identity")
+    inside = g.mask(dom)
     basis: list[int] = []
-    span = {0}
-    for x in eset:
-        if x in span:
+    # span[i] = b_0^rows[i, 0] b_1^rows[i, 1] ... over the basis so far
+    span, rows = np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    spanned = g.mask(span)
+    for x in dom.tolist():
+        if spanned[x]:
             continue
         if g.power(x, p) != 0:
             raise ConsistencyError("coordinate domain is not of exponent p")
         basis.append(x)
-        powers = [g.power(x, k) for k in range(p)]
-        span = {g.mul(s, w) for s in span for w in powers}
-    coord = {0: np.zeros(len(basis), dtype=np.int64)}
-    for j, b in enumerate(basis):
-        current = dict(coord)
-        for k in range(1, p):
-            bk = g.power(b, k)
-            for e, v in coord.items():
-                w = v.copy()
-                w[j] = k
-                current[g.mul(e, bk)] = w
-        coord = current
-    if len(coord) != len(eset) or set(coord) != set(eset):
+        span = g.table[np.ix_(span, [g.power(x, k) for k in range(p)])].ravel()
+        rows = np.hstack([np.repeat(rows, p, axis=0),
+                          np.tile(np.arange(p, dtype=np.int64), len(rows))[:, None]])
+        spanned = g.mask(span)
+        if not inside[span].all() or np.count_nonzero(spanned) != span.size:
+            raise ConsistencyError("coordinate domain is not elementary abelian")
+    if span.size != dom.size:
         raise ConsistencyError("coordinate domain is not elementary abelian")
+    coord = np.full((g.order, len(basis)), -1, dtype=np.int64)
+    coord[span] = rows
     return basis, coord
+
+
+def _set_product(g: FiniteGroup, sets) -> np.ndarray:
+    """The element set {s_1 s_2 ... s_m : s_i in sets[i]}."""
+    out = np.array([0], dtype=np.int64)
+    for s in sets:
+        out = g.element_set(g.table[np.ix_(out, s)])
+    return out
+
+
+def _conj_orbit(g: FiniteGroup, h: int, x: int) -> set[int]:
+    """The orbit of x under conjugation by the powers of h. Conjugation is a
+    permutation, so the walk returns to x."""
+    orbit, cur = {x}, g.conj(h, x)
+    while cur != x:
+        orbit.add(cur)
+        cur = g.conj(h, cur)
+    return orbit
+
+
+def _fixes_set(q: FiniteGroup, hb: int, elems: np.ndarray) -> bool:
+    perm = q.conjugation_perm(hb)
+    return bool((perm[elems] == elems).all())
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +272,7 @@ class QuotientDecomposition:
 
 
 def _averaging_projector(q: FiniteGroup, p: int, basis: list[int],
-                         coord: dict, target: Subspace,
+                         coord: np.ndarray, target: Subspace,
                          actors: list[int]) -> np.ndarray:
     """Projector of the coordinate space onto target commuting with the
     conjugation action of the given (images of) complement elements.
@@ -250,8 +287,7 @@ def _averaging_projector(q: FiniteGroup, p: int, basis: list[int],
     # e_{pivots[i]} -> target.basis[i], every other axis -> 0
     p0 = np.zeros((k, k), dtype=np.int64)
     p0[list(target.pivots)] = target.basis
-    mats = {h: np.array([coord[q.conj(h, bb)] for bb in basis],
-                        dtype=np.int64).reshape(k, k) for h in actors}
+    mats = {h: coord[q.conjugation_perm(h)[basis]].reshape(k, k) for h in actors}
     acc = np.zeros((k, k), dtype=np.int64)
     for h in actors:
         acc += mats[h] @ p0 % p @ mats[q.inverse(h)] % p
@@ -259,6 +295,19 @@ def _averaging_projector(q: FiniteGroup, p: int, basis: list[int],
     if not np.array_equal(proj @ proj % p, proj):
         raise ConsistencyError("averaged map is not a projector")
     return proj
+
+
+def _conditional_fail(ctx: AnalysisContext, msg: str):
+    """A decomposition fact promised only when the socle is an ideal failed."""
+    if ctx.ideal:
+        raise ConsistencyError(msg)
+    raise InapplicableError(msg + " (and the socle is not an ideal)")
+
+
+def _splits(q: FiniteGroup, span, central_im, der_im) -> bool:
+    """The derived image is the direct product of span and the central image."""
+    return (np.count_nonzero(q.mask(span)[central_im]) == 1
+            and np.array_equal(_set_product(q, [span, central_im]), der_im))
 
 
 def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposition:
@@ -277,143 +326,111 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
     """
     if not ctx.reduced:
         raise InapplicableError("group does not have the reduced shape")
-    g, p = ctx.group, ctx.p
-    comp = ctx.complement
-    if math.gcd(len(comp), p) != 1:
+    if math.gcd(len(ctx.complement), ctx.p) != 1:
         raise InapplicableError("complement order is divisible by p")
-
-    def conditional_fail(msg: str):
-        if ctx.alg.socle_ideal_verdict()[0]:
-            raise ConsistencyError(msg)
-        raise InapplicableError(msg + " (and the socle is not an ideal)")
-
-    qm = g.second_derived_quotient()
+    qm = ctx.group.second_derived_quotient()
     q = qm.group
     der_im = q.element_set(qm.proj[ctx.derived])
-    zc = ctx.derived_center
-    central_im = q.element_set(qm.proj[zc])
+    central_im = q.element_set(qm.proj[ctx.derived_center])
     if not q.commute(der_im, der_im):
         raise ConsistencyError("derived image in the quotient is not abelian")
 
-    # the set of derived elements whose p-th powers fall into the kernel;
-    # a subgroup only when the derived subgroup has class at most two
+    tspan = _factor_span(ctx, qm, _power_preimage(ctx, qm))
+    if not _splits(q, tspan, central_im, der_im):
+        _conditional_fail(ctx, "derived image does not split over the center image")
+    factors = _minimal_normal_inside(q, tspan)
+    sizes = math.prod(int(f.size) for f in factors)
+    if sizes != int(tspan.size):
+        _conditional_fail(
+            ctx, "minimal factors of the span are not independent "
+            f"({len(factors)} factors, size product {sizes}, span {tspan.size})")
+    # record per-element factor components while checking the product is direct
+    components: dict[int, tuple] = {0: ()}
+    for f in factors:
+        nxt = {q.mul(e, int(t)): parts + (int(t),)
+               for e, parts in components.items() for t in f}
+        if len(nxt) != len(components) * f.size:
+            raise ConsistencyError("factor product collides")
+        components = nxt
+    if set(components) != set(tspan.tolist()):
+        raise ConsistencyError("factor product does not cover the span")
+    cofactors = [qm.preimage_of_set(_set_product(q, factors[:i] + factors[i + 1:]
+                                                 + [central_im]))
+                 for i in range(len(factors))]
+    return QuotientDecomposition(
+        qmap=qm, quotient=q, derived_image=der_im,
+        central_image=central_im, factor_span=tspan, factors=factors,
+        multipliers=[_find_multiplier(q, qm, ctx.complement, factors, i)
+                     for i in range(len(factors))],
+        cofactors=cofactors,
+        fixers=[(_cofactor_fixers(ctx, cof) or [None])[0] for cof in cofactors],
+        factor_components=components)
+
+
+def _power_preimage(ctx: AnalysisContext, qm: QuotientMap) -> np.ndarray:
+    """The derived elements whose p-th powers fall into the kernel; a
+    subgroup only when the derived subgroup has class at most two. Checked
+    to be normal and to cover G' together with Z(G')."""
+    g, p = ctx.group, ctx.p
     dropped = np.array([x for x in ctx.derived
                         if qm.proj[g.power(int(x), p)] == 0], dtype=np.int64)
     if not g.is_subgroup(dropped) or not g.is_normal(dropped):
-        conditional_fail("p-th power preimage set is not a normal subgroup")
-    prod = g.element_set(g.table[np.ix_(dropped, zc)])
-    if not np.array_equal(prod, ctx.derived):
-        conditional_fail(
-            "derived subgroup is not covered by the p-th power set and the center")
+        _conditional_fail(ctx, "p-th power preimage set is not a normal subgroup")
+    if not np.array_equal(_set_product(g, [dropped, ctx.derived_center]), ctx.derived):
+        _conditional_fail(
+            ctx, "derived subgroup is not covered by the p-th power set and the center")
+    return dropped
 
+
+def _factor_span(ctx: AnalysisContext, qm: QuotientMap, dropped) -> np.ndarray:
+    """The kernel of the averaging projector onto the image of Z(G') in the
+    image of dropped, pulled back to elements; checked to be a normal
+    subgroup of Q stable under the complement."""
+    g, p, q = ctx.group, ctx.p, qm.group
     mbar = q.element_set(qm.proj[dropped])
     basis, coord = _elementary_coords(q, mbar, p)
     k = len(basis)
+    winters = q.element_set(qm.proj[dropped[g.mask(ctx.derived_center)[dropped]]])
+    wspace = Subspace(p, k, coord[winters])  # winters lies inside mbar
 
-    winters = q.element_set(qm.proj[dropped[g.mask(zc)[dropped]]])  # inside mbar
-    wrows = np.array([coord[int(x)] for x in winters], dtype=np.int64
-                     ) if winters.size else np.zeros((0, k), dtype=np.int64)
-    wspace = Subspace(p, k, wrows)
-
-    actors = sorted({int(qm.proj[int(h)]) for h in comp})
+    actors = sorted({int(qm.proj[int(h)]) for h in ctx.complement})
     proj = _averaging_projector(q, p, basis, coord, wspace, actors)
     tspace = Subspace(p, k, kernel_basis(proj.T, p))
     if tspace.dim + wspace.dim != k or tspace.intersect(wspace).dim != 0:
         raise ConsistencyError("projector kernel does not complement the center image")
 
     # coord is a bijection from mbar onto F_p^k: the span is the kernel's preimage
-    crows = np.array([coord[int(x)] for x in mbar],
-                     dtype=np.int64).reshape(mbar.size, k)
-    tspan = mbar[~(crows @ proj % p).any(axis=1)]
+    tspan = mbar[~(coord[mbar] @ proj % p).any(axis=1)]
     if not q.is_subgroup(tspan) or not q.is_normal(tspan):
         raise ConsistencyError("factor span is not a normal subgroup")
     tmask = q.mask(tspan)
-    for h in actors:
-        if not tmask[q.table[q.table[h, tspan], q.inverse(h)]].all():
-            raise ConsistencyError("factor span is not stable under the complement")
-    # directness of span x central image inside the derived image
-    cover = q.element_set(q.table[np.ix_(tspan, central_im)])
-    if (not np.array_equal(cover, der_im)
-            or np.count_nonzero(tmask[central_im]) != 1):
-        conditional_fail("derived image does not split over the center image")
+    if not all(tmask[q.conjugation_perm(h)[tspan]].all() for h in actors):
+        raise ConsistencyError("factor span is not stable under the complement")
+    return tspan
 
-    factors = _minimal_normal_inside(q, tspan)
-    sizes = 1
-    for f in factors:
-        sizes *= int(f.size)
-    if sizes != int(tspan.size):
-        conditional_fail(
-            "minimal factors of the span are not independent "
-            f"({len(factors)} factors, size product {sizes}, span {tspan.size})")
-    # record per-element factor components while checking the product is direct
-    prod_map: dict[int, tuple] = {0: ()}
-    for f in factors:
-        nxt: dict[int, tuple] = {}
-        for e, parts in prod_map.items():
-            for t in f:
-                nxt[q.mul(e, int(t))] = parts + (int(t),)
-        if len(nxt) != len(prod_map) * f.size:
-            raise ConsistencyError("factor product collides")
-        prod_map = nxt
-    if set(prod_map) != set(int(x) for x in tspan):
-        raise ConsistencyError("factor product does not cover the span")
 
-    multipliers: list[int | None] = []
-    fixers: list[int | None] = []
-    cofactors: list[np.ndarray] = []
-    for i, f in enumerate(factors):
-        multipliers.append(_find_multiplier(q, qm, comp, factors, i))
-        rest = np.array([0], dtype=np.int64)
-        for j, other in enumerate(factors):
-            if j != i:
-                rest = q.element_set(q.table[np.ix_(rest, other)])
-        rest = q.element_set(q.table[np.ix_(rest, central_im)])
-        cof = qm.preimage_of_set(rest)
-        cofactors.append(cof)
-        cent = g.centralizer(cof, within=comp)
-        cent = cent[cent != 0]
-        fixers.append(int(cent.min()) if cent.size else None)
-
-    return QuotientDecomposition(
-        qmap=qm, quotient=q, derived_image=der_im,
-        central_image=central_im, factor_span=tspan, factors=factors,
-        multipliers=multipliers, cofactors=cofactors, fixers=fixers,
-        factor_components=prod_map)
+def _multiplies(q: FiniteGroup, qm: QuotientMap, h: int,
+                factors: list[np.ndarray], i: int) -> bool:
+    """The image of h cycles the nonidentity part of factor i and
+    centralizes every other factor."""
+    hb = int(qm.proj[h])
+    nontriv = [int(t) for t in factors[i] if t]
+    return (bool(nontriv) and _conj_orbit(q, hb, nontriv[0]) == set(nontriv)
+            and all(_fixes_set(q, hb, other)
+                    for j, other in enumerate(factors) if j != i))
 
 
 def _find_multiplier(q: FiniteGroup, qm: QuotientMap, comp,
                      factors: list[np.ndarray], i: int) -> int | None:
-    """Smallest complement element whose image cycles factor i transitively
-    and centralizes every other factor."""
-    for h in sorted(int(x) for x in comp):
-        if h == 0:
-            continue
-        hb = int(qm.proj[h])
-        if (_acts_transitively(q, hb, factors[i])
-                and all(_fixes_set(q, hb, other)
-                        for j, other in enumerate(factors) if j != i)):
-            return h
-    return None
+    """Smallest nontrivial complement element that multiplies factor i."""
+    return next((h for h in sorted(int(x) for x in comp)
+                 if h and _multiplies(q, qm, h, factors, i)), None)
 
 
-def _acts_transitively(q: FiniteGroup, hb: int, fac: np.ndarray) -> bool:
-    """Does the cyclic group generated by hb cycle through fac minus 1?"""
-    nontriv = [int(t) for t in fac if int(t) != 0]
-    if not nontriv:
-        return False
-    orbit = {nontriv[0]}
-    cur = nontriv[0]
-    while True:
-        cur = q.conj(hb, cur)
-        if cur in orbit:
-            break
-        orbit.add(cur)
-    return orbit == set(nontriv)
-
-
-def _fixes_set(q: FiniteGroup, hb: int, elems: np.ndarray) -> bool:
-    perm = q.conjugation_perm(hb)
-    return bool((perm[elems] == elems).all())
+def _cofactor_fixers(ctx: AnalysisContext, cofactor: np.ndarray) -> list[int]:
+    """The nontrivial complement elements centralizing the cofactor, ascending."""
+    cent = ctx.group.centralizer(cofactor, within=ctx.complement)
+    return cent[cent != 0].tolist()
 
 
 def _verified(checks: dict, what: str) -> dict:
@@ -434,77 +451,58 @@ def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
     individual check results (all True when it returns).
     """
     dec = ctx.decomposition()
-    g, comp = ctx.group, ctx.complement
     q, qm = dec.quotient, dec.qmap
-    qcls = q.class_index_of()
-    checks: dict[str, bool] = {}
-
-    cover = q.element_set(q.table[np.ix_(dec.factor_span, dec.central_image)])
-    checks["derived_image_splits"] = (
-        np.count_nonzero(q.mask(dec.factor_span)[dec.central_image]) == 1
-        and np.array_equal(cover, dec.derived_image))
-    checks["factors_minimal_normal"] = all(is_minimal_normal(q, f) for f in dec.factors)
-    checks["factor_sizes_at_least_three"] = all(int(f.size) >= 3 for f in dec.factors)
-
-    checks["multipliers_exist"] = all(m is not None for m in dec.multipliers)
-    mult_ok = checks["multipliers_exist"]
-    if mult_ok:
-        for i, m in enumerate(dec.multipliers):
-            mb = int(qm.proj[m])
-            if not _acts_transitively(q, mb, dec.factors[i]):
-                mult_ok = False
-            for j, f in enumerate(dec.factors):
-                if j != i and not _fixes_set(q, mb, f):
-                    mult_ok = False
-    checks["multipliers_act_as_promised"] = mult_ok
-
-    # the multipliers plus the pointwise stabilizer of the span generate H,
-    # and each multiplier generates the quotient of H by its factor stabilizer
-    span_stab = np.array([h for h in comp
-                          if _fixes_set(q, int(qm.proj[h]), dec.factor_span)],
-                         dtype=np.int64)
-    if checks["multipliers_exist"]:
-        gens = [int(m) for m in dec.multipliers] + [int(h) for h in span_stab]
-        checks["complement_generated"] = np.array_equal(g.subgroup_closure(gens), comp)
-        cyc_ok = True
-        for i, m in enumerate(dec.multipliers):
-            stab = set(int(h) for h in comp
-                       if _fixes_set(q, int(qm.proj[h]), dec.factors[i]))
-            index = len(comp) // len(stab)
-            k, cur = 1, int(m)
-            while cur not in stab:
-                cur = g.mul(cur, int(m))
-                k += 1
-            if k != index:
-                cyc_ok = False
-        checks["multiplier_spans_action_quotient"] = cyc_ok
-    else:
-        checks["complement_generated"] = False
-        checks["multiplier_spans_action_quotient"] = False
-
-    checks["cofactor_fixers_exist"] = all(h is not None for h in dec.fixers)
-    shape_ok = checks["cofactor_fixers_exist"]
-    if shape_ok:
-        qclasses = q.conjugacy_classes()
-        for i, h in enumerate(dec.fixers):
-            hb = int(qm.proj[h])
-            want = np.sort(q.table[dec.factors[i], hb])
-            if not np.array_equal(want, qclasses[int(qcls[hb])].elems):
-                shape_ok = False
-    checks["fixer_class_is_factor_translate"] = shape_ok
-
-    pat_of_cid: dict[int, tuple] = {}
-    cid_of_pat: dict[tuple, int] = {}
-    ok = True
-    for e, parts in dec.factor_components.items():
-        pat = tuple(int(t) != 0 for t in parts)
-        cid = int(qcls[e])
-        if pat_of_cid.setdefault(cid, pat) != pat:
-            ok = False
-        if cid_of_pat.setdefault(pat, cid) != cid:
-            ok = False
-    checks["support_pattern_matches_conjugacy"] = ok
+    qcls, qclasses = q.class_index_of(), q.conjugacy_classes()
+    checks = {
+        "derived_image_splits": _splits(q, dec.factor_span, dec.central_image,
+                                        dec.derived_image),
+        "factors_minimal_normal": all(is_minimal_normal(q, f) for f in dec.factors),
+        "factor_sizes_at_least_three": all(int(f.size) >= 3 for f in dec.factors),
+        **_multiplier_checks(ctx, dec),
+        "cofactor_fixers_exist": all(h is not None for h in dec.fixers),
+    }
+    checks["fixer_class_is_factor_translate"] = checks["cofactor_fixers_exist"] and all(
+        np.array_equal(np.sort(q.table[f, hb]), qclasses[int(qcls[hb])].elems)
+        for f, hb in zip(dec.factors, (int(qm.proj[h]) for h in dec.fixers)))
+    # the factors an element has a nontrivial component in name its class,
+    # one to one
+    pairs = {(int(qcls[e]), tuple(int(t) != 0 for t in parts))
+             for e, parts in dec.factor_components.items()}
+    checks["support_pattern_matches_conjugacy"] = (
+        len(pairs) == len({c for c, _ in pairs}) == len({pat for _, pat in pairs}))
     return _verified(checks, "quotient decomposition")
+
+
+def _multiplier_checks(ctx: AnalysisContext, dec: QuotientDecomposition) -> dict:
+    """The multipliers act as promised; with the pointwise stabilizer of
+    the span they generate H, and each multiplier generates the quotient of
+    H by the stabilizer of its factor. All False when a multiplier is
+    missing."""
+    names = ("multipliers_exist", "multipliers_act_as_promised",
+             "complement_generated", "multiplier_spans_action_quotient")
+    if any(m is None for m in dec.multipliers):
+        return dict.fromkeys(names, False)
+    g, q, qm, comp = ctx.group, dec.quotient, dec.qmap, ctx.complement
+
+    def stabilizer(elems) -> np.ndarray:
+        """Complement elements whose image centralizes elems."""
+        return np.array([h for h in comp if _fixes_set(q, int(qm.proj[h]), elems)],
+                        dtype=np.int64)
+
+    def spans_action_quotient(m: int, stab: np.ndarray) -> bool:
+        """The first power of m inside stab is the |H : stab|-th."""
+        inside, k, cur = g.mask(stab), 1, m
+        while not inside[cur]:
+            cur, k = g.mul(cur, m), k + 1
+        return k == len(comp) // stab.size
+
+    gens = [int(m) for m in dec.multipliers] + stabilizer(dec.factor_span).tolist()
+    return dict(zip(names, (
+        True,
+        all(_multiplies(q, qm, m, dec.factors, i) for i, m in enumerate(dec.multipliers)),
+        np.array_equal(g.subgroup_closure(gens), comp),
+        all(spans_action_quotient(int(m), stabilizer(f))
+            for m, f in zip(dec.multipliers, dec.factors)))))
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +530,34 @@ def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
     return q._memo[key]
 
 
+def _single_factor(ctx: AnalysisContext) -> QuotientDecomposition:
+    """The hypotheses the characterization and the witness share: the
+    reduced shape (through the decomposition), Z(G') = G'', and a nontrivial
+    derived image that is a minimal normal subgroup of G/G'', and with it
+    the only factor of the decomposition."""
+    dec = ctx.decomposition()  # raises unless the shape is reduced
+    if not ctx.z_match:
+        raise InapplicableError(
+            "center of the derived subgroup is not the second derived subgroup")
+    der_im = dec.derived_image
+    if der_im.size <= 1:
+        raise InapplicableError("derived subgroup is trivial")
+    if not is_minimal_normal(dec.quotient, der_im):
+        raise InapplicableError(
+            "derived image is not a minimal normal subgroup of the quotient")
+    if dec.n != 1 or not np.array_equal(dec.factors[0], der_im):
+        raise ConsistencyError(
+            "decomposition does not consist of the derived image alone")
+    return dec
+
+
+def _affine_by_multiplier(ctx: AnalysisContext, dec: QuotientDecomposition) -> bool:
+    """The generator-search recognition of the affine model on a single
+    factor Q': a complement element cycles Q' minus 1, and |H| = |Q'| - 1."""
+    return (dec.multipliers[0] is not None
+            and len(ctx.complement) == int(dec.factors[0].size) - 1)
+
+
 def characterize_socle_ideal(ctx: AnalysisContext) -> dict:
     """Decide the ideal question from group structure and verify the answer
     against the direct computation. Disagreement raises ConsistencyError.
@@ -549,28 +575,10 @@ def characterize_socle_ideal(ctx: AnalysisContext) -> dict:
                        was built
       notes            remarks, such as why no witness was built
     """
-    dec = ctx.decomposition()  # raises unless the shape is reduced
+    dec = _single_factor(ctx)
     g, p = ctx.group, ctx.p
-    if not ctx.z_match:
-        raise InapplicableError(
-            "center of the derived subgroup is not the second derived subgroup")
-    q = dec.quotient
-    der_im = dec.derived_image
-    if der_im.size <= 1:
-        raise InapplicableError("derived subgroup is trivial")
-    if not is_minimal_normal(q, der_im):
-        raise InapplicableError(
-            "derived image is not a minimal normal subgroup of the quotient")
-    if dec.n != 1 or not np.array_equal(dec.factors[0], der_im):
-        raise ConsistencyError(
-            "decomposition does not consist of the derived image alone")
-
-    notes: list[str] = []
-    comp = ctx.complement
-    qsize = int(der_im.size)
-
-    structural = (dec.multipliers[0] is not None and len(comp) == qsize - 1)
-    affine, method = _matches_affine_model(q, [qsize])
+    structural = _affine_by_multiplier(ctx, dec)
+    affine, method = _matches_affine_model(dec.quotient, [int(dec.derived_image.size)])
     if affine != structural:
         raise ConsistencyError(
             f"affine recognition routes disagree: model comparison {affine}, "
@@ -578,42 +586,30 @@ def characterize_socle_ideal(ctx: AnalysisContext) -> dict:
 
     has_fixer = dec.fixers[0] is not None
     camina = ctx.derived_camina
-
     predicted = bool(affine and has_fixer and camina)
-    direct = ctx.alg.socle_ideal_verdict()[0]
+    direct = ctx.ideal
     if predicted != direct:
         raise ConsistencyError(
             f"structural prediction {predicted} contradicts the computed "
             f"verdict {direct} on {g.name} at p={p}")
-
     if p % 2 == 1 and affine and not has_fixer:
         raise ConsistencyError(
             "odd characteristic with an affine quotient forces a nontrivial "
             "centralizer of the second derived subgroup")
 
-    if direct:
-        center = g.center()
-        if center.size > 1:
-            if g.order != 24 or not groups_isomorphic(g, sl2_3()):
-                raise ConsistencyError(
-                    "nontrivial center outside the one known exceptional group")
-            notes.append("nontrivial center, exceptional order 24 group")
-
+    notes: list[str] = []
     witness = None
+    if direct and g.center().size > 1:
+        if g.order != 24 or not groups_isomorphic(g, sl2_3()):
+            raise ConsistencyError(
+                "nontrivial center outside the one known exceptional group")
+        notes.append("nontrivial center, exceptional order 24 group")
     if not direct:
-        if affine and has_fixer:
-            try:
-                witness = build_nonideal_witness(ctx)
-                del witness["vector"]
-            except InapplicableError as e:
-                notes.append(f"witness construction inapplicable: {e}")
-        else:
-            missing = []
-            if not affine:
-                missing.append("quotient is not the affine model")
-            if not has_fixer:
-                missing.append("no complement element centralizes G''")
-            notes.append("witness construction inapplicable: " + "; ".join(missing))
+        try:
+            witness = build_nonideal_witness(ctx)
+            del witness["vector"]
+        except InapplicableError as e:
+            notes.append(f"witness construction inapplicable: {e}")
 
     return {"affine_match": affine, "affine_method": method,
             "has_fixer": has_fixer, "derived_camina": camina,
@@ -635,27 +631,19 @@ def _factor_seed(ctx: AnalysisContext, i: int,
     h = dec.fixers[i] if fixer is None else fixer
     if h is None:
         raise InapplicableError("no fixer for this factor")
-    hinv = g.inverse(int(h))
     cls = g.conjugacy_classes()[int(g.class_index_of()[int(h)])]
-    u_set = np.sort(np.array([g.mul(int(x), hinv) for x in cls.elems],
-                             dtype=np.int64))
+    u_set = np.sort(g.table[cls.elems, g.inverse(int(h))].astype(np.int64))
     if 0 not in u_set or not g.mask(ctx.derived)[u_set].all():
         raise ConsistencyError("fixer class is not a derived-subgroup translate")
     if int(u_set.size) != int(dec.factors[i].size):
         raise ConsistencyError("fixer class size does not match its factor")
-    second = g.second_derived()
-    outside = u_set[~g.mask(second)[u_set]]
+    outside = u_set[~g.mask(g.second_derived())[u_set]]
     if outside.size == 0:
         raise ConsistencyError("translate set collapses into G''")
     seed = int(outside[0])
     e = dec.multipliers[i]
     if e is not None:
-        orbit = {seed}
-        cur, ei = seed, int(e)
-        for _ in range(int(u_set.size) - 2):
-            cur = g.conj(ei, cur)
-            orbit.add(cur)
-        full = np.array([0] + sorted(orbit), dtype=np.int64)
+        full = np.array([0] + sorted(_conj_orbit(g, int(e), seed)), dtype=np.int64)
         if not np.array_equal(full, u_set):
             raise ConsistencyError(
                 "translate set is not one multiplier orbit plus the identity")
@@ -667,83 +655,29 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
     support outside the G'-coset span: direct proof that soc(ZFG) is not
     an ideal of FG.
 
-    Requires the reduced shape with Z(G') = G'', a single-factor
-    decomposition whose quotient is the affine model, a fixer, a trivial
-    group center, and a proper commutator core inside G''. Every claimed
-    property of the witness is verified before returning.
+    Requires the hypotheses of characterize_socle_ideal, with their
+    messages; then an affine quotient and a fixer, both missing conditions
+    named in one InapplicableError; then a trivial group center and a
+    proper commutator core inside G''. Every claimed property of the
+    witness is verified before returning.
     """
-    dec = ctx.decomposition()  # raises unless the shape is reduced
-    g, p, alg = ctx.group, ctx.p, ctx.alg
-    if not ctx.z_match:
-        raise InapplicableError("witness needs the reduced shape with Z(G')=G''")
-    if dec.n != 1 or not np.array_equal(dec.factors[0], dec.derived_image):
-        raise InapplicableError("witness needs a single-factor decomposition")
-    e1 = dec.multipliers[0]
-    if e1 is None:
-        raise InapplicableError("witness needs a transitive complement element")
-    qsize = int(dec.factors[0].size)
-    if len(ctx.complement) != qsize - 1:
-        raise InapplicableError("witness needs the full affine complement")
+    dec = _single_factor(ctx)
+    missing = []
+    if not _affine_by_multiplier(ctx, dec):
+        missing.append("quotient is not the affine model")
     if dec.fixers[0] is None:
-        raise InapplicableError("witness needs a fixer of the second derived subgroup")
+        missing.append("no complement element centralizes G''")
+    if missing:
+        raise InapplicableError("; ".join(missing))
+    g, p, alg = ctx.group, ctx.p, ctx.alg
     if g.center().size > 1:
         raise InapplicableError("witness needs a trivial group center")
 
     second = g.second_derived()
-    u_set, g1 = _factor_seed(ctx, 0)
-    e1i = int(e1)
-
-    core = np.array(sorted({g.commutator(int(a), g1) for a in ctx.derived}),
-                    dtype=np.int64)
-    if not g.is_subgroup(core) or not g.mask(second)[core].all():
-        raise ConsistencyError("commutator core is not a subgroup of G''")
-    alt = g.subgroup_closure([g.commutator(g.conj(g.power(e1i, m), g1), g1)
-                              for m in range(qsize - 1)])
-    if not np.array_equal(alt, core):
-        raise ConsistencyError("commutator core has two inequivalent descriptions")
-
-    cls_of = g.class_index_of()
-    classes = g.conjugacy_classes()
-    g1_class = classes[int(cls_of[g1])].elems
-    coset = np.sort(np.array([g.mul(g1, int(u)) for u in second], dtype=np.int64))
-    meet = g1_class[g.mask(coset)[g1_class]]
-    shifted = np.sort(np.array([g.mul(int(c), g1) for c in core], dtype=np.int64))
-    if not np.array_equal(meet, shifted):
-        raise ConsistencyError(
-            "class meets the G''-coset of the seed in more than the core translate")
-
-    if (int(core.size) == int(second.size)) != ctx.derived_camina:
-        raise ConsistencyError("commutator core fills G'' iff G' is Camina, violated")
-    if int(core.size) == int(second.size):
-        raise InapplicableError(
-            "commutator core fills G'', no functional vanishes on it")
-
-    basis, coord = _elementary_coords(g, second, p)
-    r = len(basis)
-    if int(core.size) == 1:
-        func_rows = np.eye(r, dtype=np.int64)
-    else:
-        rows = np.array([coord[int(c)] for c in core], dtype=np.int64)
-        func_rows = Subspace(p, r, kernel_basis(rows, p)).basis
-    if func_rows.shape[0] == 0:
-        raise ConsistencyError("no functional vanishes on a proper core")
-    alpha = func_rows[0]
-
-    # coefficient a_x: alpha of the G''-part when x is conjugate to g1*u
-    avec = np.zeros(g.order, dtype=np.int64)
-    assigned: dict[int, int] = {}
-    for u in second:
-        val = int(coord[int(u)] @ alpha % p)
-        cid = int(cls_of[g.mul(g1, int(u))])
-        if assigned.setdefault(cid, val) != val:
-            raise ConsistencyError("coefficient is not constant on a class")
-    support = []
-    for cid, val in assigned.items():
-        if val:
-            avec[classes[cid].elems] = val
-            support.append(cid)
-    if not support:
-        raise ConsistencyError("functional vanishes on every coset coefficient")
+    _, g1 = _factor_seed(ctx, 0)
+    e1 = int(dec.multipliers[0])
+    core = _commutator_core(ctx, g1, e1)
+    basis, alpha, avec, support = _witness_vector(ctx, g1, core)
 
     yc = alg.restrict(avec)
     if alg.multiply(yc, alg.jacobson_radical().basis).any():
@@ -755,7 +689,7 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
 
     return {
         "seed": int(g1),
-        "multiplier": int(e1),
+        "multiplier": e1,
         "fixer": int(dec.fixers[0]),
         "kernel_functional": {
             "generators": [int(b) for b in basis],
@@ -763,7 +697,7 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
         },
         "commutator_core_order": int(core.size),
         "second_derived_order": int(second.size),
-        "support_classes": sorted(int(c) for c in support),
+        "support_classes": sorted(support),
         "nonzero_coefficients": int(np.count_nonzero(avec)),
         "vector": [int(v) for v in avec],
         "checks": {
@@ -773,6 +707,64 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
             "outside_derived_coset_span": True,
         },
     }
+
+
+def _commutator_core(ctx: AnalysisContext, g1: int, e1: int) -> np.ndarray:
+    """[G', g1], checked to be a subgroup of G'' that the multiplier e1
+    generates as well, and to be the shift of the class of g1 inside its
+    G''-coset. It fills G'' iff G' is Camina, and then no functional
+    vanishes on it (InapplicableError)."""
+    g = ctx.group
+    second = g.second_derived()
+    core = g.element_set([g.commutator(int(a), g1) for a in ctx.derived])
+    if not g.is_subgroup(core) or not g.mask(second)[core].all():
+        raise ConsistencyError("commutator core is not a subgroup of G''")
+    # e1 cycles the |Q'| - 1 = |H| nontrivial elements of Q', so it generates H
+    alt = g.subgroup_closure([g.commutator(g.conj(g.power(e1, m), g1), g1)
+                              for m in range(len(ctx.complement))])
+    if not np.array_equal(alt, core):
+        raise ConsistencyError("commutator core has two inequivalent descriptions")
+
+    g1_class = g.conjugacy_classes()[int(g.class_index_of()[g1])].elems
+    meet = g1_class[g.mask(g.table[g1, second])[g1_class]]
+    if not np.array_equal(meet, g.element_set(g.table[core, g1])):
+        raise ConsistencyError(
+            "class meets the G''-coset of the seed in more than the core translate")
+
+    fills = int(core.size) == int(second.size)
+    if fills != ctx.derived_camina:
+        raise ConsistencyError("commutator core fills G'' iff G' is Camina, violated")
+    if fills:
+        raise InapplicableError(
+            "commutator core fills G'', no functional vanishes on it")
+    return core
+
+
+def _witness_vector(ctx: AnalysisContext, g1: int, core: np.ndarray):
+    """A functional alpha on G'' vanishing on the core, and the coefficient
+    vector over G that puts alpha(u) on the class of g1 u for u in G'',
+    checked to be constant on each class. Returns the coordinate basis of
+    G'', alpha, the vector and the classes where it is nonzero."""
+    g, p = ctx.group, ctx.p
+    second = g.second_derived()
+    basis, coord = _elementary_coords(g, second, p)
+    func_rows = Subspace(p, len(basis), kernel_basis(coord[core], p)).basis
+    if func_rows.shape[0] == 0:
+        raise ConsistencyError("no functional vanishes on a proper core")
+    alpha = func_rows[0]
+    assigned: dict[int, int] = {}
+    for cid, val in zip(g.class_index_of()[g.table[g1, second]].tolist(),
+                        (coord[second] @ alpha % p).tolist()):
+        if assigned.setdefault(cid, val) != val:
+            raise ConsistencyError("coefficient is not constant on a class")
+    support = [cid for cid, val in assigned.items() if val]
+    if not support:
+        raise ConsistencyError("functional vanishes on every coset coefficient")
+    avec = np.zeros(g.order, dtype=np.int64)
+    classes = g.conjugacy_classes()
+    for cid in support:
+        avec[classes[cid].elems] = assigned[cid]
+    return basis, alpha, avec, support
 
 
 # ---------------------------------------------------------------------------
@@ -790,115 +782,115 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
     component orders and how the affine model was matched.
     """
     dec = ctx.decomposition()  # raises unless the shape is reduced
-    g, p = ctx.group, ctx.p
+    g = ctx.group
     if not ctx.z_match:
         raise InapplicableError(
             "central splitting needs the reduced shape with Z(G') = G''")
-    direct, _ = ctx.alg.socle_ideal_verdict()
-    if not direct:
+    if not ctx.ideal:
         raise InapplicableError("central splitting needs the socle to be an ideal")
     if any(m is None for m in dec.multipliers) or any(h is None for h in dec.fixers):
         raise ConsistencyError(
             "multiplier or fixer missing although the socle is an ideal")
 
-    q, qm = dec.quotient, dec.qmap
-    comp = ctx.complement
-    second = g.second_derived()
+    seeded = [_factor_seed(ctx, i) for i in range(dec.n)]
+    seeds = [s for _, s in seeded]
+    parts = [g.subgroup_closure([s, int(e)]) for s, e in zip(seeds, dec.multipliers)]
+    part_groups = [g.subgroup_as_group(elems, name=f"{g.name}.part{i}")[0]
+                   for i, elems in enumerate(parts)]
 
-    u_sets, seeds, parts, part_groups = [], [], [], []
-    for i in range(dec.n):
-        u, s = _factor_seed(ctx, i)
-        u_sets.append(u)
-        seeds.append(s)
-        elems = g.subgroup_closure([s, int(dec.multipliers[i])])
-        grp, order_map = g.subgroup_as_group(elems, name=f"{g.name}.part{i}")
-        parts.append(order_map)
-        part_groups.append(grp)
-
-    checks = {k: True for k in
-              ("component_socle_ideal", "component_sylow_is_derived",
-               "component_center_match", "component_derived_image_minimal",
-               "component_second_derived")}
-    for i, cg in enumerate(part_groups):
-        part = examine_sylow_split(cg, p)
-        if not all(part.alg.socle_ideal_verdict()):
-            checks["component_socle_ideal"] = False
-        if not part.flags["derived_is_sylow"]:
-            checks["component_sylow_is_derived"] = False
-        if not part.z_match:
-            checks["component_center_match"] = False
-        sec_local = cg.second_derived()
-        sec_global = parts[i][sec_local]
-        if not np.array_equal(sec_global, parts[i][g.mask(second)[parts[i]]]):
-            checks["component_second_derived"] = False
-        qi = cg.quotient(sec_local)
-        der_im_i = qi.group.element_set(qi.proj[cg.derived_subgroup()])
-        if der_im_i.size <= 1 or not is_minimal_normal(qi.group, der_im_i):
-            checks["component_derived_image_minimal"] = False
-
-    cls_of = g.class_index_of()
-    classes = g.conjugacy_classes()
-    inv_ok, comm_ok, other_ok, choice_ok = True, True, True, True
-    for i, s in enumerate(seeds):
-        cid = int(cls_of[s])
-        if int(cls_of[g.inverse(s)]) != cid:
-            inv_ok = False
-        ei = int(dec.multipliers[i])
-        s_i = int(dec.factors[i].size) - 1
-        for k in range(1, s_i):
-            if int(cls_of[g.commutator(g.power(ei, k), s)]) != cid:
-                comm_ok = False
-        for j, ej in enumerate(dec.multipliers):
-            if j != i and g.commutator(s, int(ej)) != 0:
-                other_ok = False
-        fixers_i = g.centralizer(dec.cofactors[i], within=comp)
-        for h in fixers_i:
-            if int(h) == 0:
-                continue
-            u_h, _ = _factor_seed(ctx, i, fixer=int(h))
-            outside = u_h[~g.mask(second)[u_h]]
-            if not all(int(cls_of[int(x)]) == cid for x in outside):
-                choice_ok = False
-    checks["seed_conjugate_to_inverse"] = inv_ok
-    checks["seed_conjugate_to_multiplier_commutators"] = comm_ok
-    checks["seed_commutes_with_other_multipliers"] = other_ok
-    checks["seed_class_independent_of_fixer_choice"] = choice_ok
-
-    checks["components_commute_pairwise"] = all(
-        g.commute(parts[i], parts[j]) for i in range(dec.n) for j in range(i + 1, dec.n))
-    gen = g.subgroup_closure(sorted({int(x) for part in parts for x in part}))
-    checks["components_generate"] = int(gen.size) == g.order
-
-    cover = second
-    for u in u_sets:
-        cover = g.element_set(g.table[np.ix_(cover, u)])
-    checks["derived_covered_by_translates"] = np.array_equal(cover, ctx.derived)
-
-    checks["multiplier_orders"] = all(g.element_order(int(e)) == int(f.size) - 1
-                                      for e, f in zip(dec.multipliers, dec.factors))
-    checks["multipliers_generate_complement"] = np.array_equal(
-        g.subgroup_closure([int(e) for e in dec.multipliers]), comp)
-    checks["multiplier_order_product"] = (
-        math.prod(int(f.size) - 1 for f in dec.factors) == len(comp))
-    inter_ok = True
-    cyc = [g.subgroup_closure([int(e)]) for e in dec.multipliers]
-    for i in range(dec.n):
-        for j in range(i + 1, dec.n):
-            if np.count_nonzero(g.mask(cyc[i])[cyc[j]]) != 1:
-                inter_ok = False
-    checks["multiplier_subgroups_independent"] = inter_ok
-
-    affine, method = _matches_affine_model(q, [int(f.size) for f in dec.factors])
-    checks["quotient_is_affine_product"] = affine
-
-    pres = [qm.preimage_of_set(f) for f in dec.factors]
-    checks["factor_preimages_commute"] = all(
-        g.commute(pres[i], pres[j]) for i in range(dec.n) for j in range(i + 1, dec.n))
-    _verified(checks, "central splitting")
+    affine, method = _matches_affine_model(dec.quotient, [int(f.size) for f in dec.factors])
+    pres = [dec.qmap.preimage_of_set(f) for f in dec.factors]
+    _verified({
+        **_component_checks(ctx, part_groups, parts),
+        **_seed_checks(ctx, dec, seeds),
+        "components_commute_pairwise": _pairwise(g.commute, parts),
+        "components_generate": int(g.subgroup_closure(
+            sorted({int(x) for part in parts for x in part})).size) == g.order,
+        "derived_covered_by_translates": np.array_equal(
+            _set_product(g, [g.second_derived()] + [u for u, _ in seeded]), ctx.derived),
+        **_split_multiplier_checks(ctx, dec),
+        "quotient_is_affine_product": affine,
+        "factor_preimages_commute": _pairwise(g.commute, pres),
+    }, "central splitting")
     return {"seeds": [int(s) for s in seeds],
             "multipliers": [int(e) for e in dec.multipliers],
             "component_orders": [grp.order for grp in part_groups],
             "model_method": method}
+
+
+def _pairwise(pred, items) -> bool:
+    """pred(a, b) for every pair a before b of items."""
+    return all(pred(a, b) for i, a in enumerate(items) for b in items[i + 1:])
+
+
+def _component_checks(ctx: AnalysisContext, part_groups: list[FiniteGroup],
+                      parts: list[np.ndarray]) -> dict:
+    """Each component has the reduced shape's invariants and an ideal
+    socle, and its G'' is the part of G'' inside it."""
+    g, p = ctx.group, ctx.p
+    subs = [examine_sylow_split(cg, p) for cg in part_groups]
+    second = g.mask(g.second_derived())
+
+    def derived_image_minimal(cg: FiniteGroup) -> bool:
+        qi = cg.second_derived_quotient()
+        der_im = qi.group.element_set(qi.proj[cg.derived_subgroup()])
+        return der_im.size > 1 and is_minimal_normal(qi.group, der_im)
+
+    return {
+        "component_socle_ideal": all(all(s.alg.socle_ideal_verdict()) for s in subs),
+        "component_sylow_is_derived": all(s.flags["derived_is_sylow"] for s in subs),
+        "component_center_match": all(s.z_match for s in subs),
+        "component_derived_image_minimal": all(map(derived_image_minimal, part_groups)),
+        "component_second_derived": all(
+            np.array_equal(emb[cg.second_derived()], emb[second[emb]])
+            for cg, emb in zip(part_groups, parts)),
+    }
+
+
+def _seed_checks(ctx: AnalysisContext, dec: QuotientDecomposition,
+                 seeds: list[int]) -> dict:
+    """Each seed's class holds its inverse and its commutators with the
+    powers of its multiplier, and is the same for every fixer choice; each
+    seed commutes with the other multipliers."""
+    g = ctx.group
+    cls_of, second = g.class_index_of(), g.mask(g.second_derived())
+
+    def seed_class_from(i: int, s: int, h: int) -> bool:
+        """The translates outside G'' of fixer h's class lie in the class of s."""
+        u_h, _ = _factor_seed(ctx, i, fixer=h)
+        return bool((cls_of[u_h[~second[u_h]]] == cls_of[s]).all())
+
+    mults = [int(e) for e in dec.multipliers]
+    return {
+        "seed_conjugate_to_inverse": all(
+            cls_of[g.inverse(s)] == cls_of[s] for s in seeds),
+        "seed_conjugate_to_multiplier_commutators": all(
+            cls_of[g.commutator(g.power(e, k), s)] == cls_of[s]
+            for s, e, f in zip(seeds, mults, dec.factors) for k in range(1, f.size - 1)),
+        "seed_commutes_with_other_multipliers": all(
+            g.commutator(s, e) == 0
+            for i, s in enumerate(seeds) for j, e in enumerate(mults) if j != i),
+        "seed_class_independent_of_fixer_choice": all(
+            seed_class_from(i, s, h) for i, s in enumerate(seeds)
+            for h in _cofactor_fixers(ctx, dec.cofactors[i])),
+    }
+
+
+def _split_multiplier_checks(ctx: AnalysisContext, dec: QuotientDecomposition) -> dict:
+    """Multiplier i has order |factor i| - 1, and H is the direct product of
+    the cyclic groups the multipliers generate."""
+    g, comp = ctx.group, ctx.complement
+    mults = [int(e) for e in dec.multipliers]
+    cyc = [g.subgroup_closure([e]) for e in mults]
+    return {
+        "multiplier_orders": all(g.element_order(e) == int(f.size) - 1
+                                 for e, f in zip(mults, dec.factors)),
+        "multipliers_generate_complement": np.array_equal(g.subgroup_closure(mults), comp),
+        "multiplier_order_product": (
+            math.prod(int(f.size) - 1 for f in dec.factors) == len(comp)),
+        "multiplier_subgroups_independent": _pairwise(
+            lambda a, b: np.count_nonzero(g.mask(a)[b]) == 1, cyc),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -916,42 +908,26 @@ def check_annihilator_reduction(ctx: AnalysisContext) -> dict:
     a failure then raises ConsistencyError.
     """
     dec, alg = ctx.decomposition(), ctx.alg  # raises unless the shape is reduced
-    direct, _ = alg.socle_ideal_verdict()
-    if not direct:
+    if not ctx.ideal:
         raise InapplicableError("annihilator reduction needs the socle to be an ideal")
 
     qm = dec.qmap
     qalg = alg.second_derived_quotient_algebra()
-
     image_ids = sorted({int(qalg.cls_of[int(qm.proj[int(alg.classes[ci].rep)])])
                         for ci in alg.surviving_pprime_classes()})
-
     ann = qalg.annihilator([qalg.radical_vec(ci) for ci in image_ids])
 
-    in_span = all(qalg.lies_in_derived_coset_span(row) for row in ann.basis)
-
-    central = set(int(x) for x in dec.central_image)
-    mvecs = []
-    for ci in range(1, qalg.k):
-        if set(int(x) for x in qalg.classes[ci].elems) <= central:
-            mvecs.append(qalg.radical_vec(ci))
-    for f in dec.factors:
-        mvecs.append(qalg.subset_sum_vec(f))
-    match = qalg.annihilator(mvecs) == ann
-
-    if not (in_span and match):
-        bad = []
-        if not in_span:
-            bad.append("annihilator escapes the derived-coset span")
-        if not match:
-            bad.append("canonical generator set cuts out a different annihilator")
-        raise ConsistencyError("; ".join(bad))
-    return {
-        "annihilator_in_derived_coset_span": True,
-        "generator_sets_match": True,
-        "annihilator_dim": ann.dim,
-        "surviving_image_classes": image_ids,
-    }
+    central = dec.quotient.mask(dec.central_image)
+    mvecs = [qalg.radical_vec(ci) for ci in range(1, qalg.k)
+             if central[qalg.classes[ci].elems].all()]
+    mvecs += [qalg.subset_sum_vec(f) for f in dec.factors]
+    checks = _verified({
+        "annihilator_in_derived_coset_span": all(
+            qalg.lies_in_derived_coset_span(row) for row in ann.basis),
+        "generator_sets_match": qalg.annihilator(mvecs) == ann,
+    }, "annihilator reduction")
+    return {**checks, "annihilator_dim": ann.dim,
+            "surviving_image_classes": image_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -971,25 +947,20 @@ def reduce_to_core(ctx: AnalysisContext) -> tuple[FiniteGroup, list[dict]]:
     with a nonabelian complement the coprime-core quotient genuinely can
     flip the verdict, so nothing is claimed there.
     """
-    g, p, syl, comp = ctx.group, ctx.p, ctx.sylow, ctx.complement
-    log: list[dict] = []
     if not ctx.sylow_normal:
         raise InapplicableError("reduction needs a normal Sylow subgroup")
-    if comp is None:
+    if ctx.complement is None:
         raise InapplicableError("reduction needs a complement to the Sylow subgroup")
     if not ctx.flags["complement_abelian"]:
         # the coprime-core equivalence is only claimed for abelian complements
         raise InapplicableError("reduction needs an abelian complement")
-
-    def verdict(gr: FiniteGroup) -> bool:
-        d, _ = CenterAlgebra(gr, p).socle_ideal_verdict()
-        return d
-
-    v0 = ctx.alg.socle_ideal_verdict()[0]
+    g, p, syl, comp = ctx.group, ctx.p, ctx.sylow, ctx.complement
+    log: list[dict] = []
+    v0 = ctx.ideal
     pp = g.p_prime_core(p)
     if pp.size > 1:
         qm = g.quotient(pp)
-        v1 = verdict(qm.group)
+        v1 = _ideal_verdict(qm.group, p)
         if v1 != v0:
             raise ConsistencyError(
                 "ideal verdict changed under the coprime-core quotient, "
@@ -1004,7 +975,18 @@ def reduce_to_core(ctx: AnalysisContext) -> tuple[FiniteGroup, list[dict]]:
         if comp is None:
             raise ConsistencyError(
                 "complement vanished after the coprime-core quotient")
+    return _split_off_fixed_points(g, p, syl, comp, v0, log)
 
+
+def _ideal_verdict(gr: FiniteGroup, p: int) -> bool:
+    return CenterAlgebra(gr, p).socle_ideal_verdict()[0]
+
+
+def _split_off_fixed_points(g: FiniteGroup, p: int, syl, comp, v0: bool,
+                            log: list[dict]) -> tuple[FiniteGroup, list[dict]]:
+    """Drop the complement fixed points of the Sylow subgroup when g is
+    their central product with the p-residual; the component verdicts must
+    combine to the full verdict v0."""
     resid = g.p_residual(p)
     fixed = g.centralizer(comp, within=syl)
     if int(resid.size) in (1, g.order) or g.mask(resid)[fixed].all():
@@ -1015,11 +997,10 @@ def reduce_to_core(ctx: AnalysisContext) -> tuple[FiniteGroup, list[dict]]:
     commute = g.commute(fixed, resid)
     gen = g.subgroup_closure(sorted({int(x) for x in fixed}
                                     | {int(x) for x in resid}))
-    covers = int(gen.size) == g.order
-    if commute and covers:
+    if commute and int(gen.size) == g.order:
         fixed_grp, _ = g.subgroup_as_group(fixed, name=f"{g.name}.fixed")
         core, _ = g.subgroup_as_group(resid, name=f"{g.name}.core")
-        vf, vc = verdict(fixed_grp), verdict(core)
+        vf, vc = _ideal_verdict(fixed_grp, p), _ideal_verdict(core, p)
         if (vf and vc) != v0:
             raise ConsistencyError(
                 "component ideal verdicts do not combine to the full verdict "

@@ -193,6 +193,52 @@ class TestWitness:
         with pytest.raises(InapplicableError):
             build_nonideal_witness(ctx)
 
+    @pytest.mark.parametrize("spec", ["AGL(1,8)", "central(SL2(3),SL2(3))"])
+    def test_witness_stops_at_the_characterization_hypothesis(self, spec):
+        """The witness tests the hypotheses it shares with the
+        characterization in the same gate, so it stops with the same
+        reason; each call gets a fresh context."""
+        with pytest.raises(InapplicableError) as characterization:
+            characterize_socle_ideal(setup_context(spec, 2))
+        with pytest.raises(InapplicableError) as witness:
+            build_nonideal_witness(setup_context(spec, 2))
+        assert str(witness.value) == str(characterization.value)
+
+
+class TestElementaryCoords:
+    @staticmethod
+    def check_bijection(g, dom, p):
+        basis, coord = structure._elementary_coords(g, dom, p)
+        assert coord.dtype == np.int64 and coord.shape == (g.order, len(basis))
+        rows = coord[dom]
+        assert ((rows >= 0) & (rows < p)).all()
+        assert len({tuple(r) for r in rows.tolist()}) == len(dom)
+        for x, row in zip(dom.tolist(), rows.tolist()):
+            prod = 0
+            for b, e in zip(basis, row):
+                prod = g.mul(prod, g.power(b, e))
+            assert prod == x
+        return basis
+
+    def test_second_derived_of_the_witness_group(self, witness_group):
+        second = witness_group.second_derived()
+        assert second.size == 16
+        assert len(self.check_bijection(witness_group, second, 2)) == 4
+
+    def test_whole_elementary_group(self):
+        g = parse_family("elementary(3,2)")
+        assert len(self.check_bijection(g, np.arange(g.order), 3)) == 2
+
+    def test_rejects_what_is_not_elementary_abelian(self):
+        c4 = parse_family("cyclic(4)")
+        with pytest.raises(ConsistencyError, match="not of exponent p"):
+            structure._elementary_coords(c4, np.arange(4), 2)
+        g = parse_family("elementary(3,2)")
+        with pytest.raises(ConsistencyError, match="must contain the identity"):
+            structure._elementary_coords(g, np.arange(1, 9), 3)
+        with pytest.raises(ConsistencyError, match="not elementary abelian"):
+            structure._elementary_coords(g, np.array([0, 1]), 3)
+
 
 class TestCentralSplit:
     def test_double_sl23(self):

@@ -8,7 +8,6 @@ automorphisms are given by formula or by images of fixed generators.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import UnsupportedInputError
 from .fplin import binary_power
-from .groups import (FiniteGroup, SemidirectSpec, central_product,
+from .groups import (FiniteGroup, SemidirectSpec, block_rows, central_product,
                      direct_product, hom_from_images, semidirect_product,
                      table_dtype)
 
@@ -62,16 +61,13 @@ class GF:
         return binary_power(int(x), e, lambda a, b: int(self.mul[a, b]), lambda: 1)
 
     def primitive_element(self) -> int:
-        for g in range(2, self.q):
-            seen = set()
-            x = 1
-            for _ in range(self.q - 1):
-                x = int(self.mul[x, g])
-                seen.add(x)
-            if len(seen) == self.q - 1:
+        """The smallest code of multiplicative order q - 1."""
+        for g in range(1, self.q):
+            x, order = g, 1
+            while x != 1:
+                x, order = int(self.mul[x, g]), order + 1
+            if order == self.q - 1:
                 return g
-        if self.q == 2:
-            return 1
         raise UnsupportedInputError("no primitive element found")
 
 
@@ -81,6 +77,11 @@ def gf(p: int, d: int) -> GF:
 
 
 # -- basic families ----------------------------------------------------------
+
+
+def _named(g: FiniteGroup, name: str) -> FiniteGroup:
+    g.name = name
+    return g
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -93,27 +94,22 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def abelian(invariants) -> FiniteGroup:
+    """C_m1 x ... x C_mr, the first coordinate the most significant digit of
+    an index: direct_product puts each new factor above the group so far."""
     invs = [int(x) for x in invariants]
     if not invs or any(x < 1 for x in invs):
         raise UnsupportedInputError("invalid invariant list")
-    n = math.prod(invs)
-    coords = np.array(list(itertools.product(*[range(m) for m in invs])), dtype=np.int64)
-    weights = np.ones(len(invs), dtype=np.int64)
-    for i in range(len(invs) - 2, -1, -1):
-        weights[i] = weights[i + 1] * invs[i + 1]
-    table = np.empty((n, n), dtype=table_dtype(n))
-    for x in range(n):
-        table[x] = (coords[x] + coords) % invs @ weights
-    name = "abelian(" + ",".join(map(str, invs)) + ")"
-    return FiniteGroup(table, name=name)
+    factors = [m for m in reversed(invs) if m > 1] or [1]
+    g = cyclic(factors[0])
+    for m in factors[1:]:
+        g, _, _ = direct_product(g, cyclic(m))
+    return _named(g, "abelian(" + ",".join(map(str, invs)) + ")")
 
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
     if p < 2:  # before [p] * d, which a huge d overflows: 1^d passes the cap
         raise UnsupportedInputError("invalid invariant list")
-    g = abelian([p] * d)
-    g.name = f"elementary({p},{d})"
-    return g
+    return _named(abelian([p] * d), f"elementary({p},{d})")
 
 
 def dihedral(m: int) -> FiniteGroup:
@@ -148,38 +144,65 @@ def _inverted_cyclic(k: int, shift: int, name: str) -> FiniteGroup:
 def quaternion(n: int) -> FiniteGroup:
     if n < 8 or n & (n - 1):
         raise UnsupportedInputError("generalized quaternion order must be 2^k >= 8")
-    g = dicyclic(n // 4)
-    g.name = f"quaternion({n})"
-    return g
+    return _named(dicyclic(n // 4), f"quaternion({n})")
 
 
 def symmetric(n: int) -> FiniteGroup:
+    """Generated by the transposition (0 1) and the n-cycle."""
     if n < 1:
         raise UnsupportedInputError("symmetric degree must be >= 1")
-    return _perm_table(np.array(list(itertools.permutations(range(n)))),
-                       name=f"sym({n})")
+    ar = np.arange(n)
+    gens = [ar[[1, 0, *ar[2:]]], np.roll(ar, -1)] if n > 1 else []
+    return permutation_group(gens, n, f"sym({n})", math.factorial(n))
 
 
 def alternating(n: int) -> FiniteGroup:
+    """Generated by the 3-cycles (0 1 c), c = 2..n-1."""
     if n < 3:
         raise UnsupportedInputError("alternating degree must be >= 3")
-    perms = np.array(list(itertools.permutations(range(n))))
-    i, j = np.triu_indices(n, 1)
-    even = (perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0  # inversions
-    return _perm_table(perms[even], name=f"alt({n})")
+    c = np.arange(2, n)
+    gens = np.tile(np.arange(n), (n - 2, 1))
+    gens[:, 0], gens[:, 1], gens[c - 2, c] = 1, c, 0
+    return permutation_group(gens, n, f"alt({n})", math.factorial(n) // 2)
 
 
-def _perm_table(perms: np.ndarray, name: str) -> FiniteGroup:
-    """The group of the rows of perms, permutations of 0..k-1 closed under
-    (a b)(x) = a(b(x)) and sorted lexicographically, so the identity comes
-    first and the base-k codes of the rows increase (they fit in int64 for
-    k <= 15). Row i of the table is perms[i][perms], located by its codes."""
-    n, k = perms.shape
-    weights = k ** np.arange(k - 1, -1, -1)
-    codes = perms @ weights
-    table = np.empty((n, n), dtype=table_dtype(n))
-    for i, a in enumerate(perms):
-        table[i] = np.searchsorted(codes, a[perms] @ weights)
+def permutation_group(gens, k: int, name: str, max_order: int) -> FiniteGroup:
+    """The group generated by the permutations gens of 0..k-1 under
+    (a b)(x) = a(b(x)), in lexicographic order: the identity first, then
+    increasing base-k codes (in int64 for k <= 15). The closure is
+    breadth-first, one generator at a time per level, and stops once it
+    holds more than max_order elements, before any table exists. A new
+    x = g a keeps its parent a, and row x of the table is row_g[row_a]: only
+    the rows of the generators are code lookups (Dimino's method; G. Butler,
+    Fundamental Algorithms for Permutation Groups, LNCS 559, 1991)."""
+    ident, weights = np.arange(k), k ** np.arange(k - 1, -1, -1)
+    gens = np.asarray(gens, dtype=np.intp).reshape(-1, k)
+    gens = gens[np.unique(gens @ weights, return_index=True)[1]]
+    perms, codes, parents = ident[None], ident[None] @ weights, np.zeros(1, dtype=np.intp)
+    batches, lo = [], 0
+    while lo < len(perms):
+        frontier, base, lo = perms[lo:], lo, len(perms)
+        for i, g in enumerate(gens):
+            found, first = np.unique(g[frontier] @ weights, return_index=True)
+            new = ~np.isin(found, codes, assume_unique=True)
+            batches.append((i, len(perms), len(perms) + new.sum()))
+            perms = np.concatenate([perms, g[frontier[first[new]]]])
+            codes = np.concatenate([codes, found[new]])
+            parents = np.concatenate([parents, base + first[new]])
+            if len(perms) > max_order:
+                raise UnsupportedInputError(f"generated group exceeds the cap {max_order}")
+    n, order = len(perms), np.argsort(codes)
+    pos, dtype = np.argsort(order), table_dtype(n)
+    rows = [np.searchsorted(codes[order], g[perms[order]] @ weights).astype(dtype)
+            for g in gens]
+    table = np.empty((n, n), dtype=dtype)
+    table[0] = np.arange(n)
+    # by levels, in blocks of the parent rows, their intp copy and the result
+    step = block_rows(n * (2 * dtype.itemsize + 8))
+    for i, lo, hi in batches:
+        for b in range(lo, hi, step):
+            kids = slice(b, min(hi, b + step))
+            table[pos[kids]] = rows[i][table[pos[parents[kids]]]]
     return FiniteGroup(table, name=name)
 
 
@@ -216,25 +239,16 @@ def agl1(q: int) -> FiniteGroup:
 
 def extraspecial(order: int, kind: str) -> FiniteGroup:
     kind = kind.strip()
-    if order == 8:
-        if kind in ("dihedral", "+"):
-            g = dihedral(4)
-        elif kind in ("quaternion", "-"):
-            g = dicyclic(2)
-        else:
-            raise UnsupportedInputError(f"unknown extraspecial type {kind!r}")
-        g.name = f"extraspecial(8,{kind})"
-        return g
-    if order == 27:
-        if kind in ("exp_p", "+"):
-            g = _heisenberg3()
-        elif kind in ("exp_p2", "-"):
-            g = metacyclic(9, 3, 4)
-        else:
-            raise UnsupportedInputError(f"unknown extraspecial type {kind!r}")
-        g.name = f"extraspecial(27,{kind})"
-        return g
-    raise UnsupportedInputError("extraspecial families provided for orders 8 and 27")
+    kinds = {8: [("dihedral", "+", lambda: dihedral(4)),
+                 ("quaternion", "-", lambda: dicyclic(2))],
+             27: [("exp_p", "+", _heisenberg3),
+                  ("exp_p2", "-", lambda: metacyclic(9, 3, 4))]}
+    if order not in kinds:
+        raise UnsupportedInputError("extraspecial families provided for orders 8 and 27")
+    for word, sign, build in kinds[order]:
+        if kind in (word, sign):
+            return _named(build(), f"extraspecial({order},{kind})")
+    raise UnsupportedInputError(f"unknown extraspecial type {kind!r}")
 
 
 def _heisenberg3() -> FiniteGroup:
@@ -246,11 +260,11 @@ def _heisenberg3() -> FiniteGroup:
 
 def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
     """C_m x| C_k where the generator of C_k maps a to a^r."""
+    if m < 1 or k < 1:
+        raise UnsupportedInputError("metacyclic orders m and k must be >= 1")
     if math.gcd(r, m) != 1 or pow(r, k, m) != 1:
         raise UnsupportedInputError("metacyclic action parameter invalid")
-    action = np.empty((k, m), dtype=np.int64)
-    for h in range(k):
-        action[h] = (np.arange(m) * pow(r, h, m)) % m
+    action = np.array([pow(r, h, m) for h in range(k)])[:, None] * np.arange(m) % m
     g, _, _ = semidirect_product(
         SemidirectSpec(kernel=cyclic(m), acting=cyclic(k), action=action),
         name=f"metacyclic({m},{k},{r})")
@@ -417,9 +431,7 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
         return build(*a)
     if key == "q8" and not args:
         _check_order(8, max_order)
-        g = dicyclic(2)
-        g.name = "Q8"
-        return g
+        return _named(dicyclic(2), "Q8")
     if key == "q8q8_diag_c3" and not args:
         _check_order(192, max_order)
         return q8q8_diag_c3()
@@ -451,16 +463,14 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
             b = sub(i)
             _check_order(g.order * b.order, max_order)
             g, _, _ = direct_product(g, b)
-        g.name = "direct(" + ",".join(a.strip() for a in args) + ")"
-        return g
+        return _named(g, "direct(" + ",".join(a.strip() for a in args) + ")")
     if key in ("central", "central_product"):
         if len(args) != 2:
             raise UnsupportedInputError("central product takes two factors")
         a, b = sub(0), sub(1)
         _check_order(a.order * b.order, max_order)
         g, _, _ = central_product(a, b)
-        g.name = "central(" + ",".join(x.strip() for x in args) + ")"
-        return g
+        return _named(g, "central(" + ",".join(x.strip() for x in args) + ")")
     if key == "sdp":
         if file_loader is None:
             raise UnsupportedInputError("sdp(...) requires file inputs")
@@ -472,7 +482,10 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
 
 def _capped_pow(p: int, d: int, limit: int) -> int:
     """p ** d, or a number of its sign beyond +-limit when p ** d is: the
-    exponent is cut to the bit length of limit, keeping its parity."""
+    exponent is cut to the bit length of limit, keeping its parity. A
+    negative d gives a fraction (0 for p = 0), which the constructor refuses."""
+    if d < 0:
+        return p ** d if p else 0
     b = limit.bit_length()
     if d > b:
         d = b + (d - b) % 2

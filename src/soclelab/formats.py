@@ -19,7 +19,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import UnsupportedInputError
-from .families import DEFAULT_MAX_ORDER, _perm_table, parse_family
+from .families import DEFAULT_MAX_ORDER, parse_family, permutation_group
 from .fplin import P_LIMIT, is_prime
 from .groups import (FiniteGroup, SemidirectSpec, block_rows, semidirect_product,
                      table_dtype)
@@ -248,22 +248,7 @@ def _parse_perm(lines, head, max_order, name) -> FiniteGroup:
         _fail(1, 1, "point count out of range 1..12")
     gens = [_parse_cycles(ln, k, line_no)
             for line_no, ln in enumerate(lines, 2) if ln.strip()]
-    ident = tuple(range(k))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = tuple(a[g[x]] for x in range(k))
-                if b not in elems:
-                    if len(elems) >= max_order:
-                        raise UnsupportedInputError(
-                            f"generated group exceeds the cap {max_order}")
-                    elems.add(b)
-                    new.append(b)
-        frontier = new
-    return _perm_table(np.array(sorted(elems)), name=name)
+    return permutation_group(gens, k, name, max_order)
 
 
 def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,

@@ -217,10 +217,12 @@ def test_absurd_arguments_exit_3_at_once(spec, capsys):
     (f"elementary(-2,{10 ** 20 + 1})", "invalid invariant list"),
     ("elementary(1,5)", "invalid invariant list"),
     (f"twisted_affine(-2,{10 ** 20 + 1},1)", "needs p >= 2"),
-    ("twisted_affine(-2,3,1)", "needs p >= 2")])
+    ("twisted_affine(-2,3,1)", "needs p >= 2"),
+    ("elementary(0,-1)", "invalid invariant list"),
+    ("twisted_affine(0,-1,1)", "needs p >= 2")])
 def test_base_below_2_is_refused_at_once(spec, message, capsys):
-    # 1^d, 0^d and (-2)^odd all pass the cap; [p] * 10^20 overflows, and
-    # (-2)^(10^20 + 1) never finishes
+    # 1^d, 0^d and (-2)^odd all pass the cap; [p] * 10^20 overflows,
+    # (-2)^(10^20 + 1) never finishes, and 0^-1 divides by zero
     start = time.perf_counter()
     assert cli.run(["analyze", spec]) == 3
     assert time.perf_counter() - start < 1.0
@@ -237,6 +239,30 @@ def test_capped_power_keeps_sign_and_passes_the_limit(p, d, limit):
         assert got == p ** d
     else:
         assert abs(got) > limit and (got < 0) == (p < 0 and d % 2 == 1)
+
+
+GRID_VALUES = [-3, -1, 0, 1, 2, 3, 4, 5, 8, 9, 1000]
+GRID_ARITIES = {name: [1, 2, 3] if arity is None else [arity]
+                for name, (arity, _, _) in families._INT_FAMILIES.items()}
+GRID_ARITIES.update(agl=[2], sl2=[1], extraspecial=[2])
+
+
+@pytest.mark.parametrize("name", list(GRID_ARITIES))
+def test_every_argument_tuple_builds_or_is_refused(name):
+    escapes = []
+    for r in GRID_ARITIES[name]:
+        for args in itertools.product(GRID_VALUES, repeat=r):
+            spec = f"{name}({','.join(map(str, args))})"
+            try:
+                g = parse_family(spec, max_order=300)
+            except UnsupportedInputError:
+                continue
+            except Exception as ex:  # every escape is collected, not only the first
+                escapes.append(f"{spec}: {type(ex).__name__}: {ex}")
+                continue
+            if not (isinstance(g, FiniteGroup) and g.order <= 300):
+                escapes.append(f"{spec}: built {g!r}")
+    assert not escapes, escapes[:5]
 
 
 def test_capped_factorial_is_exact_up_to_the_limit():

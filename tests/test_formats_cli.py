@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from soclelab import cli, formats
 from soclelab import groups as groups_module
 from soclelab.errors import UnsupportedInputError
-from soclelab.families import DEFAULT_MAX_ORDER, _perm_table, parse_family
+from soclelab.families import DEFAULT_MAX_ORDER, parse_family
 from soclelab.formats import (build_group, format_cayley, load_group_file,
                               parse_group_text, write_cayley)
-from soclelab.groups import FiniteGroup, groups_isomorphic
+from soclelab.groups import FiniteGroup, groups_isomorphic, table_dtype
 
 
 def test_cayley_round_trip(tmp_path):
@@ -49,6 +49,34 @@ def test_perm_format():
     assert g2.order == 4 and g2.center().size == 4
     g3, _ = parse_group_text("perm 3\n(1 2)\n(1 2 3)\n")
     assert g3.order == 6 and g3.center().size < 6
+
+
+def test_perm_file_cap_is_checked_before_any_table(tmp_path):
+    path = tmp_path / "s7.perm"
+    path.write_text("perm 7\n(1 2)\n(1 2 3 4 5 6 7)\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedInputError,
+                           match="generated group exceeds the cap 5039"):
+            load_group_file(str(path), max_order=5039)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5040 * 5040 * 2 // 20      # one uint16 table of sym(7): 50.8 MB
+    assert load_group_file(str(path), max_order=5040)[0].order == 5040
+
+
+def test_repeated_generators_give_the_same_table():
+    once = parse_group_text("perm 5\n(1 2 3)\n(3 4 5)\n")[0]
+    lines = ["(1 2 3)", "(3 4 5)"] * 500
+    repeated = parse_group_text("perm 5\n" + "\n".join(lines) + "\n")[0]
+    assert once.order == 60 and np.array_equal(repeated.table, once.table)
+
+
+@pytest.mark.parametrize("text", ["perm 4\n", "perm 4\n\n  \n", "perm 4\n()\nid\n"])
+def test_perm_file_without_generators_is_trivial(text):
+    g, p = parse_group_text(text)
+    assert g.order == 1 and g.table.tolist() == [[0]] and p is None
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -502,10 +530,26 @@ def _is_int(s):
         return False
 
 
+def _perm_table(perms: np.ndarray, name: str) -> FiniteGroup:
+    """The group of the rows of perms, permutations of 0..k-1 closed under
+    (a b)(x) = a(b(x)) and sorted lexicographically, so the identity comes
+    first and the base-k codes of the rows increase (they fit in int64 for
+    k <= 15). Row i of the table is perms[i][perms], located by its codes."""
+    n, k = perms.shape
+    weights = k ** np.arange(k - 1, -1, -1)
+    codes = perms @ weights
+    table = np.empty((n, n), dtype=table_dtype(n))
+    for i, a in enumerate(perms):
+        table[i] = np.searchsorted(codes, a[perms] @ weights)
+    return FiniteGroup(table, name=name)
+
+
 def _reference_parse_text(text, max_order=DEFAULT_MAX_ORDER):
     """Reference: the whole-text reader that preceded the line reader, with
     its numpy fast path left out (test_cayley_reader_matches_checked_loop
-    pins that path to this per-entry loop). Returns (group, p hint)."""
+    pins that path to this per-entry loop), and with the tuple closure and
+    per-row code lookup that preceded families.permutation_group.
+    Returns (group, p hint)."""
     fail = formats._fail
     lines = text.splitlines()
     if not lines:
@@ -734,7 +778,7 @@ def test_cli_run_never_imports_numpy_ma(tmp_path):
     env = dict(os.environ, PYTHONPATH=_SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
         [sys.executable, "-c", code, "scan", "SL2(3)", "heisenberg_affine(3)",
-         "twisted_affine(2,3,1)", "central(SL2(3),SL2(3))", str(path)],
+         "twisted_affine(2,3,1)", "central(SL2(3),SL2(3))", "sym(4)", str(path)],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.stderr.endswith("exit 0 numpy.ma False"), done.stderr[-2000:]
-    assert len(json.loads(done.stdout)["rows"]) == 10
+    assert len(json.loads(done.stdout)["rows"]) == 12

@@ -24,18 +24,17 @@ class CenterAlgebra:
         self.classes = group.conjugacy_classes()
         self.k = len(self.classes)
         self.n = group.order
-        self.reps = np.array([c.rep for c in self.classes], dtype=np.int64)
         self.cls_of = group.class_index_of()
-        if self.classes[0].rep != 0:
+        self.class_sizes = np.bincount(self.cls_of)
+        # the elements grouped by class, and where each class starts there
+        self._by_class = np.concatenate(self.classes)
+        self._starts = np.cumsum(self.class_sizes) - self.class_sizes
+        self.reps = self._by_class[self._starts]
+        if self.reps[0] != 0:
             raise ConsistencyError("identity class is not first")
-        # element order grouped by class, for summing over classes at once
-        self._by_class = np.argsort(self.cls_of, kind="stable")
         # P[i, j] = class of g_i^-1 rep_j, with g_i the i-th element in class order
         self._prodcls = self.cls_of.astype(table_dtype(self.k))[
             group.table[group.inv[self._by_class][:, None], self.reps]]
-        sizes = np.array([c.size for c in self.classes], dtype=np.int64)
-        self.class_sizes = sizes
-        self._starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
 
     # -- vector plumbing ---------------------------------------------------
 
@@ -43,9 +42,7 @@ class CenterAlgebra:
         return np.zeros(self.k, dtype=np.int64)
 
     def identity_vec(self) -> np.ndarray:
-        v = self.zero()
-        v[0] = 1
-        return v
+        return self.class_sum_vec(0)
 
     def expand(self, v) -> np.ndarray:
         """Class-coefficient vector to element-coefficient vector."""
@@ -66,10 +63,12 @@ class CenterAlgebra:
         return v
 
     def subset_sum_vec(self, elems) -> np.ndarray:
-        """Indicator sum of a normal (class-closed) subset, in the class basis."""
-        a = np.zeros(self.n, dtype=np.int64)
-        a[np.asarray(elems, dtype=np.int64)] = 1
-        return self.restrict(a)
+        """Indicator sum of a normal (class-closed) set of distinct elements,
+        in the class basis: 1 on each class it holds all members of."""
+        count = np.bincount(self.cls_of[np.asarray(elems, dtype=np.int64)], minlength=self.k)
+        if ((count != 0) & (count != self.class_sizes)).any():
+            raise UnsupportedInputError("set is not a union of classes")
+        return (count != 0).astype(np.int64)
 
     # -- multiplication ------------------------------------------------------
 
@@ -144,7 +143,9 @@ class CenterAlgebra:
         # applied by multiply to a basis of each image, reach 0
         image = rad
         for _ in range(m):
-            image = Subspace(p, k, [self.power(b, p) for b in image.basis])
+            if not image.dim:
+                break
+            image = Subspace(p, k, self.power(image.basis, p))
         if image.dim:
             raise ConsistencyError("radical vector is not nilpotent")
         self.__dict__["radical"] = rad
@@ -179,36 +180,41 @@ class CenterAlgebra:
         """Stability of the span under multiplication by the group generators.
         Stability under generators is stability under every group element
         (compose the moves) and hence under all of FG (span). A central y has
-        g y = y g, so left moves suffice, and g y lies in the span iff it is
-        constant on classes with class coefficients in the span."""
-        full = center_subspace.basis[:, self.cls_of]
-        t, inv = self.group.table, self.group.inv
+        g y = y g, so left moves suffice. (g y)[u] = y[g^-1 u]: g y has
+        coefficient y[class of g^-1 rep_j] on class j, and is central iff each
+        pair (class of u, class of g^-1 u) agrees with that, checked once per
+        distinct pair."""
+        basis, cls_of, k = center_subspace.basis, self.cls_of, self.k
+        pivots, t, inv = list(center_subspace.pivots), self.group.table, self.group.inv
         for g in self.group.generators():
-            moved = full[:, t[inv[g], :]]  # (g y)[u] = y[g^-1 u]
-            coeffs = moved[:, self.reps]
-            if not np.array_equal(coeffs[:, self.cls_of], moved):
+            moved_from = cls_of[t[inv[g]]]  # class of g^-1 u, for each u
+            coeffs = basis[:, moved_from[self.reps]]
+            pairs = np.sort(cls_of * k + moved_from)
+            distinct = np.concatenate(([True], pairs[1:] != pairs[:-1]))
+            target, source = np.divmod(pairs[distinct], k)
+            if not np.array_equal(basis[:, source], coeffs[:, target]):
                 return False
-            if not all(center_subspace.contains_vector(c) for c in coeffs):
+            # the basis is in RREF: a row lies in its span iff its pivot entries rebuild it
+            if not np.array_equal(coeffs, coeffs[:, pivots] @ basis % self.p):
                 return False
         return True
 
-    def derived_coset_ids(self) -> np.ndarray:
-        """Smallest element of the G'-coset of each element."""
-        if "coset_ids" not in self.__dict__:
-            self.__dict__["coset_ids"] = self.group.coset_min(
-                self.group.derived_subgroup())
-        return self.__dict__["coset_ids"]
-
-    def lies_in_derived_coset_span(self, center_vec) -> bool:
-        """Membership in (G')+ FG: the coefficients are constant on G' cosets."""
-        a = self.expand(center_vec)
-        return bool(np.array_equal(a, a[self.derived_coset_ids()]))
+    def lies_in_derived_coset_span(self, center_vecs) -> bool:
+        """Membership in (G')+ FG of a central vector, or of every row of a
+        stack: the coefficients are constant on G'-cosets. A class lies in
+        one coset, as h x h^-1 = x [x^-1, h], so that holds iff every class
+        coefficient equals the one of the class of its coset's smallest element."""
+        if "coset_lead" not in self.__dict__:
+            coset_min = self.group.coset_min(self.group.derived_subgroup())
+            self.__dict__["coset_lead"] = self.cls_of[coset_min[self.reps]]
+        a = np.asarray(center_vecs, dtype=np.int64) % self.p
+        return bool(np.array_equal(a, a[..., self.__dict__["coset_lead"]]))
 
     def socle_is_ideal_direct(self) -> bool:
         return self.is_ideal_in_group_algebra(self.socle())
 
     def socle_is_ideal_criterion(self) -> bool:
-        return all(self.lies_in_derived_coset_span(b) for b in self.socle().basis)
+        return self.lies_in_derived_coset_span(self.socle().basis)
 
     def socle_ideal_verdict(self) -> tuple[bool, bool]:
         """(direct test, containment criterion). Raises if they disagree."""
@@ -250,18 +256,11 @@ class CenterAlgebra:
         g = self.group
         qm = g.second_derived_quotient()
         target = self.second_derived_quotient_algebra()
-        inside = g.mask(qm.kernel)
-        route_a: list[int] = []
-        for j in range(1, self.k):
-            c = self.classes[j]
-            if inside[c.rep]:
-                continue
-            qcls = target.classes[int(target.cls_of[qm.proj[c.rep]])]
-            ratio = c.size // qcls.size
-            if c.size % qcls.size:
-                raise ConsistencyError("class does not map onto a quotient class evenly")
-            if ratio % self.p != 0:
-                route_a.append(j)
+        image_sizes = target.class_sizes[target.cls_of[qm.proj[self.reps]]]
+        if (self.class_sizes % image_sizes).any():
+            raise ConsistencyError("class does not map onto a quotient class evenly")
+        coprime = (self.class_sizes // image_sizes) % self.p != 0
+        route_a = np.flatnonzero(coprime & ~g.mask(qm.kernel)[self.reps]).tolist()
         route_b = [j for j in range(1, self.k)
                    if self.push_through_quotient(self.radical_vec(j), qm, target).any()]
         if route_a != route_b:

@@ -230,7 +230,7 @@ class FiniteGroup:
         """Smallest normal subgroup containing seed: the subgroup generated
         by the conjugacy classes seed meets, whose union is normal."""
         cls_of = self.class_index_of()
-        meets = np.zeros(len(self.conjugacy_classes()), dtype=bool)
+        meets = np.zeros(self.order, dtype=bool)  # by class index, below n
         meets[cls_of[np.asarray(list(seed), dtype=np.int64)]] = True
         return self.subgroup_closure(np.flatnonzero(meets[cls_of]))
 
@@ -278,43 +278,37 @@ class FiniteGroup:
     def conjugation_perm(self, g: int) -> np.ndarray:
         return self.table[self.table[g], self.inv[g]]
 
-    def conjugacy_classes(self) -> list["ConjClass"]:
+    def conjugacy_classes(self) -> list[np.ndarray]:
+        """The classes as read-only sorted int64 arrays, by size and then
+        by smallest element. Each element is labeled by the smallest element
+        of its class: in each round, every label drops to the smallest label
+        of its images under the generators' conjugations and their inverses,
+        and then to its own label's label, until no label changes."""
         if "classes" not in self._memo:
-            n = self.order
-            perms = [self.conjugation_perm(g) for g in self.generators()]
-            cls_of = np.full(n, -1, dtype=np.int64)
-            raw: list[list[int]] = []
-            for x in range(n):
-                if cls_of[x] >= 0:
-                    continue
-                idx = len(raw)
-                orbit = [x]
-                cls_of[x] = idx
-                qi = 0
-                while qi < len(orbit):
-                    u = orbit[qi]
-                    qi += 1
-                    for pm in perms:
-                        v = int(pm[u])
-                        if cls_of[v] < 0:
-                            cls_of[v] = idx
-                            orbit.append(v)
-                raw.append(sorted(orbit))
-            order_key = sorted(range(len(raw)), key=lambda i: (len(raw[i]), raw[i][0]))
-            remap = np.empty(len(raw), dtype=np.int64)
-            classes = []
-            for new_i, old_i in enumerate(order_key):
-                remap[old_i] = new_i
-                elems = np.array(raw[old_i], dtype=np.int64)
-                elems.flags.writeable = False
-                classes.append(ConjClass(rep=int(elems[0]), elems=elems))
-            cls_of = remap[cls_of]
+            gens = self.generators()
+            perms = [self.conjugation_perm(g) for g in gens + [int(self.inv[g]) for g in gens]]
+            label = np.arange(self.order)
+            while True:
+                low = reduce(np.minimum, (label[pm] for pm in perms), label)
+                low = low[low]
+                if np.array_equal(low, label):
+                    break
+                label = low
+            roots = np.flatnonzero(label == np.arange(self.order))
+            sizes = np.bincount(label)[roots]
+            # the roots ascend, so a stable sort by size orders the classes
+            rank = np.empty(self.order, dtype=np.int64)  # class index of each root
+            rank[roots[np.argsort(sizes, kind="stable")]] = np.arange(roots.size)
+            cls_of = rank[label]
+            by_class = np.argsort(cls_of, kind="stable")
+            by_class.flags.writeable = False
             cls_of.flags.writeable = False
-            self._memo["classes"] = (classes, cls_of)
+            self._memo["classes"] = (np.split(by_class, np.cumsum(np.sort(sizes))[:-1]), cls_of)
         return self._memo["classes"][0]
 
     def class_index_of(self) -> np.ndarray:
-        self.conjugacy_classes()
+        if "classes" not in self._memo:
+            self.conjugacy_classes()
         return self._memo["classes"][1]
 
     # -- distinguished subgroups -----------------------------------------
@@ -445,9 +439,9 @@ class FiniteGroup:
             good = self.element_orders() % p != 0
             inside = np.zeros(self.order, dtype=bool)
             inside[0] = True
-            for c in self.conjugacy_classes():
-                if not inside[c.rep] and good[c.rep]:
-                    nc = self.normal_closure([c.rep])
+            for x in (int(c[0]) for c in self.conjugacy_classes()):
+                if not inside[x] and good[x]:
+                    nc = self.normal_closure([x])
                     if good[nc].all():
                         inside[nc] = True
             core = np.flatnonzero(inside)
@@ -505,15 +499,10 @@ class FiniteGroup:
     # -- predicates ----------------------------------------------------------
 
     def is_camina(self) -> bool:
-        """[g] = g G' for every g outside G'. Both sides are the same for
-        all of a class, so one representative per class decides."""
-        der = self.derived_subgroup()
-        mask = self.mask(der)
-        for c in self.conjugacy_classes():
-            if not mask[c.rep] and not np.array_equal(
-                    c.elems, np.sort(self.table[c.rep, der])):
-                return False
-        return True
+        """[g] = g G' for every g outside G'. The class of g lies in g G',
+        as h g h^-1 = g [g^-1, h], so the two are equal iff |[g]| = |G'|."""
+        der, cls_of = self.derived_subgroup(), self.class_index_of()
+        return bool((np.bincount(cls_of)[cls_of] == der.size)[~self.mask(der)].all())
 
     def is_frobenius_with_kernel(self, kernel_elems) -> bool:
         """K is a proper nontrivial normal subgroup containing the
@@ -532,7 +521,7 @@ class FiniteGroup:
             orders = self.element_orders()
             hist = tuple(sorted(((int(o), int(c)) for o, c in
                                  zip(*np.unique(orders, return_counts=True)))))
-            sizes = tuple(sorted(c.elems.size for c in self.conjugacy_classes()))
+            sizes = tuple(sorted(c.size for c in self.conjugacy_classes()))
             series = tuple(int(s.size) for s in self.derived_series())
             self._memo["fingerprint"] = (
                 self.order, sizes, hist, series, int(self.center().size))
@@ -540,16 +529,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
-
-
-@dataclass(frozen=True, eq=False)
-class ConjClass:
-    rep: int
-    elems: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.elems.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,15 +585,11 @@ def hom_from_images(src: FiniteGroup, gens: list[int], dst: FiniteGroup,
 
 
 def _element_invariants(g: FiniteGroup) -> list[tuple]:
-    orders = g.element_orders()
+    """(order, class size, class size of the square) of each element."""
     cls_of = g.class_index_of()
-    classes = g.conjugacy_classes()
-    sizes = np.array([classes[int(c)].size for c in cls_of])
+    sizes = np.bincount(cls_of)[cls_of]
     sq = g.table[np.arange(g.order), np.arange(g.order)]
-    return [
-        (int(orders[x]), int(sizes[x]), int(sizes[sq[x]]))
-        for x in range(g.order)
-    ]
+    return list(zip(g.element_orders().tolist(), sizes.tolist(), sizes[sq].tolist()))
 
 
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> dict[int, int] | None:

@@ -210,7 +210,7 @@ def _minimal_normal_inside(q: FiniteGroup, elems) -> list[np.ndarray]:
     seen: dict[bytes, np.ndarray] = {}
     for ci in np.flatnonzero(np.bincount(q.class_index_of()[np.atleast_1d(elems)])):
         if ci:
-            nc = q.normal_closure([classes[ci].rep])
+            nc = q.normal_closure([classes[ci][0]])
             seen[nc.tobytes()] = nc
     closures = list(seen.values())
     out = [nc for nc in closures
@@ -462,7 +462,7 @@ def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
         "cofactor_fixers_exist": all(h is not None for h in dec.fixers),
     }
     checks["fixer_class_is_factor_translate"] = checks["cofactor_fixers_exist"] and all(
-        np.array_equal(np.sort(q.table[f, hb]), qclasses[int(qcls[hb])].elems)
+        np.array_equal(np.sort(q.table[f, hb]), qclasses[int(qcls[hb])])
         for f, hb in zip(dec.factors, (int(qm.proj[h]) for h in dec.fixers)))
     # the factors an element has a nontrivial component in name its class,
     # one to one
@@ -632,7 +632,7 @@ def _factor_seed(ctx: AnalysisContext, i: int,
     if h is None:
         raise InapplicableError("no fixer for this factor")
     cls = g.conjugacy_classes()[int(g.class_index_of()[int(h)])]
-    u_set = np.sort(g.table[cls.elems, g.inverse(int(h))].astype(np.int64))
+    u_set = np.sort(g.table[cls, g.inverse(int(h))].astype(np.int64))
     if 0 not in u_set or not g.mask(ctx.derived)[u_set].all():
         raise ConsistencyError("fixer class is not a derived-subgroup translate")
     if int(u_set.size) != int(dec.factors[i].size):
@@ -725,7 +725,7 @@ def _commutator_core(ctx: AnalysisContext, g1: int, e1: int) -> np.ndarray:
     if not np.array_equal(alt, core):
         raise ConsistencyError("commutator core has two inequivalent descriptions")
 
-    g1_class = g.conjugacy_classes()[int(g.class_index_of()[g1])].elems
+    g1_class = g.conjugacy_classes()[int(g.class_index_of()[g1])]
     meet = g1_class[g.mask(g.table[g1, second])[g1_class]]
     if not np.array_equal(meet, g.element_set(g.table[core, g1])):
         raise ConsistencyError(
@@ -760,11 +760,9 @@ def _witness_vector(ctx: AnalysisContext, g1: int, core: np.ndarray):
     support = [cid for cid, val in assigned.items() if val]
     if not support:
         raise ConsistencyError("functional vanishes on every coset coefficient")
-    avec = np.zeros(g.order, dtype=np.int64)
-    classes = g.conjugacy_classes()
-    for cid in support:
-        avec[classes[cid].elems] = assigned[cid]
-    return basis, alpha, avec, support
+    values = ctx.alg.zero()
+    values[support] = [assigned[cid] for cid in support]
+    return basis, alpha, values[g.class_index_of()], support
 
 
 # ---------------------------------------------------------------------------
@@ -913,17 +911,16 @@ def check_annihilator_reduction(ctx: AnalysisContext) -> dict:
 
     qm = dec.qmap
     qalg = alg.second_derived_quotient_algebra()
-    image_ids = sorted({int(qalg.cls_of[int(qm.proj[int(alg.classes[ci].rep)])])
+    image_ids = sorted({int(qalg.cls_of[qm.proj[alg.reps[ci]]])
                         for ci in alg.surviving_pprime_classes()})
     ann = qalg.annihilator([qalg.radical_vec(ci) for ci in image_ids])
 
     central = dec.quotient.mask(dec.central_image)
     mvecs = [qalg.radical_vec(ci) for ci in range(1, qalg.k)
-             if central[qalg.classes[ci].elems].all()]
+             if central[qalg.classes[ci]].all()]
     mvecs += [qalg.subset_sum_vec(f) for f in dec.factors]
     checks = _verified({
-        "annihilator_in_derived_coset_span": all(
-            qalg.lies_in_derived_coset_span(row) for row in ann.basis),
+        "annihilator_in_derived_coset_span": qalg.lies_in_derived_coset_span(ann.basis),
         "generator_sets_match": qalg.annihilator(mvecs) == ann,
     }, "annihilator reduction")
     return {**checks, "annihilator_dim": ann.dim,

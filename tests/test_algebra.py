@@ -14,7 +14,7 @@ from soclelab import algebra, fplin
 from soclelab import groups as groups_module
 from soclelab.algebra import CenterAlgebra
 from soclelab.catalog import catalog_groups
-from soclelab.errors import ConsistencyError
+from soclelab.errors import ConsistencyError, UnsupportedInputError
 from soclelab.families import parse_family
 from soclelab.fplin import Subspace, kernel_basis
 from soclelab.groups import direct_product, prime_factors
@@ -27,14 +27,23 @@ def fg_mul(g, u, v, p):
     return out % p
 
 
-def fg_pow(g, u, e, p):
-    out = np.zeros(g.order, dtype=np.int64)
-    out[0] = 1
+def fg_mul_rows(g, u, v, p):
+    """Row i is the convolution product u[i] v[i] in FG, element coordinates."""
+    out = np.zeros(u.shape, dtype=np.int64)
+    for a in range(g.order):
+        out[:, g.table[a]] += u[:, a, None] * v  # u(a) v(b) lands on a b
+    return out % p
+
+
+def fg_pow_rows(g, u, e, p):
+    """Row i is u[i]^e in FG, squaring from the lowest bit up."""
+    out = np.zeros(u.shape, dtype=np.int64)
+    out[:, 0] = 1
     base = u % p
     while e:
         if e & 1:
-            out = fg_mul(g, out, base, p)
-        base = fg_mul(g, base, base, p)
+            out = fg_mul_rows(g, out, base, p)
+        base = fg_mul_rows(g, base, base, p)
         e >>= 1
     return out
 
@@ -178,17 +187,18 @@ def test_stacked_multiply_matches_rows(spec, p, block, monkeypatch):
                                      ("sl2(3)", 2), ("agl(1,4)", 2),
                                      ("cyclic(9)", 3)])
 def test_radical_is_the_exact_set_of_nilpotents(spec, p):
-    """Enumerate the whole center and classify nilpotency by brute power."""
+    """Enumerate the whole center and classify nilpotency by brute power,
+    all center elements at once in stacked group algebra products."""
     g = parse_family(spec)
     alg = CenterAlgebra(g, p)
     rad = alg.jacobson_radical()
     m = 1
     while p ** m < alg.k:
         m += 1
+    every = np.array(list(itertools.product(range(p), repeat=alg.k)), dtype=np.int64)
+    nilpotent = ~fg_pow_rows(g, every[:, alg.cls_of], p ** m, p).any(axis=1)
     count = 0
-    for coords in itertools.product(range(p), repeat=alg.k):
-        full = alg.expand(np.array(coords))
-        nil = not fg_pow(g, full, p ** m, p).any()
+    for coords, nil in zip(every, nilpotent.tolist()):
         assert nil == rad.contains_vector(coords)
         count += nil
     assert count == p ** rad.dim
@@ -340,9 +350,8 @@ def intersect_socle_blocks(alg, sylow_elems):
     span of the classes lying wholly in each coset, one coset at a time."""
     soc = alg.socle()
     cid = alg.group.table[np.asarray(sylow_elems, dtype=np.int64), :].min(axis=0)
-    by_class = cid[alg._by_class]
-    lo = np.minimum.reduceat(by_class, alg._starts)
-    whole = lo == np.maximum.reduceat(by_class, alg._starts)
+    lo = np.array([cid[c].min() for c in alg.classes])
+    whole = lo == np.array([cid[c].max() for c in alg.classes])
     unit = np.eye(alg.k, dtype=np.int64)
     out = []
     total = 0
@@ -383,9 +392,9 @@ def test_socle_blocks_reject_a_vector_across_two_cosets():
     alg = CenterAlgebra(g, 2)
     syl = g.sylow_subgroup(2)
     cid = g.table[syl, :].min(axis=0)
-    inside = [c for c in range(alg.k) if np.unique(cid[alg.classes[c].elems]).size == 1]
+    inside = [c for c in range(alg.k) if np.unique(cid[alg.classes[c]]).size == 1]
     i, j = next((i, j) for i in inside for j in inside
-                if cid[alg.classes[i].rep] < cid[alg.classes[j].rep])
+                if cid[alg.classes[i][0]] < cid[alg.classes[j][0]])
     spread = alg.class_sum_vec(i) + alg.class_sum_vec(j)
     alg.__dict__["socle_space"] = Subspace(2, alg.k, spread)
     with pytest.raises(ConsistencyError, match="does not split"):
@@ -435,6 +444,11 @@ def test_identity_and_subset_sum():
     v = alg.subset_sum_vec(der)
     full = alg.expand(v)
     assert set(np.flatnonzero(full)) == set(int(x) for x in der)
+    # one element of a class of size two, with and without the identity
+    half = alg.classes[-1][:1]
+    for elems in (half, np.concatenate([[0], half])):
+        with pytest.raises(UnsupportedInputError, match="not a union of classes"):
+            alg.subset_sum_vec(elems)
 
 
 def loop_power(alg, u, e):

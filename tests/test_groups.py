@@ -582,10 +582,10 @@ def reference_core(g, p):
 
     acc = np.array([0], dtype=np.int64)
     gset = set()
-    for c in g.conjugacy_classes():
-        if c.rep in set(acc.tolist()) or not good(c.rep):
+    for rep in (int(c[0]) for c in g.conjugacy_classes()):
+        if rep in set(acc.tolist()) or not good(rep):
             continue
-        nc = reference_normal_closure(g, [c.rep])
+        nc = reference_normal_closure(g, [rep])
         if all(good(int(x)) for x in nc):
             gset |= {int(x) for x in nc}
             acc = reference_closure(g, sorted(gset))
@@ -598,15 +598,15 @@ def reference_is_camina(g):
     for x in range(g.order):
         if x in set(der.tolist()):
             continue
-        if not np.array_equal(classes[int(cls_of[x])].elems, np.sort(g.table[x, der])):
+        if not np.array_equal(classes[int(cls_of[x])], np.sort(g.table[x, der])):
             return False
     return True
 
 
 def normal_closure_seeds(g, rng):
     """Every class representative, seeded element sets and subgroups."""
-    seeds = [[], [0], [c.rep for c in g.conjugacy_classes()]]
-    seeds += [[c.rep] for c in g.conjugacy_classes()]
+    seeds = [[], [0], [int(c[0]) for c in g.conjugacy_classes()]]
+    seeds += [[int(c[0])] for c in g.conjugacy_classes()]
     for size in (1, 2, 3):
         seeds.append([int(x) for x in rng.integers(0, g.order, size=size)])
     seeds.append(g.sylow_subgroup(prime_factors(g.order)[0]) if g.order > 1 else [0])

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import UnsupportedInputError
 from .fplin import binary_power
-from .groups import (FiniteGroup, SemidirectSpec, block_rows, central_product,
-                     direct_product, hom_from_images, semidirect_product,
+from .groups import (FiniteGroup, SemidirectSpec, WordTree, block_rows,
+                     central_product, direct_product, semidirect_product,
                      table_dtype)
 
 DEFAULT_MAX_ORDER = 2000
@@ -265,10 +265,9 @@ def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
     if math.gcd(r, m) != 1 or pow(r, k, m) != 1:
         raise UnsupportedInputError("metacyclic action parameter invalid")
     action = np.array([pow(r, h, m) for h in range(k)])[:, None] * np.arange(m) % m
-    g, _, _ = semidirect_product(
+    return semidirect_product(
         SemidirectSpec(kernel=cyclic(m), acting=cyclic(k), action=action),
         name=f"metacyclic({m},{k},{r})")
-    return g
 
 
 # -- specialized constructions ---------------------------------------------
@@ -295,10 +294,9 @@ def heisenberg_affine(p: int) -> FiniteGroup:
     action[0] = np.arange(27)
     for i in range(1, 8):
         action[i] = theta[action[i - 1]]
-    g, _, _ = semidirect_product(
+    return semidirect_product(
         SemidirectSpec(kernel=_heisenberg3(), acting=cyclic(8), action=action),
         name=f"heisenberg_affine({p})")
-    return g
 
 
 def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
@@ -325,21 +323,18 @@ def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
     u = np.array([field.pow(g0, h) for h in range(q - 1)], dtype=np.int64)
     ue = mul[u, frob[u]]
     action = (mul[u][:, :, None] * q + mul[ue][:, None, :]).reshape(q - 1, n)
-    g, _, _ = semidirect_product(
+    return semidirect_product(
         SemidirectSpec(kernel=kernel, acting=cyclic(q - 1), action=action),
         name=f"twisted_affine({p},{d},{k})")
-    return g
 
 
 def q8q8_diag_c3() -> FiniteGroup:
     """(Q8 x Q8) x| C_3, the order-3 automorphism applied to both factors."""
     q8 = dicyclic(2)
     a, b = 1, 4
-    ab = q8.mul(a, b)
-    fmap = hom_from_images(q8, [a, b], q8, [b, ab])
-    if fmap is None or len(fmap) != 8:
+    words, rho = WordTree(q8, [a, b]), np.zeros(8, dtype=np.int64)
+    if not all(words.fill_and_check(q8, np.array([b, q8.mul(a, b)]), i, rho) for i in range(2)):
         raise UnsupportedInputError("triality automorphism construction failed")
-    rho = np.array([fmap[x] for x in range(8)], dtype=np.int64)
     ident = np.arange(8)
     if np.array_equal(rho, ident) or not np.array_equal(rho[rho[rho]], ident):
         raise UnsupportedInputError("automorphism does not have order 3")
@@ -350,10 +345,9 @@ def q8q8_diag_c3() -> FiniteGroup:
     action[0] = np.arange(64)
     action[1] = rho2
     action[2] = rho2[rho2]
-    g, _, _ = semidirect_product(
+    return semidirect_product(
         SemidirectSpec(kernel=prod, acting=cyclic(3), action=action),
         name="q8q8_diag_c3")
-    return g
 
 
 def _prime_power(q: int) -> tuple[int, int]:

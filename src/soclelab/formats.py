@@ -268,9 +268,8 @@ def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,
         raise UnsupportedInputError(f"expected {acting.order} action rows, found {rows}")
     if error is not None:
         raise error
-    spec = SemidirectSpec(kernel=kernel, acting=acting, action=action)
-    g, _, _ = semidirect_product(spec, name="sdp")
-    return g
+    return semidirect_product(SemidirectSpec(kernel=kernel, acting=acting, action=action),
+                              name="sdp")
 
 
 def build_group(source: str, max_order: int = DEFAULT_MAX_ORDER

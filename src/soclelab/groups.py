@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConsistencyError, UnsupportedInputError
 from .fplin import binary_power
 
-ISO_ORDER_LIMIT = 512
 # bytes the temporaries of one block of a blockwise loop may take
 BLOCK_BYTES = 1 << 18
 
@@ -354,17 +353,6 @@ class FiniteGroup:
             self._memo["second_derived_quotient"] = self.quotient(self.second_derived())
         return self._memo["second_derived_quotient"]
 
-    def derived_series(self) -> list[np.ndarray]:
-        series = [np.arange(self.order, dtype=np.int64)]
-        while True:
-            nxt = self.sub_derived(series[-1])
-            if nxt.size == series[-1].size:
-                break
-            series.append(nxt)
-            if nxt.size == 1:
-                break
-        return series
-
     def sub_center(self, elems) -> np.ndarray:
         """Z(H): the elements of H that commute with a generating set of H."""
         return self.centralizer(self.sub_generators(elems), within=elems)
@@ -516,17 +504,6 @@ class FiniteGroup:
         _, first = np.unique(self.class_index_of()[k], return_index=True)
         return all(kmask[self.centralizer(x)].all() for x in k[first] if x)
 
-    def fingerprint(self) -> tuple:
-        if "fingerprint" not in self._memo:
-            orders = self.element_orders()
-            hist = tuple(sorted(((int(o), int(c)) for o, c in
-                                 zip(*np.unique(orders, return_counts=True)))))
-            sizes = tuple(sorted(c.size for c in self.conjugacy_classes()))
-            series = tuple(int(s.size) for s in self.derived_series())
-            self._memo["fingerprint"] = (
-                self.order, sizes, hist, series, int(self.center().size))
-        return self._memo["fingerprint"]
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -558,85 +535,105 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- homomorphisms and isomorphism search ---------------------------------
+# -- isomorphism search -----------------------------------------------------
 
 
-def hom_from_images(src: FiniteGroup, gens: list[int], dst: FiniteGroup,
-                    imgs: list[int]) -> dict[int, int] | None:
-    """Extend gens -> imgs to a homomorphism on <gens>, or None on conflict."""
-    fmap = {0: 0}
-    order = [0]
-    qi = 0
-    ts, td = src.table, dst.table
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        fu = fmap[u]
-        for g, fg in zip(gens, imgs):
-            v = int(ts[u, g])
-            fv = int(td[fu, fg])
-            known = fmap.get(v)
-            if known is None:
-                fmap[v] = fv
-                order.append(v)
-            elif known != fv:
-                return None
-    return fmap
+class WordTree:
+    """Breadth-first words in gens over g, by generator prefix. prefixes[i]
+    is (h, levels, h gens[:i+1]) for the elements h of H_i = <gens[:i+1]>;
+    each level (kids, parents, via), kid = parent gens[via], extends H_(i-1)."""
+
+    def __init__(self, g: FiniteGroup, gens: list[int]):
+        t, gens = g.table, np.asarray(gens, dtype=np.int64)
+        self.prefixes: list[tuple[np.ndarray, list, np.ndarray]] = []
+        seen = g.mask([0])
+        for i in range(1, gens.size + 1):
+            levels, frontier = [], np.flatnonzero(seen)
+            while frontier.size:
+                kids, first = np.unique(t[np.ix_(frontier, gens[:i])], return_index=True)
+                kids, first = kids[~seen[kids]], first[~seen[kids]]
+                seen[kids] = True
+                levels.append((kids, frontier[first // i], first % i))
+                frontier = kids
+            h = np.flatnonzero(seen)
+            self.prefixes.append((h, levels, t[np.ix_(h, gens[:i])]))
+
+    def fill_and_check(self, b: FiniteGroup, imgs: np.ndarray, i: int, f: np.ndarray) -> bool:
+        """Extend the int64 image array f from H_(i-1) to H_i by f[kid] =
+        f[parent] imgs[via]. Accept iff f[x gens[j]] = f[x] imgs[j] for all
+        x in H_i and j <= i, so that f is a homomorphism on H_i (f[0] = 0),
+        and only the identity maps to 0."""
+        h, levels, prods = self.prefixes[i]
+        for kids, parents, via in levels:
+            f[kids] = b.table[f[parents], imgs[via]]
+        hom = f[prods] == b.table[f[h][:, None], imgs[:i + 1]]
+        return bool(hom.all()) and np.count_nonzero(f[h] == 0) == 1
 
 
-def _element_invariants(g: FiniteGroup) -> list[tuple]:
-    """(order, class size, class size of the square) of each element."""
-    cls_of = g.class_index_of()
-    sizes = np.bincount(cls_of)[cls_of]
-    sq = g.table[np.arange(g.order), np.arange(g.order)]
-    return list(zip(g.element_orders().tolist(), sizes.tolist(), sizes[sq].tolist()))
+def _few_generators(g: FiniteGroup) -> list[int]:
+    """One generator if g is cyclic; else the first of 32 pairs (x, y) that
+    generates g, x a class representative of largest element order and y on
+    a fixed stride through the elements; else generators()."""
+    n, orders = g.order, g.element_orders()
+    top = [int(c[0]) for c in g.conjugacy_classes() if orders[c[0]] == orders.max()]
+    if orders.max() == n:
+        return top[:1]
+    pairs = ((x, y) for x in top for y in range(1, n, max(1, n // 32)))
+    for _, (x, y) in zip(range(32), pairs):
+        if g.subgroup_closure([x, y]).size == n:
+            return [x, y]
+    return g.generators()
 
 
-def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> dict[int, int] | None:
-    """Explicit isomorphism a -> b, or None. Exact only up to ISO_ORDER_LIMIT."""
-    if a.order != b.order:
+def _words(g: FiniteGroup, x, y) -> np.ndarray:
+    """x y, x y^-1, x^2 y, x y^2 and [x, y] = x y x^-1 y^-1; y may be an array."""
+    t, inv, xy = g.table, g.inv, g.table[x, y]
+    return np.stack([xy, t[x, inv[y]], t[t[x, x], y], t[x, t[y, y]], t[xy, t[inv[x], inv[y]]]])
+
+
+def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> np.ndarray | None:
+    """An isomorphism a -> b as an int64 image array, or None, at any order
+    (Cannon and Holt, J. Symbolic Comput. 35, 2003). Elements are coded by
+    (order, class size, class size of the square), and the code histograms
+    must agree. Images of _few_generators(a) are tried depth first: the first
+    at one element per class of b with its code (inner automorphisms give the
+    rest), a later one at each element whose code and _words with the earlier
+    images match a's, every partial map passing WordTree.fill_and_check."""
+    triples = []
+    for g in (a, b):
+        cls_of, ar = g.class_index_of(), np.arange(g.order)
+        sizes = np.bincount(cls_of)[cls_of]
+        triples.append(np.stack([g.element_orders(), sizes, sizes[g.table[ar, ar]]], axis=1))
+    # reshaped, as numpy 2.0.0 returns this inverse as a column
+    codes = np.unique(np.concatenate(triples), axis=0, return_inverse=True)[1].reshape(-1)
+    ca, cb = codes[:a.order], codes[a.order:]
+    if not np.array_equal(np.sort(ca), np.sort(cb)):  # also unequal orders
         return None
-    if a.order == 1:
-        return {0: 0}
-    if a.fingerprint() != b.fingerprint():
-        return None
-    if a.order > ISO_ORDER_LIMIT:
-        raise UnsupportedInputError("exact isomorphism search capped at order 512")
-    gens = a.generators()
-    inv_a = _element_invariants(a)
-    inv_b = _element_invariants(b)
-    buckets: dict[tuple, list[int]] = {}
-    for x in range(b.order):
-        buckets.setdefault(inv_b[x], []).append(x)
-    cand = [buckets.get(inv_a[g], []) for g in gens]
-    if any(not c for c in cand):
-        return None
+    gens = _few_generators(a)
+    tree = WordTree(a, gens)
+    imgs, f = np.zeros(len(gens), dtype=np.int64), np.zeros(a.order, dtype=np.int64)
 
-    def assign(i: int, imgs: list[int]) -> dict[int, int] | None:
-        if i == len(gens):
-            return None
-        for y in cand[i]:
-            trial = hom_from_images(a, gens[: i + 1], b, imgs + [y])
-            if trial is None:
-                continue
-            if len(trial) == a.order:
-                if len(set(trial.values())) == a.order:
-                    return trial
-                continue
-            got = assign(i + 1, imgs + [y])
-            if got is not None:
-                return got
-        return None
+    def candidates(i: int):
+        fits = cb == ca[gens[i]]
+        for j in range(i):
+            want = ca[_words(a, gens[j], gens[i])][:, None]
+            fits &= (cb[_words(b, imgs[j], np.arange(b.order))] == want).all(axis=0)
+        return iter(np.flatnonzero(fits))
 
-    return assign(0, [])
+    stack = [iter([int(c[0]) for c in b.conjugacy_classes() if cb[c[0]] == ca[gens[0]]])]
+    while stack:
+        i = len(stack) - 1
+        imgs[i] = next(stack[-1], -1)
+        if imgs[i] < 0:
+            stack.pop()
+        elif tree.fill_and_check(b, imgs, i, f):
+            if i + 1 == len(gens):
+                return f
+            stack.append(candidates(i + 1))
+    return None
 
 
 def groups_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Exact below the search cap, fingerprint comparison above."""
-    if a.order != b.order:
-        return False
-    if a.order > ISO_ORDER_LIMIT:
-        return a.fingerprint() == b.fingerprint()
     return find_isomorphism(a, b) is not None
 
 
@@ -681,7 +678,7 @@ class SemidirectSpec:
 
 
 def semidirect_product(spec: SemidirectSpec, name: str | None = None):
-    """Semidirect product kernel x| acting. Returns (group, embed_kernel, embed_acting)."""
+    """Semidirect product kernel x| acting, the element (a, h) at a |acting| + h."""
     act = spec.validate()
     kg, hg = spec.kernel, spec.acting
     nk, nh = kg.order, hg.order
@@ -692,17 +689,19 @@ def semidirect_product(spec: SemidirectSpec, name: str | None = None):
     for lo in range(0, nh, step):
         np.add(np.multiply(tk[:, act[lo:lo + step]], nh, dtype=dtype)[..., None],
                th[lo:lo + step, None, :], out=table[:, lo:lo + step])
-    g = FiniteGroup(table.reshape(nk * nh, nk * nh), name=name or f"{kg.name}_by_{hg.name}")
-    embed_k = np.arange(nk, dtype=np.int64) * nh
-    embed_h = np.arange(nh, dtype=np.int64)
-    return g, embed_k, embed_h
+    return FiniteGroup(table.reshape(nk * nh, nk * nh), name=name or f"{kg.name}_by_{hg.name}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None):
-    act = np.broadcast_to(np.arange(b.order, dtype=np.int64), (a.order, b.order))
-    spec = SemidirectSpec(kernel=b, acting=a, action=np.ascontiguousarray(act))
-    g, eb, ea = semidirect_product(spec, name=name or f"{a.name}_x_{b.name}")
-    return g, ea, eb
+    """a x b, (x, y) at y |a| + x for x in a and y in b, so that (x1, y1)
+    (x2, y2) is b[y1, y2] |a| + a[x1, x2]. Returns (group, embed_a, embed_b)."""
+    na, nb = a.order, b.order
+    dtype = table_dtype(na * nb)
+    table = np.empty((nb, na, nb, na), dtype)
+    np.add(np.multiply(b.table, na, dtype=dtype)[:, None, :, None],
+           a.table[None, :, None, :], out=table)
+    g = FiniteGroup(table.reshape(na * nb, na * nb), name=name or f"{a.name}_x_{b.name}")
+    return g, np.arange(na, dtype=np.int64), np.arange(nb, dtype=np.int64) * na
 
 
 def cyclic_generator(g: FiniteGroup, elems: np.ndarray) -> int | None:

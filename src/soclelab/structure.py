@@ -33,8 +33,7 @@ from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError
 from .families import agl1, sl2_3
 from .fplin import Subspace, kernel_basis
-from .groups import (ISO_ORDER_LIMIT, FiniteGroup, QuotientMap, direct_product,
-                     groups_isomorphic)
+from .groups import FiniteGroup, QuotientMap, direct_product, groups_isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +511,7 @@ def _multiplier_checks(ctx: AnalysisContext, dec: QuotientDecomposition) -> dict
 def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
     """Is q the direct product of the affine groups AGL(1, s), s in sizes?
     Returns (match, method): decided by order when the orders differ or
-    sizes is empty, else by isomorphism, which compares fingerprints above
-    ISO_ORDER_LIMIT.
+    sizes is empty, else by the exact isomorphism search.
     q is the memoized G/G'', so the answer is memoized on it."""
     key = ("affine", tuple(sizes))
     if key not in q._memo:
@@ -525,8 +523,7 @@ def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
             model = agl1(sizes[0])
             for s in sizes[1:]:
                 model = direct_product(model, agl1(s))[0]
-            method = "isomorphism" if q.order <= ISO_ORDER_LIMIT else "fingerprint"
-            q._memo[key] = groups_isomorphic(q, model), method
+            q._memo[key] = groups_isomorphic(q, model), "isomorphism"
     return q._memo[key]
 
 
@@ -566,7 +563,7 @@ def characterize_socle_ideal(ctx: AnalysisContext) -> dict:
     of G' is a minimal normal subgroup of G/G''. Returns the report entry:
       affine_match     Q = G/G'' is the one dimensional affine group of the
                        field with |Q'| elements
-      affine_method    how affine_match was decided
+      affine_method    how affine_match was decided: "order" or "isomorphism"
       has_fixer        some nontrivial complement element centralizes G''
       derived_camina   G' is a Camina group
       predicted        conjunction of the three conditions
@@ -777,7 +774,8 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
     Applies when the group has the reduced shape, Z(G') = G'', and the
     socle is an ideal; under those hypotheses a failed verification is a
     ConsistencyError. Returns the report entry: seeds, multipliers, the
-    component orders and how the affine model was matched.
+    component orders and model_method, how the affine model was matched:
+    "order" or "isomorphism".
     """
     dec = ctx.decomposition()  # raises unless the shape is reduced
     g = ctx.group

@@ -331,10 +331,9 @@ def reference_twisted_affine(p, d, k):
         ue = field.pow(u, 1 + pk)
         for a in range(q):
             action[h, a * q: a * q + q] = int(mul[u, a]) * q + mul[ue]
-    g, _, _ = semidirect_product(
+    return semidirect_product(
         SemidirectSpec(kernel=kernel, acting=parse_family(f"cyclic({q - 1})"),
                        action=action))
-    return g
 
 
 @pytest.mark.parametrize("p,d,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2)])

@@ -768,17 +768,20 @@ def test_numpy_imported_before_soclelab():
 
 def test_cli_run_never_imports_numpy_ma(tmp_path):
     """np.unique without return_counts or return_index, intersect1d and
-    setdiff1d import numpy.ma on first use, about 15 ms per process."""
+    setdiff1d import numpy.ma on first use, about 15 ms per process; and
+    numpy.random, about 8 ms, is not needed either. The scan reaches both
+    isomorphism searches: the affine-model comparison and the SL2(3) check."""
     path = tmp_path / "agl9.cay"
     _relabeled_file(path, "agl(1,9)", 1)
     code = ("import sys\n"
             "from soclelab.cli import run\n"
             "code = run(sys.argv[1:])\n"
-            "sys.stderr.write(f'exit {code} numpy.ma {\"numpy.ma\" in sys.modules}')\n")
+            "sys.stderr.write(f'exit {code} numpy.ma {\"numpy.ma\" in sys.modules}'\n"
+            "                 f' numpy.random {\"numpy.random\" in sys.modules}')\n")
     env = dict(os.environ, PYTHONPATH=_SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
         [sys.executable, "-c", code, "scan", "SL2(3)", "heisenberg_affine(3)",
          "twisted_affine(2,3,1)", "central(SL2(3),SL2(3))", "sym(4)", str(path)],
         capture_output=True, text=True, env=env, timeout=120)
-    assert done.stderr.endswith("exit 0 numpy.ma False"), done.stderr[-2000:]
+    assert done.stderr.endswith("exit 0 numpy.ma False numpy.random False"), done.stderr[-2000:]
     assert len(json.loads(done.stdout)["rows"]) == 12

@@ -5,6 +5,8 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from functools import reduce
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,9 +18,9 @@ from soclelab import groups as groups_module
 from soclelab.catalog import CATALOG_SPECS, catalog_groups
 from soclelab.errors import ConsistencyError, UnsupportedInputError
 from soclelab.families import parse_family
-from soclelab.groups import (FiniteGroup, central_product, direct_product,
-                             find_isomorphism, groups_isomorphic, int_p_part,
-                             prime_factors, table_dtype)
+from soclelab.groups import (FiniteGroup, SemidirectSpec, central_product,
+                             direct_product, find_isomorphism, groups_isomorphic,
+                             int_p_part, prime_factors, table_dtype)
 
 
 def reference_closure(g, gens):
@@ -157,9 +159,17 @@ def test_quaternion_group():
     assert int((g.element_orders() == 2).sum()) == 1
 
 
+def derived_series(g):
+    """G, G', G'', ... down to the first term that repeats."""
+    series = [np.arange(g.order)]
+    while (nxt := g.sub_derived(series[-1])).size < series[-1].size:
+        series.append(nxt)
+    return series
+
+
 def test_sym4_derived_series():
     g = parse_family("sym(4)")
-    series = [s.size for s in g.derived_series()]
+    series = [s.size for s in derived_series(g)]
     assert series[:4] == [24, 12, 4, 1]
     assert len(g.conjugacy_classes()) == 5
 
@@ -357,6 +367,159 @@ def test_isomorphism_search():
     assert not groups_isomorphic(parse_family("q8"), parse_family("dihedral(4)"))
 
 
+SMALL_CATALOG = [(spec, g) for spec, g in catalog_groups() if g.order <= 200]
+
+
+# -- the former backtracking isomorphism search, kept as the reference --------
+
+def reference_fingerprint(g):
+    orders = g.element_orders()
+    hist = tuple(sorted(((int(o), int(c)) for o, c in
+                         zip(*np.unique(orders, return_counts=True)))))
+    sizes = tuple(sorted(c.size for c in g.conjugacy_classes()))
+    series = tuple(int(s.size) for s in derived_series(g))
+    return (g.order, sizes, hist, series, int(g.center().size))
+
+
+def hom_from_images(src, gens, dst, imgs):
+    """Extend gens -> imgs to a homomorphism on <gens>, or None on conflict."""
+    fmap = {0: 0}
+    order = [0]
+    qi = 0
+    ts, td = src.table, dst.table
+    while qi < len(order):
+        u = order[qi]
+        qi += 1
+        fu = fmap[u]
+        for g, fg in zip(gens, imgs):
+            v = int(ts[u, g])
+            fv = int(td[fu, fg])
+            known = fmap.get(v)
+            if known is None:
+                fmap[v] = fv
+                order.append(v)
+            elif known != fv:
+                return None
+    return fmap
+
+
+def element_invariants(g):
+    """(order, class size, class size of the square) of each element."""
+    cls_of = g.class_index_of()
+    sizes = np.bincount(cls_of)[cls_of]
+    sq = g.table[np.arange(g.order), np.arange(g.order)]
+    return list(zip(g.element_orders().tolist(), sizes.tolist(), sizes[sq].tolist()))
+
+
+def reference_find_isomorphism(a, b):
+    """Recursive backtracking over the greedy generators, each partial map
+    extended through a dict; it was used up to order 512."""
+    if a.order != b.order:
+        return None
+    if a.order == 1:
+        return {0: 0}
+    if reference_fingerprint(a) != reference_fingerprint(b):
+        return None
+    gens = a.generators()
+    inv_a = element_invariants(a)
+    inv_b = element_invariants(b)
+    buckets = {}
+    for x in range(b.order):
+        buckets.setdefault(inv_b[x], []).append(x)
+    cand = [buckets.get(inv_a[g], []) for g in gens]
+    if any(not c for c in cand):
+        return None
+
+    def assign(i, imgs):
+        if i == len(gens):
+            return None
+        for y in cand[i]:
+            trial = hom_from_images(a, gens[: i + 1], b, imgs + [y])
+            if trial is None:
+                continue
+            if len(trial) == a.order:
+                if len(set(trial.values())) == a.order:
+                    return trial
+                continue
+            got = assign(i + 1, imgs + [y])
+            if got is not None:
+                return got
+        return None
+
+    return assign(0, [])
+
+
+def relabeled_group(g, seed):
+    """g on a seeded random relabeling of its elements that keeps 0 at 0."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+    table = np.empty((g.order, g.order), dtype=np.int64)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    return FiniteGroup(table, name=f"{g.name}_relabeled")
+
+
+def assert_isomorphism(a, b, f):
+    """f is an int64 bijection a -> b with f[x y] = f[x] f[y] on the whole table."""
+    assert f is not None and f.dtype == np.int64
+    assert np.array_equal(np.sort(f), np.arange(b.order))
+    assert np.array_equal(f[a.table], b.table[f][:, f])
+
+
+def direct_of(*specs):
+    return reduce(lambda g, h: direct_product(g, h)[0],
+                  [parse_family(s) for s in specs])
+
+
+EQUAL_ORDER_PAIRS = [(s, t) for (s, g), (t, h) in combinations(catalog_groups(), 2)
+                     if g.order == h.order]
+
+
+@pytest.mark.parametrize("spec_a,spec_b", EQUAL_ORDER_PAIRS,
+                         ids=[f"{s}~{t}" for s, t in EQUAL_ORDER_PAIRS])
+def test_isomorphism_verdict_matches_backtracking(spec_a, spec_b):
+    a, b = parse_family(spec_a), parse_family(spec_b)
+    f = find_isomorphism(a, b)
+    assert (f is not None) == (reference_find_isomorphism(a, b) is not None)
+    if f is not None:
+        assert_isomorphism(a, b, f)
+
+
+@pytest.mark.parametrize("spec,g", SMALL_CATALOG, ids=[s for s, _ in SMALL_CATALOG])
+def test_isomorphism_to_a_relabeling(spec, g):
+    h = relabeled_group(g, seed=g.order * 31 + len(spec))
+    assert_isomorphism(g, h, find_isomorphism(g, h))
+
+
+def test_isomorphism_of_witness_group(witness_group):
+    h = relabeled_group(witness_group, seed=3840)
+    assert_isomorphism(witness_group, h, find_isomorphism(witness_group, h))
+    other = parse_family("twisted_affine(2,4,3)", max_order=4000)
+    assert_isomorphism(witness_group, other, find_isomorphism(witness_group, other))
+
+
+def test_isomorphism_of_relabeled_agl_1_27():
+    g = parse_family("agl(1,27)")
+    h = relabeled_group(g, seed=27)
+    assert_isomorphism(g, h, find_isomorphism(g, h))
+    assert not groups_isomorphic(parse_family("cyclic(702)"), h)
+
+
+@pytest.mark.parametrize("rest", [("cyclic(3)", "cyclic(3)", "cyclic(7)"), ("cyclic(32)",),
+                                  ("cyclic(2)",) * 5],
+                         ids=["order1008", "order512-c32", "order512-c2^5"])
+def test_equal_invariants_but_not_isomorphic(rest):
+    """Q8 x C2 and M(4,4,3) = C4 x| C4 are not isomorphic, and neither are
+    their products with the same group. At order 1008 every invariant the
+    former above-512 comparison used agrees."""
+    a = direct_of("quaternion(8)", "cyclic(2)", *rest)
+    b = direct_of("metacyclic(4,4,3)", *rest)
+    assert a.order == b.order
+    if a.order > 512:
+        assert reference_fingerprint(a) == reference_fingerprint(b)
+    assert find_isomorphism(a, b) is None
+    assert not groups_isomorphic(a, b)
+
+
 def test_camina_detection():
     # extraspecial groups are Camina; dihedral(4) is too, dihedral(6) is not
     assert parse_family("q8").is_camina()
@@ -414,16 +577,6 @@ def test_sub_center_from_generators_matches_all_elements(witness_group):
             assert_same_elems(got, reference_sub_center(g, h))
             proper += 1 < got.size < h.size
     assert proper  # some subgroup with a center neither trivial nor all of it
-
-
-def test_fingerprint_separates_and_matches():
-    assert parse_family("q8").fingerprint() != parse_family("dihedral(4)").fingerprint()
-    a = parse_family("cyclic(6)")
-    b, _, _ = direct_product(parse_family("cyclic(2)"), parse_family("cyclic(3)"))
-    assert a.fingerprint() == b.fingerprint()
-
-
-SMALL_CATALOG = [(spec, g) for spec, g in catalog_groups() if g.order <= 200]
 
 
 def closure_generator_lists(g, rng):
@@ -621,8 +774,8 @@ def test_normal_subgroups_match_element_references(spec, g):
     for grp in (g, quotient):
         for seed in normal_closure_seeds(grp, rng):
             assert_same_elems(grp.normal_closure(seed), reference_normal_closure(grp, seed))
-        subgroups = grp.derived_series() + [grp.sylow_subgroup(p)
-                                            for p in prime_factors(grp.order)]
+        subgroups = derived_series(grp) + [grp.sylow_subgroup(p)
+                                           for p in prime_factors(grp.order)]
         for h in subgroups:
             assert grp.sub_generators(h) == reference_sub_generators(grp, h)
             assert_same_elems(grp.sub_derived(h), reference_sub_derived(grp, h))
@@ -860,17 +1013,33 @@ PRODUCT_SPECS = ("q8q8_diag_c3", "heisenberg_affine(3)", "twisted_affine(2,3,1)"
                  "direct(AGL(1,4),cyclic(5))")
 
 
+def identity_action_spec(a, b):
+    """a x b as the semidirect product b x| a with the identity action."""
+    act = np.broadcast_to(np.arange(b.order, dtype=np.int64), (a.order, b.order))
+    return SemidirectSpec(kernel=b, acting=a, action=np.ascontiguousarray(act))
+
+
 def test_center_and_products_match_full_table_forms(monkeypatch):
+    """Direct products too, against the semidirect product with the
+    identity action: the same table, byte for byte."""
     made = []
     original = groups_module.semidirect_product
+    original_direct = groups_module.direct_product
 
     def recorded(spec, name=None):
         out = original(spec, name=name)
-        made.append((spec, out[0]))
+        made.append((spec, out))
+        return out
+
+    def recorded_direct(a, b, name=None):
+        out = original_direct(a, b, name=name)
+        made.append((identity_action_spec(a, b), out[0]))
         return out
 
     monkeypatch.setattr(groups_module, "semidirect_product", recorded)
     monkeypatch.setattr(families_module, "semidirect_product", recorded)
+    monkeypatch.setattr(groups_module, "direct_product", recorded_direct)
+    monkeypatch.setattr(families_module, "direct_product", recorded_direct)
     built = [g for _, g in catalog_groups()] + [parse_family(s) for s in PRODUCT_SPECS]
     built += [families_module.agl1(q) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
     for g in built:
@@ -883,7 +1052,7 @@ def test_center_and_products_match_full_table_forms(monkeypatch):
     # the byte budget at its minimum: one acting element per block of the fill
     monkeypatch.setattr(groups_module, "BLOCK_BYTES", 1)
     for spec, g in made:
-        assert np.array_equal(original(spec)[0].table, g.table)
+        assert np.array_equal(original(spec).table, g.table)
 
 
 def test_semidirect_build_peaks_near_its_table():
@@ -997,7 +1166,7 @@ def corrupted_actions(act, rng, per_kind):
 
 
 ACTION_SPECS = ("twisted_affine(2,3,1)", "heisenberg_affine(3)", "metacyclic(7,3,2)",
-                "metacyclic(9,6,2)", "q8q8_diag_c3", "direct(AGL(1,4),cyclic(5))")
+                "metacyclic(9,6,2)", "q8q8_diag_c3", "metacyclic(13,4,5)")
 
 
 @pytest.mark.parametrize("block", [None, 1])
@@ -1017,6 +1186,7 @@ def test_action_check_matches_pair_loop(block, monkeypatch):
     monkeypatch.setattr(families_module, "semidirect_product", recorded)
     for s in ACTION_SPECS:
         parse_family(s)
+    made.append(identity_action_spec(parse_family("AGL(1,4)"), parse_family("cyclic(5)")))
     specs = [spec for spec in made if spec.acting.order > 2 and spec.kernel.order > 2]
     assert len(specs) > len(ACTION_SPECS)
     rng = np.random.default_rng(1414)

@@ -332,14 +332,14 @@ def test_verdicts_invariant_under_reduction_steps():
 
 
 def test_affine_model_comparison():
-    """Order first, then isomorphism, then fingerprints above the search cap."""
+    """Order first, then the exact isomorphism search at every order."""
     assert _matches_affine_model(parse_family("alt(4)"), [4]) == (True, "isomorphism")
     assert _matches_affine_model(parse_family("dihedral(6)"), [4]) == (False, "isomorphism")
     assert _matches_affine_model(parse_family("sym(4)"), [4]) == (False, "order")
     assert _matches_affine_model(parse_family("agl(1,4)"), []) == (False, "order")
     pair, _, _ = direct_product(parse_family("agl(1,3)"), parse_family("agl(1,4)"))
     assert _matches_affine_model(pair, [3, 4]) == (True, "isomorphism")
-    assert _matches_affine_model(parse_family("cyclic(702)"), [27]) == (False, "fingerprint")
+    assert _matches_affine_model(parse_family("cyclic(702)"), [27]) == (False, "isomorphism")
 
 
 @pytest.mark.parametrize("spec", ["SL2(3)", "heisenberg_affine(3)"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConsistencyError, UnsupportedInputError
 from .fplin import Subspace, binary_power, check_prime, kernel_basis, rref
-from .groups import FiniteGroup, QuotientMap, block_rows, table_dtype
+from .groups import FiniteGroup, QuotientMap, block_rows, memoized, table_dtype
 
 
 class CenterAlgebra:
@@ -21,6 +21,7 @@ class CenterAlgebra:
         check_prime(p)
         self.group = group
         self.p = p
+        self._memo: dict = {}
         self.classes = group.conjugacy_classes()
         self.k = len(self.classes)
         self.n = group.order
@@ -83,8 +84,6 @@ class CenterAlgebra:
             uf = np.repeat(u, self.class_sizes)
             s = np.flatnonzero(uf)
             step = block_rows(v.nbytes)  # a gathered copy of v per t
-            if v.ndim == 1 and s.size <= step:
-                return uf[s] @ v[self._prodcls[s]] % self.p
             out = np.zeros(v.shape, dtype=np.int64)
             for lo in range(0, s.size, step):
                 c = s[lo:lo + step]
@@ -128,10 +127,9 @@ class CenterAlgebra:
         return np.concatenate([self.power(unit[lo:lo + step], self.p)
                                for lo in range(0, self.k, step)]).T
 
+    @memoized
     def jacobson_radical(self) -> Subspace:
         """Nilradical of the center: kernel of enough iterates of x -> x^p."""
-        if "radical" in self.__dict__:
-            return self.__dict__["radical"]
         k, p = self.k, self.p
         m = 0
         while p ** m < k:
@@ -148,7 +146,6 @@ class CenterAlgebra:
             image = Subspace(p, k, self.power(image.basis, p))
         if image.dim:
             raise ConsistencyError("radical vector is not nilpotent")
-        self.__dict__["radical"] = rad
         return rad
 
     def radical_vec(self, class_index: int) -> np.ndarray:
@@ -167,12 +164,10 @@ class CenterAlgebra:
         return Subspace(self.p, self.k,
                         np.array([self.radical_vec(j) for j in range(1, self.k)]))
 
+    @memoized
     def socle(self) -> Subspace:
         """Annihilator of the radical inside the center."""
-        if "socle_space" not in self.__dict__:
-            rad = self.jacobson_radical()
-            self.__dict__["socle_space"] = self.annihilator(list(rad.basis))
-        return self.__dict__["socle_space"]
+        return self.annihilator(list(self.jacobson_radical().basis))
 
     # -- the ideal question -----------------------------------------------------
 
@@ -204,11 +199,14 @@ class CenterAlgebra:
         stack: the coefficients are constant on G'-cosets. A class lies in
         one coset, as h x h^-1 = x [x^-1, h], so that holds iff every class
         coefficient equals the one of the class of its coset's smallest element."""
-        if "coset_lead" not in self.__dict__:
-            coset_min = self.group.coset_min(self.group.derived_subgroup())
-            self.__dict__["coset_lead"] = self.cls_of[coset_min[self.reps]]
         a = np.asarray(center_vecs, dtype=np.int64) % self.p
-        return bool(np.array_equal(a, a[..., self.__dict__["coset_lead"]]))
+        return bool(np.array_equal(a, a[..., self._coset_lead()]))
+
+    @memoized
+    def _coset_lead(self) -> np.ndarray:
+        """The class of the smallest element of each class's G'-coset."""
+        coset_min = self.group.coset_min(self.group.derived_subgroup())
+        return self.cls_of[coset_min[self.reps]]
 
     def socle_is_ideal_direct(self) -> bool:
         return self.is_ideal_in_group_algebra(self.socle())
@@ -216,17 +214,16 @@ class CenterAlgebra:
     def socle_is_ideal_criterion(self) -> bool:
         return self.lies_in_derived_coset_span(self.socle().basis)
 
+    @memoized
     def socle_ideal_verdict(self) -> tuple[bool, bool]:
         """(direct test, containment criterion). Raises if they disagree."""
-        if "verdict" not in self.__dict__:
-            direct = self.socle_is_ideal_direct()
-            crit = self.socle_is_ideal_criterion()
-            if direct != crit:
-                raise ConsistencyError(
-                    f"ideal tests disagree on {self.group.name} at p={self.p}: "
-                    f"direct={direct} criterion={crit}")
-            self.__dict__["verdict"] = (direct, crit)
-        return self.__dict__["verdict"]
+        direct = self.socle_is_ideal_direct()
+        crit = self.socle_is_ideal_criterion()
+        if direct != crit:
+            raise ConsistencyError(
+                f"ideal tests disagree on {self.group.name} at p={self.p}: "
+                f"direct={direct} criterion={crit}")
+        return direct, crit
 
     # -- projections and class filters -----------------------------------------
 
@@ -238,12 +235,10 @@ class CenterAlgebra:
         np.add.at(out_full, qm.proj, a)
         return target.restrict(out_full % self.p)
 
+    @memoized
     def second_derived_quotient_algebra(self) -> "CenterAlgebra":
         """The center algebra of G / G'' at the same prime, built once."""
-        if "quotient_algebra" not in self.__dict__:
-            self.__dict__["quotient_algebra"] = CenterAlgebra(
-                self.group.second_derived_quotient().group, self.p)
-        return self.__dict__["quotient_algebra"]
+        return CenterAlgebra(self.group.second_derived_quotient().group, self.p)
 
     def surviving_pprime_classes(self) -> list[int]:
         """Nontrivial classes whose radical vector survives the map to

@@ -60,9 +60,8 @@ CATALOG_SPECS: tuple[str, ...] = (
 )
 
 
-def catalog_groups(max_order: int = 2000):
-    """Yield (descriptor, group) for every catalog entry within the cap."""
+def catalog_groups():
+    """Yield (descriptor, group) for every catalog entry; their orders are
+    at most 288."""
     for spec in CATALOG_SPECS:
-        g = parse_family(spec, max_order=max_order)
-        if g.order <= max_order:
-            yield spec, g
+        yield spec, parse_family(spec)

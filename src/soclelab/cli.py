@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Four subcommands. analyze runs the full pipeline on one group and prints
-a report; verify is analyze with every structural check forced on; scan
+a report; verify runs the same checks as analyze (--theorems auto); scan
 walks a list of group sources (family specs, table files, directories,
 or the built-in catalog when none are given) and prints one row per
 (group, prime) pair plus a summary; construct builds a group from a
@@ -22,6 +22,7 @@ import sys
 from .analysis import SCHEMA_VERSION, analyze_group, default_prime
 from .catalog import CATALOG_SPECS
 from .errors import UnsupportedInputError
+from .families import DEFAULT_MAX_ORDER
 from .formats import build_group, format_cayley, write_cayley
 from .groups import prime_factors
 
@@ -224,8 +225,8 @@ def _add_common(sub, with_theorems: bool = True) -> None:
                      help="prime of the coefficient field (default: smallest "
                           "prime dividing |G'|, or |G| when G is abelian)")
     sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--max-order", type=int, default=2000,
-                     help="refuse groups larger than this (default 2000)")
+    sub.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                     help=f"refuse groups larger than this (default {DEFAULT_MAX_ORDER})")
     if with_theorems:
         sub.add_argument("--theorems", choices=("all", "none", "auto"),
                          default="auto",
@@ -245,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(a)
 
     v = subs.add_parser("verify",
-                        help="analyze with every structural check forced on")
+                        help="run the same checks as analyze "
+                             "(--theorems auto)")
     v.add_argument("source", help="family spec or group table file")
     _add_common(v, with_theorems=False)
 
@@ -259,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("construct", help="build a group and write its table")
     c.add_argument("spec", help="family spec")
     c.add_argument("--out", default=None, help="output path (default stdout)")
-    c.add_argument("--max-order", type=int, default=2000)
+    c.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                   help=f"refuse groups larger than this (default {DEFAULT_MAX_ORDER})")
     return ap
 
 

@@ -9,11 +9,11 @@ ties are broken by smallest element index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 
 import numpy as np
 
-from .errors import ConsistencyError, UnsupportedInputError
+from .errors import ConsistencyError, SocleLabError, UnsupportedInputError
 from .fplin import binary_power
 
 # bytes the temporaries of one block of a blockwise loop may take
@@ -31,6 +31,30 @@ def table_dtype(n: int) -> np.dtype:
     table already takes more than 8 GB). Arithmetic on entries that can
     leave [0, n) widens to int64 first."""
     return np.dtype(np.uint16) if n <= 1 << 16 else np.dtype(np.int32)
+
+
+def memoized(method):
+    """Cache method(obj, *args) in obj._memo under (method name, *args). A
+    SocleLabError it raises is cached too, as an unraised copy, and every
+    later call raises a fresh copy of it: the raised error's traceback holds
+    frames that hold obj."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(obj, *args):
+        memo, key = obj._memo, (name, *args)
+        if key not in memo:
+            try:
+                memo[key] = method(obj, *args)
+            except SocleLabError as e:
+                memo[key] = type(e)(*e.args)
+                raise
+        hit = memo[key]
+        if isinstance(hit, SocleLabError):
+            raise type(hit)(*hit.args)
+        return hit
+
+    return cached
 
 
 def int_p_part(n: int, p: int) -> int:
@@ -144,21 +168,20 @@ class FiniteGroup:
             x, k = int(self.inv[x]), -k
         return binary_power(int(x), k, self.mul, lambda: 0)
 
+    @memoized
     def element_orders(self) -> np.ndarray:
-        if "orders" not in self._memo:
-            n = self.order
-            out = np.zeros(n, dtype=np.int64)
-            out[0] = 1
-            cur = np.arange(n)
-            k = 1
-            while (out == 0).any():
-                k += 1
-                cur = self.table[cur, np.arange(n)]
-                hit = (cur == 0) & (out == 0)
-                out[hit] = k
-            out.flags.writeable = False
-            self._memo["orders"] = out
-        return self._memo["orders"]
+        n = self.order
+        out = np.zeros(n, dtype=np.int64)
+        out[0] = 1
+        cur = np.arange(n)
+        k = 1
+        while (out == 0).any():
+            k += 1
+            cur = self.table[cur, np.arange(n)]
+            hit = (cur == 0) & (out == 0)
+            out[hit] = k
+        out.flags.writeable = False
+        return out
 
     def element_order(self, x: int) -> int:
         return int(self.element_orders()[x])
@@ -207,9 +230,12 @@ class FiniteGroup:
             new[frontier] = False
 
     def generators(self) -> list[int]:
-        if "gens" not in self._memo:
-            self._memo["gens"] = self.sub_generators(np.arange(self.order))
-        return list(self._memo["gens"])
+        """The memoized generating set of the whole group, as a fresh list."""
+        return list(self._generators())
+
+    @memoized
+    def _generators(self) -> list[int]:
+        return self.sub_generators(np.arange(self.order))
 
     def sub_generators(self, elems) -> list[int]:
         """Greedy small generating set of a subgroup given by its elements:
@@ -279,44 +305,46 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """The classes as read-only sorted int64 arrays, by size and then
-        by smallest element. Each element is labeled by the smallest element
-        of its class: in each round, every label drops to the smallest label
-        of its images under the generators' conjugations and their inverses,
-        and then to its own label's label, until no label changes."""
-        if "classes" not in self._memo:
-            gens = self.generators()
-            perms = [self.conjugation_perm(g) for g in gens + [int(self.inv[g]) for g in gens]]
-            label = np.arange(self.order)
-            while True:
-                low = reduce(np.minimum, (label[pm] for pm in perms), label)
-                low = low[low]
-                if np.array_equal(low, label):
-                    break
-                label = low
-            roots = np.flatnonzero(label == np.arange(self.order))
-            sizes = np.bincount(label)[roots]
-            # the roots ascend, so a stable sort by size orders the classes
-            rank = np.empty(self.order, dtype=np.int64)  # class index of each root
-            rank[roots[np.argsort(sizes, kind="stable")]] = np.arange(roots.size)
-            cls_of = rank[label]
-            by_class = np.argsort(cls_of, kind="stable")
-            by_class.flags.writeable = False
-            cls_of.flags.writeable = False
-            self._memo["classes"] = (np.split(by_class, np.cumsum(np.sort(sizes))[:-1]), cls_of)
-        return self._memo["classes"][0]
+        by smallest element."""
+        return self._class_layout()[0]
 
     def class_index_of(self) -> np.ndarray:
-        if "classes" not in self._memo:
-            self.conjugacy_classes()
-        return self._memo["classes"][1]
+        """The index of each element's class in conjugacy_classes()."""
+        return self._class_layout()[1]
+
+    @memoized
+    def _class_layout(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """(classes, class index of each element). Each element is labeled
+        by the smallest element of its class: in each round, every label
+        drops to the smallest label of its images under the generators'
+        conjugations and their inverses, and then to its own label's label,
+        until no label changes."""
+        gens = self.generators()
+        perms = [self.conjugation_perm(g) for g in gens + [int(self.inv[g]) for g in gens]]
+        label = np.arange(self.order)
+        while True:
+            low = reduce(np.minimum, (label[pm] for pm in perms), label)
+            low = low[low]
+            if np.array_equal(low, label):
+                break
+            label = low
+        roots = np.flatnonzero(label == np.arange(self.order))
+        sizes = np.bincount(label)[roots]
+        # the roots ascend, so a stable sort by size orders the classes
+        rank = np.empty(self.order, dtype=np.int64)  # class index of each root
+        rank[roots[np.argsort(sizes, kind="stable")]] = np.arange(roots.size)
+        cls_of = rank[label]
+        by_class = np.argsort(cls_of, kind="stable")
+        by_class.flags.writeable = False
+        cls_of.flags.writeable = False
+        return np.split(by_class, np.cumsum(np.sort(sizes))[:-1]), cls_of
 
     # -- distinguished subgroups -----------------------------------------
 
+    @memoized
     def center(self) -> np.ndarray:
         """The centralizer of a generating set."""
-        if "center" not in self._memo:
-            self._memo["center"] = self.centralizer(self.generators())
-        return self._memo["center"]
+        return self.centralizer(self.generators())
 
     def centralizer(self, elems, within=None) -> np.ndarray:
         elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
@@ -328,10 +356,9 @@ class FiniteGroup:
             out = out[self.mask(within)[out]]
         return out
 
+    @memoized
     def derived_subgroup(self) -> np.ndarray:
-        if "derived" not in self._memo:
-            self._memo["derived"] = self.sub_derived(np.arange(self.order))
-        return self._memo["derived"]
+        return self.sub_derived(np.arange(self.order))
 
     def sub_derived(self, elems) -> np.ndarray:
         """[H, H], generated by the commutators [x, h] with x a generator of
@@ -342,16 +369,14 @@ class FiniteGroup:
         t, inv = self.table, self.inv
         return self.subgroup_closure(t[t[x, h], t[inv[x], inv[h]]].ravel())
 
+    @memoized
     def second_derived(self) -> np.ndarray:
-        if "second_derived" not in self._memo:
-            self._memo["second_derived"] = self.sub_derived(self.derived_subgroup())
-        return self._memo["second_derived"]
+        return self.sub_derived(self.derived_subgroup())
 
+    @memoized
     def second_derived_quotient(self) -> "QuotientMap":
         """The map onto G / G''."""
-        if "second_derived_quotient" not in self._memo:
-            self._memo["second_derived_quotient"] = self.quotient(self.second_derived())
-        return self._memo["second_derived_quotient"]
+        return self.quotient(self.second_derived())
 
     def sub_center(self, elems) -> np.ndarray:
         """Z(H): the elements of H that commute with a generating set of H."""
@@ -359,34 +384,32 @@ class FiniteGroup:
 
     # -- Sylow and Hall ----------------------------------------------------
 
+    @memoized
     def sylow_subgroup(self, p: int) -> np.ndarray:
-        key = ("sylow", p)
-        if key not in self._memo:
-            pk = int_p_part(self.order, p)
-            if pk == 1:
-                self._memo[key] = np.array([0], dtype=np.int64)
-                return self._memo[key]
-            orders = self.element_orders()
-            t, inv, n = self.table, self.inv, self.order
-            pp = np.ones(n, dtype=np.int64)  # p-part of each element order
-            while (m := orders % (pp * p) == 0).any():
-                pp[m] *= p
-            # seed with the p-part of the first element of maximal p-part order
-            s = self.subgroup_closure([self.element_p_part(int(pp.argmax()), p)])
-            # extend by the first p-element c outside s normalizing s: then
-            # s<c> is a p-group, as s is normal in it and c has p-power order
-            mask = np.zeros(n, dtype=bool)
-            while s.size < pk:
-                mask[s] = True
-                for c in (~mask & (pp == orders)).nonzero()[0]:
-                    if mask[t[t[c, s], inv[c]]].all():
-                        break
-                else:
-                    raise ConsistencyError("Sylow ascent found no extension")
-                s = self.subgroup_closure(list(s) + [c])
-            self._memo[key] = s
-        return self._memo[key]
+        pk = int_p_part(self.order, p)
+        if pk == 1:
+            return np.array([0], dtype=np.int64)
+        orders = self.element_orders()
+        t, inv, n = self.table, self.inv, self.order
+        pp = np.ones(n, dtype=np.int64)  # p-part of each element order
+        while (m := orders % (pp * p) == 0).any():
+            pp[m] *= p
+        # seed with the p-part of the first element of maximal p-part order
+        s = self.subgroup_closure([self.element_p_part(int(pp.argmax()), p)])
+        # extend by the first p-element c outside s normalizing s: then
+        # s<c> is a p-group, as s is normal in it and c has p-power order
+        mask = np.zeros(n, dtype=bool)
+        while s.size < pk:
+            mask[s] = True
+            for c in (~mask & (pp == orders)).nonzero()[0]:
+                if mask[t[t[c, s], inv[c]]].all():
+                    break
+            else:
+                raise ConsistencyError("Sylow ascent found no extension")
+            s = self.subgroup_closure(list(s) + [c])
+        return s
 
+    @memoized
     def hall_complement(self, p: int) -> np.ndarray | None:
         """Subgroup of order |G| / |Sylow_p|, or None if the greedy pass
         below ends short of it.
@@ -398,9 +421,6 @@ class FiniteGroup:
         order go first, since cyclic complements are common. For a Sylow
         subgroup that is not normal the pass may end short (sym(5), p = 5).
         """
-        key = ("hall", p)
-        if key in self._memo:
-            return self._memo[key]
         m = self.order // self.sylow_subgroup(p).size
         orders = self.element_orders()
         pprime = [x for x in range(1, self.order) if int(orders[x]) % p != 0]
@@ -413,31 +433,28 @@ class FiniteGroup:
                 new = self.subgroup_closure(list(cur) + [y])
                 if new.size % p:
                     cur = new
-        self._memo[key] = cur if cur.size == m else None
-        return self._memo[key]
+        return cur if cur.size == m else None
 
     # -- cores and residuals ----------------------------------------------
 
+    @memoized
     def p_prime_core(self, p: int) -> np.ndarray:
         """Largest normal subgroup of order coprime to p: the union of the
         classes whose normal closure holds only p'-elements, since a normal
         subgroup lies in the core iff all its elements are p'-elements."""
-        key = ("core", p)
-        if key not in self._memo:
-            good = self.element_orders() % p != 0
-            inside = np.zeros(self.order, dtype=bool)
-            inside[0] = True
-            for x in (int(c[0]) for c in self.conjugacy_classes()):
-                if not inside[x] and good[x]:
-                    nc = self.normal_closure([x])
-                    if good[nc].all():
-                        inside[nc] = True
-            core = np.flatnonzero(inside)
-            if not self._closed(core):
-                raise ConsistencyError("core classes are not closed under the product")
-            core.flags.writeable = False
-            self._memo[key] = core
-        return self._memo[key]
+        good = self.element_orders() % p != 0
+        inside = np.zeros(self.order, dtype=bool)
+        inside[0] = True
+        for x in (int(c[0]) for c in self.conjugacy_classes()):
+            if not inside[x] and good[x]:
+                nc = self.normal_closure([x])
+                if good[nc].all():
+                    inside[nc] = True
+        core = np.flatnonzero(inside)
+        if not self._closed(core):
+            raise ConsistencyError("core classes are not closed under the product")
+        core.flags.writeable = False
+        return core
 
     def p_residual(self, p: int) -> np.ndarray:
         """Smallest normal subgroup with p-group quotient: closure of all p'-elements."""

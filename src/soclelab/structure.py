@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +32,8 @@ from .algebra import CenterAlgebra
 from .errors import ConsistencyError, InapplicableError
 from .families import agl1, sl2_3
 from .fplin import Subspace, kernel_basis
-from .groups import FiniteGroup, QuotientMap, direct_product, groups_isomorphic
+from .groups import (FiniteGroup, QuotientMap, direct_product, groups_isomorphic,
+                     memoized)
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +64,14 @@ class AnalysisContext:
     complement: np.ndarray | None
     flags: dict
     alg: CenterAlgebra
-    # None before the first request, False after a failed one
-    _dec: QuotientDecomposition | bool | None = field(
-        default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def reduced(self) -> bool:
-        """True when the first three flags hold and a complement is known."""
+        """True when the first three flags hold."""
         f = self.flags
         return bool(f["derived_is_sylow"] and f["complement_abelian"]
-                    and f["pprime_core_trivial"]) and self.complement is not None
+                    and f["pprime_core_trivial"])
 
     @property
     def z_match(self) -> bool:
@@ -85,37 +83,26 @@ class AnalysisContext:
         algebra computes once and checks against the criterion."""
         return self.alg.socle_ideal_verdict()[0]
 
-    @cached_property
+    @memoized
     def derived_camina(self) -> bool:
-        """G' as a group of its own is a Camina group; built once per context."""
+        """G' as a group of its own is a Camina group."""
         dergrp, _ = self.group.subgroup_as_group(self.derived)
         return dergrp.is_camina()
 
+    @memoized
     def decomposition(self) -> QuotientDecomposition:
         """decompose_second_derived_quotient(self), run on the first request.
-        When it fails, that request raises its error and every later one
-        raises InapplicableError."""
-        if self._dec is None:
-            self._dec = False
-            self._dec = decompose_second_derived_quotient(self)
-        if self._dec is False:
-            raise InapplicableError("no quotient decomposition available")
-        return self._dec
+        When it fails, every request raises its error."""
+        return decompose_second_derived_quotient(self)
 
 
 def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
     der = g.derived_subgroup()
     syl = g.sylow_subgroup(p)
     sylow_normal = syl.size == g.order or g.is_normal(syl)
-
-    complement = None
-    if syl.size == g.order:
-        complement = np.array([0], dtype=np.int64)
-    elif sylow_normal:
-        complement = g.hall_complement(p)
-
+    complement = g.hall_complement(p) if sylow_normal else None
     zd = g.sub_center(der)
-    second = g.sub_derived(der)
+    second = g.second_derived()
     flags = {
         "derived_is_sylow": np.array_equal(der, syl),
         "complement_abelian": complement is not None and g.commute(complement, complement),
@@ -325,8 +312,6 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
     """
     if not ctx.reduced:
         raise InapplicableError("group does not have the reduced shape")
-    if math.gcd(len(ctx.complement), ctx.p) != 1:
-        raise InapplicableError("complement order is divisible by p")
     qm = ctx.group.second_derived_quotient()
     q = qm.group
     der_im = q.element_set(qm.proj[ctx.derived])
@@ -508,25 +493,23 @@ def _multiplier_checks(ctx: AnalysisContext, dec: QuotientDecomposition) -> dict
 # the ideal characterization
 
 
-def _matches_affine_model(q: FiniteGroup, sizes: list[int]) -> tuple[bool, str]:
+@memoized
+def _matches_affine_model(q: FiniteGroup, sizes: tuple[int, ...]) -> tuple[bool, str]:
     """Is q the direct product of the affine groups AGL(1, s), s in sizes?
     Returns (match, method): decided by order when the orders differ or
     sizes is empty, else by the exact isomorphism search.
     q is the memoized G/G'', so the answer is memoized on it."""
-    key = ("affine", tuple(sizes))
-    if key not in q._memo:
-        if q.order != math.prod(s * (s - 1) for s in sizes):
-            q._memo[key] = False, "order"
-        elif not sizes:  # the empty product, and q, are the trivial group
-            q._memo[key] = True, "order"
-        else:
-            model = agl1(sizes[0])
-            for s in sizes[1:]:
-                model = direct_product(model, agl1(s))[0]
-            q._memo[key] = groups_isomorphic(q, model), "isomorphism"
-    return q._memo[key]
+    if q.order != math.prod(s * (s - 1) for s in sizes):
+        return False, "order"
+    if not sizes:  # the empty product, and q, are the trivial group
+        return True, "order"
+    model = agl1(sizes[0])
+    for s in sizes[1:]:
+        model = direct_product(model, agl1(s))[0]
+    return groups_isomorphic(q, model), "isomorphism"
 
 
+@memoized
 def _single_factor(ctx: AnalysisContext) -> QuotientDecomposition:
     """The hypotheses the characterization and the witness share: the
     reduced shape (through the decomposition), Z(G') = G'', and a nontrivial
@@ -575,14 +558,14 @@ def characterize_socle_ideal(ctx: AnalysisContext) -> dict:
     dec = _single_factor(ctx)
     g, p = ctx.group, ctx.p
     structural = _affine_by_multiplier(ctx, dec)
-    affine, method = _matches_affine_model(dec.quotient, [int(dec.derived_image.size)])
+    affine, method = _matches_affine_model(dec.quotient, (int(dec.derived_image.size),))
     if affine != structural:
         raise ConsistencyError(
             f"affine recognition routes disagree: model comparison {affine}, "
             f"transitive generator search {structural}")
 
     has_fixer = dec.fixers[0] is not None
-    camina = ctx.derived_camina
+    camina = ctx.derived_camina()
     predicted = bool(affine and has_fixer and camina)
     direct = ctx.ideal
     if predicted != direct:
@@ -729,7 +712,7 @@ def _commutator_core(ctx: AnalysisContext, g1: int, e1: int) -> np.ndarray:
             "class meets the G''-coset of the seed in more than the core translate")
 
     fills = int(core.size) == int(second.size)
-    if fills != ctx.derived_camina:
+    if fills != ctx.derived_camina():
         raise ConsistencyError("commutator core fills G'' iff G' is Camina, violated")
     if fills:
         raise InapplicableError(
@@ -794,7 +777,8 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
     part_groups = [g.subgroup_as_group(elems, name=f"{g.name}.part{i}")[0]
                    for i, elems in enumerate(parts)]
 
-    affine, method = _matches_affine_model(dec.quotient, [int(f.size) for f in dec.factors])
+    affine, method = _matches_affine_model(dec.quotient,
+                                           tuple(int(f.size) for f in dec.factors))
     pres = [dec.qmap.preimage_of_set(f) for f in dec.factors]
     _verified({
         **_component_checks(ctx, part_groups, parts),

@@ -16,6 +16,7 @@ from soclelab import cli, structure
 from soclelab.algebra import CenterAlgebra
 from soclelab.analysis import analyze_group
 from soclelab.catalog import CATALOG_SPECS, catalog_groups
+from soclelab.errors import ConsistencyError
 from soclelab.families import parse_family
 from soclelab.formats import write_cayley
 from soclelab.groups import FiniteGroup, prime_factors
@@ -67,6 +68,12 @@ def test_catalog_report_matches_digest(row, sweep):
     report = {k: v for k, v in sweep[(spec, int(p))].items() if k != "timing"}
     text = cli._canonical_json(report)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[row]
+    # a check that needs a failed decomposition carries the decomposition's reason
+    th = report["theorems"]
+    assert "no quotient decomposition available" not in text
+    if th.get("quotient_decomposition", {}).get("status") == "inapplicable":
+        for name in ("ideal_characterization", "central_split", "annihilator_reduction"):
+            assert th[name] == th["quotient_decomposition"], name
 
 
 def test_catalog_breadth():
@@ -167,13 +174,25 @@ def test_analysis_decomposes_the_quotient_once_per_report(monkeypatch):
     th = analyze_group(parse_family("sl2(3)"), 2)["theorems"]
     assert th["quotient_decomposition"]["status"] == "passed"
     assert len(calls) == 1
-    # a failed decomposition is not retried: every later check reports it
+    # a failed decomposition is not retried: every later check reports its reason
     th = analyze_group(parse_family("sym(4)"), 2)["theorems"]
     assert len(calls) == 2
-    assert th["quotient_decomposition"]["status"] == "inapplicable"
-    for name in ("ideal_characterization", "central_split", "annihilator_reduction"):
-        assert th[name] == {"status": "inapplicable",
-                            "reason": "no quotient decomposition available"}
+    reason = "group does not have the reduced shape"
+    for name in ("quotient_decomposition", "ideal_characterization", "central_split",
+                 "annihilator_reduction"):
+        assert th[name] == {"status": "inapplicable", "reason": reason}
+
+
+def test_decomposition_consistency_failure_fails_every_check_that_needs_it(monkeypatch):
+    def failing(ctx):
+        raise ConsistencyError("factor product collides")
+
+    monkeypatch.setattr(structure, "decompose_second_derived_quotient", failing)
+    th = analyze_group(parse_family("sl2(3)"), 2)["theorems"]
+    for name in ("quotient_decomposition", "ideal_characterization", "central_split",
+                 "annihilator_reduction"):
+        assert th[name] == {"status": "failed", "reason": "factor product collides"}
+    assert th["reduction"]["status"] == "passed"
 
 
 def test_affine_frobenius_family():

@@ -396,7 +396,7 @@ def test_socle_blocks_reject_a_vector_across_two_cosets():
     i, j = next((i, j) for i in inside for j in inside
                 if cid[alg.classes[i][0]] < cid[alg.classes[j][0]])
     spread = alg.class_sum_vec(i) + alg.class_sum_vec(j)
-    alg.__dict__["socle_space"] = Subspace(2, alg.k, spread)
+    alg._memo[("socle",)] = Subspace(2, alg.k, spread)
     with pytest.raises(ConsistencyError, match="does not split"):
         intersect_socle_blocks(alg, syl)
     with pytest.raises(ConsistencyError, match="does not split"):

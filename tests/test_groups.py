@@ -16,11 +16,11 @@ import pytest
 from soclelab import families as families_module
 from soclelab import groups as groups_module
 from soclelab.catalog import CATALOG_SPECS, catalog_groups
-from soclelab.errors import ConsistencyError, UnsupportedInputError
+from soclelab.errors import ConsistencyError, InapplicableError, UnsupportedInputError
 from soclelab.families import parse_family
 from soclelab.groups import (FiniteGroup, SemidirectSpec, central_product,
                              direct_product, find_isomorphism, groups_isomorphic,
-                             int_p_part, prime_factors, table_dtype)
+                             int_p_part, memoized, prime_factors, table_dtype)
 
 
 def reference_closure(g, gens):
@@ -676,7 +676,7 @@ def test_sylow_matches_normalizer_ascent(spec, g):
 def test_sylow_ascent_raises_without_extension():
     g = parse_family("sym(4)")
     # orders that leave no 2-element: the ascent cannot leave the identity
-    g._memo["orders"] = np.where(np.arange(g.order) == 0, 1, 3)
+    g._memo[("element_orders",)] = np.where(np.arange(g.order) == 0, 1, 3)
     with pytest.raises(ConsistencyError, match="Sylow ascent found no extension"):
         g.sylow_subgroup(2)
 
@@ -799,6 +799,36 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(FiniteGroup, name, counted)
     return calls
+
+
+def test_memoized_runs_once_per_argument_tuple_and_keeps_its_error():
+    calls = []
+
+    class Holder:
+        def __init__(self):
+            self._memo = {}
+
+        @memoized
+        def fact(self, p, q=1):
+            calls.append((p, q))
+            if p == 0:
+                raise InapplicableError(f"no fact at {p}")
+            return [p, q]
+
+    h = Holder()
+    assert h.fact(2) is h.fact(2) and h.fact(2, 5) == [2, 5] and h.fact(3) == [3, 1]
+    assert calls == [(2, 1), (2, 5), (3, 1)]
+    raised = []
+    for _ in range(3):
+        with pytest.raises(InapplicableError, match="^no fact at 0$") as err:
+            h.fact(0)
+        assert type(err.value) is InapplicableError
+        raised.append(err.value)
+    assert calls[3:] == [(0, 1)]
+    kept = h._memo[("fact", 0)]
+    assert type(kept) is InapplicableError and kept.args == ("no fact at 0",)
+    assert kept.__traceback__ is None
+    assert len({id(e) for e in raised + [kept]}) == 4
 
 
 def test_core_is_memoized(monkeypatch):

@@ -7,7 +7,8 @@ flags, and one sub-report per structural theorem check. All of them
 share one AnalysisContext, so the center algebra and the decomposition of
 G/G'' are built at most once per report. Checks whose preconditions fail
 are reported as inapplicable, never as errors; a falsified verification
-lands in consistency_failures and the caller decides how loudly to fail.
+lands in consistency_failures, each distinct text once, and the caller
+decides how loudly to fail.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ def default_prime(group: FiniteGroup) -> int:
     prime dividing |G| (2 for the trivial group)."""
     der = group.derived_subgroup()
     base = der.size if der.size > 1 else group.order
-    facs = prime_factors(base)
-    if not facs:
-        return 2
-    return facs[0]
+    return (prime_factors(base) or [2])[0]
 
 
 def _quotient_decomposition(ctx: AnalysisContext) -> dict:
@@ -83,7 +81,11 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         ideal = {"direct": None, "criterion": None}
         direct = None
 
-    dims = {k: int(v) for k, v in alg.dims().items()}
+    try:
+        dims = {k: int(v) for k, v in alg.dims().items()}
+    except ConsistencyError as e:
+        failures.append(str(e))
+        dims = {"center": int(alg.k), "radical": None, "socle": None}
     blocks = None
     if ctx.sylow_normal:
         try:
@@ -100,7 +102,7 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         group.is_frobenius_with_kernel(ctx.derived))
 
     radical_basis_match = None
-    if ctx.reduced:
+    if ctx.reduced and dims["radical"] is not None:
         radical_basis_match = bool(
             alg.radical_span_from_classes() == alg.jacobson_radical())
         if not radical_basis_match:
@@ -124,10 +126,6 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         "consistency_failures": failures,
     }
 
-    if theorems == "none" or direct is None:
-        report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-        return report
-
     # built per call, so that a caller who rebinds a check in its module
     # (a tracer, a test) is seen; unmet preconditions make a check
     # inapplicable, a falsified verification makes it failed
@@ -136,7 +134,7 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
               ("central_split", split_into_central_factors),
               ("annihilator_reduction", check_annihilator_reduction),
               ("reduction", _reduction))
-    for name, check in checks:
+    for name, check in checks if theorems != "none" and direct is not None else ():
         try:
             report["theorems"][name] = {"status": "passed", **check(ctx)}
         except InapplicableError as e:
@@ -145,5 +143,6 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
             failures.append(str(e))
             report["theorems"][name] = {"status": "failed", "reason": str(e)}
 
+    report["consistency_failures"] = list(dict.fromkeys(failures))
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
     return report

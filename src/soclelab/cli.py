@@ -21,7 +21,7 @@ import sys
 
 from .analysis import SCHEMA_VERSION, analyze_group, default_prime
 from .catalog import CATALOG_SPECS
-from .errors import UnsupportedInputError
+from .errors import ConsistencyError, UnsupportedInputError
 from .families import DEFAULT_MAX_ORDER
 from .formats import build_group, format_cayley, write_cayley
 from .groups import prime_factors
@@ -43,9 +43,9 @@ def _report_table(r: dict) -> str:
     lines.append(f"group    {g['descriptor']}  (order {g['order']}, "
                  f"{g['class_count']} classes)")
     lines.append(f"p        {r['p']}")
-    d = r["dims"]
-    lines.append(f"dims     center={d['center']} radical={d['radical']} "
-                 f"socle={d['socle']}")
+    dims = " ".join(f"{k}={'-' if r['dims'][k] is None else r['dims'][k]}"
+                    for k in ("center", "radical", "socle"))
+    lines.append(f"dims     {dims}")
     if r["socle_blocks"] is not None:
         blk = "  ".join(f"coset {rep}: {dim}" for rep, dim in r["socle_blocks"])
         lines.append(f"blocks   {blk}")
@@ -129,7 +129,7 @@ def _expand_sources(items: list[str]) -> list[str]:
     return out
 
 
-def _scan_row(source: str, order, p, error: str | None = None) -> dict:
+def _scan_row(source: str, order, p, error: str | None = None, failures=()) -> dict:
     return {
         "source": source,
         "order": order,
@@ -140,7 +140,7 @@ def _scan_row(source: str, order, p, error: str | None = None) -> dict:
         "socle_dim": None,
         "standing": None,
         "witness": None,
-        "consistency_failures": [],
+        "consistency_failures": list(failures),
     }
 
 
@@ -149,6 +149,8 @@ def _analyzed_row(source: str, group, p: int, theorems: str) -> dict:
         r = analyze_group(group, p, descriptor=source, theorems=theorems)
     except UnsupportedInputError as e:
         return _scan_row(source, int(group.order), int(p), str(e))
+    except ConsistencyError as e:  # raised before the report could hold it
+        return _scan_row(source, int(group.order), int(p), failures=[str(e)])
     row = _scan_row(source, int(group.order), int(p))
     row["ideal"] = r["ideal"]
     row["socle_dim"] = r["dims"]["socle"]
@@ -282,6 +284,9 @@ def run(argv=None) -> int:
     except UnsupportedInputError as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
+    except ConsistencyError as e:
+        sys.stderr.write(f"consistency failure: {e}\n")
+        return 2
     raise AssertionError("unreachable")
 
 

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import UnsupportedInputError
 from .fplin import binary_power
-from .groups import (FiniteGroup, SemidirectSpec, WordTree, block_rows,
-                     central_product, direct_product, semidirect_product,
-                     table_dtype)
+from .groups import (FiniteGroup, WordTree, block_rows, central_product,
+                     direct_product, semidirect_product, table_dtype)
 
 DEFAULT_MAX_ORDER = 2000
 
@@ -102,12 +101,12 @@ def abelian(invariants) -> FiniteGroup:
     factors = [m for m in reversed(invs) if m > 1] or [1]
     g = cyclic(factors[0])
     for m in factors[1:]:
-        g, _, _ = direct_product(g, cyclic(m))
+        g = direct_product(g, cyclic(m))
     return _named(g, "abelian(" + ",".join(map(str, invs)) + ")")
 
 
 def elementary_abelian(p: int, d: int) -> FiniteGroup:
-    if p < 2:  # before [p] * d, which a huge d overflows: 1^d passes the cap
+    if p < 2 or d < 1:  # before [p] * d, which a huge |d| overflows: 1^d and 2^-d pass the cap
         raise UnsupportedInputError("invalid invariant list")
     return _named(abelian([p] * d), f"elementary({p},{d})")
 
@@ -264,10 +263,19 @@ def metacyclic(m: int, k: int, r: int) -> FiniteGroup:
         raise UnsupportedInputError("metacyclic orders m and k must be >= 1")
     if math.gcd(r, m) != 1 or pow(r, k, m) != 1:
         raise UnsupportedInputError("metacyclic action parameter invalid")
-    action = np.array([pow(r, h, m) for h in range(k)])[:, None] * np.arange(m) % m
-    return semidirect_product(
-        SemidirectSpec(kernel=cyclic(m), acting=cyclic(k), action=action),
-        name=f"metacyclic({m},{k},{r})")
+    return cyclic_extension(cyclic(m), np.arange(m) * (r % m) % m, k,
+                            f"metacyclic({m},{k},{r})")
+
+
+def cyclic_extension(kernel: FiniteGroup, theta, k: int, name: str) -> FiniteGroup:
+    """kernel x| C_k, the generator of C_k acting by the automorphism theta,
+    a permutation of the kernel's elements: row h of the action is theta^h.
+    semidirect_product checks that theta is an automorphism with theta^k = 1."""
+    action = np.empty((k, kernel.order), dtype=np.int64)
+    action[0] = np.arange(kernel.order)
+    for h in range(1, k):
+        action[h] = theta[action[h - 1]]
+    return semidirect_product(kernel, cyclic(k), action, name=name)
 
 
 # -- specialized constructions ---------------------------------------------
@@ -289,19 +297,14 @@ def heisenberg_affine(p: int) -> FiniteGroup:
     C_8 acts by the powers of _heisenberg3_automorphism."""
     if p != 3:
         raise UnsupportedInputError("heisenberg_affine provided for p = 3 only")
-    theta = _heisenberg3_automorphism()
-    action = np.empty((8, 27), dtype=np.int64)
-    action[0] = np.arange(27)
-    for i in range(1, 8):
-        action[i] = theta[action[i - 1]]
-    return semidirect_product(
-        SemidirectSpec(kernel=_heisenberg3(), acting=cyclic(8), action=action),
-        name=f"heisenberg_affine({p})")
+    return cyclic_extension(_heisenberg3(), _heisenberg3_automorphism(), 8,
+                            f"heisenberg_affine({p})")
 
 
 def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
     """Central-type extension of F_q by F_q twisted by the p^k Frobenius,
-    extended by F_q^x acting as (a,b) -> (ua, u^(1+p^k) b). Order q^2 (q-1)."""
+    extended by F_q^x acting as (a,b) -> (ua, u^(1+p^k) b). Order q^2 (q-1):
+    the cyclic extension by (a, b) -> (g0 a, g0^(1+p^k) b), g0 primitive."""
     if p < 2:  # before p ** d: (-2)^odd gives a negative order, which passes the cap
         raise UnsupportedInputError("twisted_affine needs p >= 2")
     q = p ** d
@@ -319,35 +322,20 @@ def twisted_affine(p: int, d: int, k: int) -> FiniteGroup:
            out=table.reshape(q, q, q, q))
     kernel = FiniteGroup(table, name=f"twisted_kernel({p},{d},{k})")
     g0 = field.primitive_element()
-    # h acts by (a, b) -> (u a, u^(1+p^k) b) with u = g0^h
-    u = np.array([field.pow(g0, h) for h in range(q - 1)], dtype=np.int64)
-    ue = mul[u, frob[u]]
-    action = (mul[u][:, :, None] * q + mul[ue][:, None, :]).reshape(q - 1, n)
-    return semidirect_product(
-        SemidirectSpec(kernel=kernel, acting=cyclic(q - 1), action=action),
-        name=f"twisted_affine({p},{d},{k})")
+    theta = (mul[g0][:, None] * q + mul[mul[g0, frob[g0]]]).ravel()
+    return cyclic_extension(kernel, theta, q - 1, f"twisted_affine({p},{d},{k})")
 
 
 def q8q8_diag_c3() -> FiniteGroup:
-    """(Q8 x Q8) x| C_3, the order-3 automorphism applied to both factors."""
-    q8 = dicyclic(2)
-    a, b = 1, 4
+    """(Q8 x Q8) x| C_3, the automorphism rho: a -> b -> ab of Q8 = <a, b>
+    applied to both factors."""
+    q8, a, b = dicyclic(2), 1, 4
     words, rho = WordTree(q8, [a, b]), np.zeros(8, dtype=np.int64)
-    if not all(words.fill_and_check(q8, np.array([b, q8.mul(a, b)]), i, rho) for i in range(2)):
-        raise UnsupportedInputError("triality automorphism construction failed")
-    ident = np.arange(8)
-    if np.array_equal(rho, ident) or not np.array_equal(rho[rho[rho]], ident):
-        raise UnsupportedInputError("automorphism does not have order 3")
-    prod, e1, e2 = direct_product(q8, q8)
-    # direct_product index: (x in factor 1, y in factor 2) at y*8 + x
-    rho2 = (rho[:, None] * 8 + rho).ravel()
-    action = np.empty((3, 64), dtype=np.int64)
-    action[0] = np.arange(64)
-    action[1] = rho2
-    action[2] = rho2[rho2]
-    return semidirect_product(
-        SemidirectSpec(kernel=prod, acting=cyclic(3), action=action),
-        name="q8q8_diag_c3")
+    for i in range(2):  # cyclic_extension checks that rho is an automorphism
+        words.fill_and_check(q8, np.array([b, q8.mul(a, b)]), i, rho)
+    # (x, y) at y 8 + x in direct_product
+    return cyclic_extension(direct_product(q8, q8), (rho[:, None] * 8 + rho).ravel(), 3,
+                            "q8q8_diag_c3")
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -423,23 +411,6 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
         a = ints(len(args) if arity is None else arity)
         _check_order(order(max(max_order, 10 ** 30), *a), max_order)
         return build(*a)
-    if key == "q8" and not args:
-        _check_order(8, max_order)
-        return _named(dicyclic(2), "Q8")
-    if key == "q8q8_diag_c3" and not args:
-        _check_order(192, max_order)
-        return q8q8_diag_c3()
-    if key == "agl":
-        a = ints(2)
-        if a[0] != 1:
-            raise UnsupportedInputError("only degree-1 affine groups are provided")
-        _check_order(a[1] * (a[1] - 1), max_order)
-        return agl1(a[1])
-    if key == "sl2":
-        if ints(1)[0] != 3:
-            raise UnsupportedInputError("only SL2(3) is provided")
-        _check_order(24, max_order)
-        return sl2_3()
     if key == "extraspecial":
         if len(args) != 2:
             raise UnsupportedInputError("extraspecial expects (order, type)")
@@ -456,15 +427,14 @@ def parse_family(spec: str, max_order: int = DEFAULT_MAX_ORDER,
         for i in range(1, len(args)):
             b = sub(i)
             _check_order(g.order * b.order, max_order)
-            g, _, _ = direct_product(g, b)
+            g = direct_product(g, b)
         return _named(g, "direct(" + ",".join(a.strip() for a in args) + ")")
     if key in ("central", "central_product"):
         if len(args) != 2:
             raise UnsupportedInputError("central product takes two factors")
         a, b = sub(0), sub(1)
         _check_order(a.order * b.order, max_order)
-        g, _, _ = central_product(a, b)
-        return _named(g, "central(" + ",".join(x.strip() for x in args) + ")")
+        return _named(central_product(a, b), "central(" + ",".join(x.strip() for x in args) + ")")
     if key == "sdp":
         if file_loader is None:
             raise UnsupportedInputError("sdp(...) requires file inputs")
@@ -491,11 +461,22 @@ def _capped_factorial(n: int, limit: int) -> int:
     return math.factorial(min(max(n, 0), limit.bit_length() + 1))
 
 
+def _refuse(message: str):
+    raise UnsupportedInputError(message)
+
+
 # Families of integer arguments: name -> (number of arguments, or None for
 # any, the group order, constructor). parse_family checks the order against
-# the cap before it calls the constructor. The order takes a limit, at least
-# the cap and 10^30, past which it may be any larger number.
+# the cap before it calls the constructor, which refuses the arguments it
+# does not provide. The order takes a limit, at least the cap and 10^30,
+# past which it may be any larger number.
 _INT_FAMILIES = {
+    "q8": (0, lambda lim: 8, lambda: _named(dicyclic(2), "Q8")),
+    "q8q8_diag_c3": (0, lambda lim: 192, q8q8_diag_c3),
+    "sl2": (1, lambda lim, q: q * (q * q - 1),
+            lambda q: sl2_3() if q == 3 else _refuse("only SL2(3) is provided")),
+    "agl": (2, lambda lim, d, q: q * (q - 1), lambda d, q: agl1(q) if d == 1 else
+            _refuse("only degree-1 affine groups are provided")),
     "cyclic": (1, lambda lim, n: n, cyclic),
     "abelian": (None, lambda lim, *invs: math.prod(invs), lambda *invs: abelian(invs)),
     "elementary": (2, lambda lim, p, d: _capped_pow(p, d, lim), elementary_abelian),

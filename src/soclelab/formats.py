@@ -21,8 +21,7 @@ import numpy as np
 from .errors import UnsupportedInputError
 from .families import DEFAULT_MAX_ORDER, parse_family, permutation_group
 from .fplin import P_LIMIT, is_prime
-from .groups import (FiniteGroup, SemidirectSpec, block_rows, semidirect_product,
-                     table_dtype)
+from .groups import FiniteGroup, block_rows, semidirect_product, table_dtype
 
 
 def _fail(line_no: int, col: int, msg: str):
@@ -268,8 +267,7 @@ def _load_sdp_files(kernel_path: str, acting_path: str, action_path: str,
         raise UnsupportedInputError(f"expected {acting.order} action rows, found {rows}")
     if error is not None:
         raise error
-    return semidirect_product(SemidirectSpec(kernel=kernel, acting=acting, action=action),
-                              name="sdp")
+    return semidirect_product(kernel, acting, action, name="sdp")
 
 
 def build_group(source: str, max_order: int = DEFAULT_MAX_ORDER

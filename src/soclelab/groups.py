@@ -657,68 +657,65 @@ def groups_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
 # -- products ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SemidirectSpec:
-    kernel: FiniteGroup
-    acting: FiniteGroup
-    action: np.ndarray  # shape (|acting|, |kernel|), action[h] a permutation
-
-    def validate(self):
-        """The checks run over blocks of h within BLOCK_BYTES, one h at least;
-        the error raised is that of the smallest failing h, its permutation
-        check before its automorphism check, and then of the homomorphism
-        check."""
-        nk, nh = self.kernel.order, self.acting.order
-        act = np.asarray(self.action, dtype=np.int64)
-        if act.shape != (nh, nk):
-            raise UnsupportedInputError("action table has wrong shape")
-        if not np.array_equal(act[0], np.arange(nk)):
-            raise UnsupportedInputError("identity must act trivially")
-        tk, th = self.kernel.table, self.acting.table
-        perm = (np.sort(act, axis=1) == np.arange(nk)).all(axis=1)
-        n_perm = nh if perm.all() else int(np.argmin(perm))
-        step = block_rows(nk * nk * (8 + tk.itemsize + 1))  # int64, table, bool
-        for lo in range(0, n_perm, step):
-            ph = act[lo:min(lo + step, n_perm)]
-            auto = (ph[:, tk] == tk[ph[:, :, None], ph[:, None, :]]).all(axis=(1, 2))
-            if not auto.all():
-                h = lo + int(np.argmin(auto))
-                raise UnsupportedInputError(f"action of {h} is not an automorphism")
-        if n_perm < nh:
-            raise UnsupportedInputError(f"action of {n_perm} is not a permutation")
-        step = block_rows(nh * nk * 17)  # two int64 gathers and a bool
-        for lo in range(0, nh, step):
-            # act[h1 h2] == act[h1] o act[h2] for every h2 at once
-            if not (act[th[lo:lo + step]] == act[lo:lo + step][:, act]).all():
-                raise UnsupportedInputError("action is not a homomorphism")
-        return act
+def _checked_action(kernel: FiniteGroup, acting: FiniteGroup, action) -> np.ndarray:
+    """The action as int64, after checking that row h is an automorphism of
+    the kernel and h -> row h a homomorphism. The checks run over blocks of
+    h within BLOCK_BYTES, one h at least; the error raised is that of the
+    smallest failing h, its permutation check before its automorphism check,
+    and then of the homomorphism check."""
+    nk, nh = kernel.order, acting.order
+    act = np.asarray(action, dtype=np.int64)
+    if act.shape != (nh, nk):
+        raise UnsupportedInputError("action table has wrong shape")
+    if not np.array_equal(act[0], np.arange(nk)):
+        raise UnsupportedInputError("identity must act trivially")
+    tk, th = kernel.table, acting.table
+    perm = (np.sort(act, axis=1) == np.arange(nk)).all(axis=1)
+    n_perm = nh if perm.all() else int(np.argmin(perm))
+    step = block_rows(nk * nk * (8 + tk.itemsize + 1))  # int64, table, bool
+    for lo in range(0, n_perm, step):
+        ph = act[lo:min(lo + step, n_perm)]
+        auto = (ph[:, tk] == tk[ph[:, :, None], ph[:, None, :]]).all(axis=(1, 2))
+        if not auto.all():
+            h = lo + int(np.argmin(auto))
+            raise UnsupportedInputError(f"action of {h} is not an automorphism")
+    if n_perm < nh:
+        raise UnsupportedInputError(f"action of {n_perm} is not a permutation")
+    step = block_rows(nh * nk * 17)  # two int64 gathers and a bool
+    for lo in range(0, nh, step):
+        # act[h1 h2] == act[h1] o act[h2] for every h2 at once
+        if not (act[th[lo:lo + step]] == act[lo:lo + step][:, act]).all():
+            raise UnsupportedInputError("action is not a homomorphism")
+    return act
 
 
-def semidirect_product(spec: SemidirectSpec, name: str | None = None):
-    """Semidirect product kernel x| acting, the element (a, h) at a |acting| + h."""
-    act = spec.validate()
-    kg, hg = spec.kernel, spec.acting
-    nk, nh = kg.order, hg.order
-    tk, th = kg.table, hg.table
+def semidirect_product(kernel: FiniteGroup, acting: FiniteGroup, action,
+                       name: str | None = None) -> FiniteGroup:
+    """kernel x| acting, h acting on the kernel by the permutation action[h]
+    of its elements, checked by _checked_action. The element (a, h) is at
+    a |acting| + h."""
+    act = _checked_action(kernel, acting, action)
+    nk, nh = kernel.order, acting.order
+    tk, th = kernel.table, acting.table
     # (a1, h1)(a2, h2) = (a1 act[h1](a2), h1 h2), element (a, h) at a nh + h
     dtype = table_dtype(nk * nh)
     table, step = np.empty((nk, nh, nk, nh), dtype), block_rows(nk * nk * dtype.itemsize)
     for lo in range(0, nh, step):
         np.add(np.multiply(tk[:, act[lo:lo + step]], nh, dtype=dtype)[..., None],
                th[lo:lo + step, None, :], out=table[:, lo:lo + step])
-    return FiniteGroup(table.reshape(nk * nh, nk * nh), name=name or f"{kg.name}_by_{hg.name}")
+    return FiniteGroup(table.reshape(nk * nh, nk * nh),
+                       name=name or f"{kernel.name}_by_{acting.name}")
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None):
+def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """a x b, (x, y) at y |a| + x for x in a and y in b, so that (x1, y1)
-    (x2, y2) is b[y1, y2] |a| + a[x1, x2]. Returns (group, embed_a, embed_b)."""
+    (x2, y2) is b[y1, y2] |a| + a[x1, x2]."""
     na, nb = a.order, b.order
     dtype = table_dtype(na * nb)
     table = np.empty((nb, na, nb, na), dtype)
     np.add(np.multiply(b.table, na, dtype=dtype)[:, None, :, None],
            a.table[None, :, None, :], out=table)
-    g = FiniteGroup(table.reshape(na * nb, na * nb), name=name or f"{a.name}_x_{b.name}")
-    return g, np.arange(na, dtype=np.int64), np.arange(nb, dtype=np.int64) * na
+    return FiniteGroup(table.reshape(na * nb, na * nb), name=name or f"{a.name}_x_{b.name}")
 
 
 def cyclic_generator(g: FiniteGroup, elems: np.ndarray) -> int | None:
@@ -730,16 +727,14 @@ def cyclic_generator(g: FiniteGroup, elems: np.ndarray) -> int | None:
     return None
 
 
-def central_product(a: FiniteGroup, b: FiniteGroup):
+def central_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Quotient of a x b identifying Z(a) with Z(b), both cyclic of equal
-    order, along their smallest generators ga ~ gb. The glued subgroup is
-    generated by (ga, gb^-1). Returns (group, embed_a, embed_b)."""
+    order, along their smallest generators ga ~ gb: the glued subgroup is
+    generated by (ga, gb^-1), at gb^-1 |a| + ga in direct_product."""
     za, zb = a.center(), b.center()
     ga, gb = cyclic_generator(a, za), cyclic_generator(b, zb)
     if za.size != zb.size or ga is None or gb is None:
         raise UnsupportedInputError(
             "central product needs cyclic centers of equal order")
-    prod, ea, eb = direct_product(a, b)
-    glue = prod.mul(int(ea[ga]), int(eb[b.inverse(gb)]))
-    qm = prod.quotient(prod.subgroup_closure([glue]))
-    return qm.group, qm.proj[ea], qm.proj[eb]
+    prod = direct_product(a, b)
+    return prod.quotient(prod.subgroup_closure([int(b.inv[gb]) * a.order + ga])).group

@@ -505,7 +505,7 @@ def _matches_affine_model(q: FiniteGroup, sizes: tuple[int, ...]) -> tuple[bool,
         return True, "order"
     model = agl1(sizes[0])
     for s in sizes[1:]:
-        model = direct_product(model, agl1(s))[0]
+        model = direct_product(model, agl1(s))
     return groups_isomorphic(q, model), "isomorphism"
 
 

@@ -188,11 +188,13 @@ def test_decomposition_consistency_failure_fails_every_check_that_needs_it(monke
         raise ConsistencyError("factor product collides")
 
     monkeypatch.setattr(structure, "decompose_second_derived_quotient", failing)
-    th = analyze_group(parse_family("sl2(3)"), 2)["theorems"]
+    r = analyze_group(parse_family("sl2(3)"), 2)
+    th = r["theorems"]
     for name in ("quotient_decomposition", "ideal_characterization", "central_split",
                  "annihilator_reduction"):
         assert th[name] == {"status": "failed", "reason": "factor product collides"}
     assert th["reduction"]["status"] == "passed"
+    assert r["consistency_failures"] == ["factor product collides"]  # listed once
 
 
 def test_affine_frobenius_family():

@@ -6,15 +6,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soclelab import cli, families
 from soclelab.errors import UnsupportedInputError
 from soclelab.families import (GF, _heisenberg3, _heisenberg3_automorphism,
                                _prime_power, agl1, dicyclic, dihedral, gf,
                                parse_family, sl2_3)
-from soclelab.formats import parse_group_text
-from soclelab.groups import (FiniteGroup, SemidirectSpec, groups_isomorphic,
-                             semidirect_product)
+from soclelab.formats import build_group, parse_group_text
+from soclelab.groups import FiniteGroup, groups_isomorphic, semidirect_product
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -156,6 +157,7 @@ def test_central_product_order():
     "extraspecial(16,+)",
     "nosuchfamily(3)",
     "dihedral(0)",
+    f"elementary(2,{-10 ** 30})",  # 2^d underflows to 0, and [2] * d overflowed
     "",
 ])
 def test_bad_specs_rejected(bad):
@@ -173,7 +175,8 @@ def test_max_order_cap():
 
 @pytest.mark.parametrize("spec,key", [("dihedral(3000)", "dihedral"),
                                       ("cyclic(1000000000)", "cyclic"),
-                                      ("abelian(1000,1000)", "abelian")])
+                                      ("abelian(1000,1000)", "abelian"),
+                                      ("agl(1,1024)", "agl"), ("sl2(13)", "sl2")])
 def test_cap_is_checked_before_construction(spec, key, monkeypatch):
     arity, order, _ = families._INT_FAMILIES[key]
 
@@ -244,7 +247,7 @@ def test_capped_power_keeps_sign_and_passes_the_limit(p, d, limit):
 GRID_VALUES = [-3, -1, 0, 1, 2, 3, 4, 5, 8, 9, 1000]
 GRID_ARITIES = {name: [1, 2, 3] if arity is None else [arity]
                 for name, (arity, _, _) in families._INT_FAMILIES.items()}
-GRID_ARITIES.update(agl=[2], sl2=[1], extraspecial=[2])
+GRID_ARITIES["extraspecial"] = [2]  # a branch of its own: its type is a string
 
 
 @pytest.mark.parametrize("name", list(GRID_ARITIES))
@@ -263,6 +266,79 @@ def test_every_argument_tuple_builds_or_is_refused(name):
             if not (isinstance(g, FiniteGroup) and g.order <= 300):
                 escapes.append(f"{spec}: built {g!r}")
     assert not escapes, escapes[:5]
+
+
+# -- nested family specs, generated from the grammar -------------------------
+
+# mostly small integers, some out of range, huge or not integers at all
+FUZZ_ARG = st.one_of(*[st.integers(1, 9).map(str)] * 6, st.integers(-4, 0).map(str),
+                     st.sampled_from([16, 27, 289, 2 ** 63, 10 ** 30, -10 ** 30, 10 ** 100,
+                                      "", " ", "x", "1.5"]).map(str))
+
+
+def fuzz_call(draw, name, arg, count):
+    """name(args): count arguments drawn from arg four times in six, one
+    more or one fewer otherwise; the name in upper case one time in four."""
+    n = max(0, count + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+    name = draw(st.sampled_from([name] * 3 + [name.upper()]))
+    return f"{name}({','.join(draw(arg) for _ in range(n))})"
+
+
+@pytest.fixture(scope="module")
+def sdp_paths(tmp_path_factory):
+    """Files for sdp(...): C_3, C_2 and the inversion action, then a
+    non-automorphism and a missing file."""
+    d = tmp_path_factory.mktemp("sdp")
+    texts = {"k.cay": "cayley 3\n0 1 2\n1 2 0\n2 0 1\n", "h.cay": "cayley 2\n0 1\n1 0\n",
+             "act.txt": "action\n0 1 2\n0 2 1\n", "bad.txt": "action\n0 1 2\n1 2 0\n"}
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    return [str(d / name) for name in [*texts, "missing.cay"]]
+
+
+@st.composite
+def nested_specs(draw, paths):
+    """Every integer family, extraspecial and sdp, nested in direct and
+    central; in one spec of five, a "(" or ")" is added or a character cut."""
+
+    @st.composite
+    def leaf(draw):
+        name = draw(st.sampled_from([*families._INT_FAMILIES, "extraspecial", "sdp"]))
+        if name == "extraspecial":
+            order = draw(st.sampled_from(["8", "27", "16", "x", ""]))
+            kind = draw(st.sampled_from(["+", "-", "exp_p", "exp_p2", "quaternion", "", "8"]))
+            return f"{name}({order},{kind})" if draw(st.integers(0, 5)) else f"{name}({kind})"
+        if name == "sdp":
+            if draw(st.integers(0, 2)):
+                return f"sdp({','.join(paths[:3])})"
+            return fuzz_call(draw, name, st.sampled_from(paths), 3)
+        arity = families._INT_FAMILIES[name][0]
+        if arity == 0 and draw(st.booleans()):
+            return name
+        return fuzz_call(draw, name, FUZZ_ARG, draw(st.integers(1, 3)) if arity is None else arity)
+
+    @st.composite
+    def product(draw, inner):
+        name = draw(st.sampled_from(["direct", "central", "direct_product", "central_product"]))
+        return fuzz_call(draw, name, inner, 2 + (name[0] == "d" and draw(st.booleans())))
+
+    spec = draw(st.one_of(leaf(), st.recursive(leaf(), product, max_leaves=4)))
+    at = draw(st.integers(0, len(spec)))
+    cut, insert = draw(st.sampled_from([(0, "")] * 12 + [(0, "("), (0, ")"), (1, "")]))
+    return spec[:at] + insert + spec[at + cut:]
+
+
+@settings(derandomize=True, max_examples=180, deadline=None, database=None)
+@given(data=st.data())
+def test_nested_specs_build_or_are_refused(sdp_paths, data):
+    """Every generated spec ends in a group within the cap or an
+    UnsupportedInputError, and nothing else."""
+    spec = data.draw(nested_specs(sdp_paths))
+    try:
+        g, _ = build_group(spec, max_order=300)
+    except UnsupportedInputError:
+        return
+    assert isinstance(g, FiniteGroup) and g.order <= 300, spec
 
 
 def test_capped_factorial_is_exact_up_to_the_limit():
@@ -331,9 +407,7 @@ def reference_twisted_affine(p, d, k):
         ue = field.pow(u, 1 + pk)
         for a in range(q):
             action[h, a * q: a * q + q] = int(mul[u, a]) * q + mul[ue]
-    return semidirect_product(
-        SemidirectSpec(kernel=kernel, acting=parse_family(f"cyclic({q - 1})"),
-                       action=action))
+    return semidirect_product(kernel, parse_family(f"cyclic({q - 1})"), action)
 
 
 @pytest.mark.parametrize("p,d,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2)])

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from soclelab import cli, formats
 from soclelab import groups as groups_module
-from soclelab.errors import UnsupportedInputError
+from soclelab.algebra import CenterAlgebra
+from soclelab.errors import ConsistencyError, UnsupportedInputError
 from soclelab.families import DEFAULT_MAX_ORDER, parse_family
 from soclelab.formats import (build_group, format_cayley, load_group_file,
                               parse_group_text, write_cayley)
@@ -179,6 +180,58 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
             "schema_version": 1}
     monkeypatch.setattr(cli, "analyze_group", lambda *a, **k: fake)
     assert cli.run(["analyze", "cyclic(2)"]) == 2
+
+
+def raise_consistency(message):
+    def failing(*args):
+        raise ConsistencyError(message)
+    return failing
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_radical_consistency_failure_exits_2(fmt, capsys, monkeypatch):
+    """The verdict and the dimensions both need the radical: the report
+    lists its failure once, reads no radical or socle dimension, and the
+    exit code is 2, in analyze and in scan."""
+    monkeypatch.setattr(CenterAlgebra, "jacobson_radical", raise_consistency("radical broke"))
+    code, out = run_cli(capsys, "analyze", "SL2(3)", "--p", "2", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        r = json.loads(out)
+        assert r["consistency_failures"] == ["radical broke"]
+        assert r["dims"] == {"center": 7, "radical": None, "socle": None}
+        assert r["ideal"] == {"direct": None, "criterion": None}
+    else:
+        assert "dims     center=7 radical=- socle=-" in out
+        assert out.count("radical broke") == 1
+    code, out = run_cli(capsys, "scan", "cyclic(2)", "SL2(3)", "--p", "2", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        r = json.loads(out)
+        assert [row["consistency_failures"] for row in r["rows"]] == [["radical broke"]] * 2
+        assert [row["socle_dim"] for row in r["rows"]] == [None, None]
+        assert r["summary"]["consistency_failures"] == 2
+    else:
+        assert "consistency_failures=2" in out
+
+
+def test_consistency_failure_outside_the_report_exits_2(capsys, monkeypatch):
+    """A failure the report cannot hold, in the Sylow ascent before any
+    report exists: analyze writes it to stderr, and scan makes it the
+    failure of that row and goes on."""
+    monkeypatch.setattr(FiniteGroup, "sylow_subgroup",
+                        raise_consistency("Sylow ascent found no extension"))
+    assert cli.run(["analyze", "SL2(3)", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "consistency failure: Sylow ascent found no extension\n"
+    code, out = run_cli(capsys, "scan", "cyclic(2)", "nosuch(1)", "SL2(3)", "--p", "2")
+    assert code == 2
+    rows = json.loads(out)["rows"]
+    assert [row["status"] for row in rows] == ["ok", "error", "ok"]
+    assert [row["consistency_failures"] for row in rows] == [
+        ["Sylow ascent found no extension"], [], ["Sylow ascent found no extension"]]
+    assert json.loads(out)["summary"]["consistency_failures"] == 2
 
 
 def test_construct_stdout_and_file(capsys, tmp_path):

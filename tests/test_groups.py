@@ -1,6 +1,5 @@
 """Group machinery against textbook facts and brute-force recomputation."""
 
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -18,7 +17,7 @@ from soclelab import groups as groups_module
 from soclelab.catalog import CATALOG_SPECS, catalog_groups
 from soclelab.errors import ConsistencyError, InapplicableError, UnsupportedInputError
 from soclelab.families import parse_family
-from soclelab.groups import (FiniteGroup, SemidirectSpec, central_product,
+from soclelab.groups import (FiniteGroup, _checked_action, central_product,
                              direct_product, find_isomorphism, groups_isomorphic,
                              int_p_part, memoized, prime_factors, table_dtype)
 
@@ -320,7 +319,7 @@ def test_hall_complement_needs_a_normal_sylow():
 
 
 def test_cores_and_residuals():
-    g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
+    g = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
     assert g.p_prime_core(2).size == 5
     # abelianization C3 x C5 has trivial 2-part, so no proper 2-group quotient
     assert g.p_residual(2).size == 120
@@ -341,7 +340,8 @@ def test_subgroup_as_group_multiplication():
 def test_direct_product_embeddings_commute():
     a = parse_family("q8")
     b = parse_family("cyclic(3)")
-    g, ea, eb = direct_product(a, b)
+    g = direct_product(a, b)
+    ea, eb = np.arange(a.order), np.arange(b.order) * a.order  # x -> x, y -> y |a|
     assert g.order == 24
     for x in ea:
         for y in eb:
@@ -350,14 +350,14 @@ def test_direct_product_embeddings_commute():
 
 def test_central_product_identifies_centers():
     q8 = parse_family("q8")
-    g, ea, eb = central_product(q8, q8)
+    g = central_product(q8, q8)
     assert g.order == 32  # 8 * 8 / 2
     assert g.center().size == 2
 
 
 def test_isomorphism_search():
     c6a = parse_family("cyclic(6)")
-    c6b, _, _ = direct_product(parse_family("cyclic(2)"), parse_family("cyclic(3)"))
+    c6b = direct_product(parse_family("cyclic(2)"), parse_family("cyclic(3)"))
     iso = find_isomorphism(c6a, c6b)
     assert iso is not None
     for a in range(6):
@@ -466,8 +466,7 @@ def assert_isomorphism(a, b, f):
 
 
 def direct_of(*specs):
-    return reduce(lambda g, h: direct_product(g, h)[0],
-                  [parse_family(s) for s in specs])
+    return reduce(direct_product, [parse_family(s) for s in specs])
 
 
 EQUAL_ORDER_PAIRS = [(s, t) for (s, g), (t, h) in combinations(catalog_groups(), 2)
@@ -536,7 +535,7 @@ def test_frobenius_detection():
     d4 = parse_family("dihedral(4)")
     assert not d4.is_frobenius_with_kernel(d4.derived_subgroup())
     # direct factors break the partition condition
-    g2, _, _ = direct_product(parse_family("agl(1,5)"), parse_family("cyclic(3)"))
+    g2 = direct_product(parse_family("agl(1,5)"), parse_family("cyclic(3)"))
     assert not g2.is_frobenius_with_kernel(g2.derived_subgroup())
 
 
@@ -1026,9 +1025,10 @@ def reference_center(g):
 
 
 def reference_semidirect_table(spec):
-    """One row at a time: (a1, h1)(a2, h2) = (a1 act[h1](a2), h1 h2)."""
-    act = spec.validate()
-    tk, th = spec.kernel.table, spec.acting.table
+    """One row at a time: (a1, h1)(a2, h2) = (a1 act[h1](a2), h1 h2), for
+    spec = (kernel, acting, action)."""
+    act = _checked_action(*spec)
+    tk, th = spec[0].table, spec[1].table
     nk, nh = len(tk), len(th)
     table = np.empty((nk * nh, nk * nh), dtype=np.uint16)
     for a1 in range(nk):
@@ -1046,7 +1046,7 @@ PRODUCT_SPECS = ("q8q8_diag_c3", "heisenberg_affine(3)", "twisted_affine(2,3,1)"
 def identity_action_spec(a, b):
     """a x b as the semidirect product b x| a with the identity action."""
     act = np.broadcast_to(np.arange(b.order, dtype=np.int64), (a.order, b.order))
-    return SemidirectSpec(kernel=b, acting=a, action=np.ascontiguousarray(act))
+    return b, a, np.ascontiguousarray(act)
 
 
 def test_center_and_products_match_full_table_forms(monkeypatch):
@@ -1056,14 +1056,14 @@ def test_center_and_products_match_full_table_forms(monkeypatch):
     original = groups_module.semidirect_product
     original_direct = groups_module.direct_product
 
-    def recorded(spec, name=None):
-        out = original(spec, name=name)
-        made.append((spec, out))
+    def recorded(kernel, acting, action, name=None):
+        out = original(kernel, acting, action, name=name)
+        made.append(((kernel, acting, action), out))
         return out
 
     def recorded_direct(a, b, name=None):
         out = original_direct(a, b, name=name)
-        made.append((identity_action_spec(a, b), out[0]))
+        made.append((identity_action_spec(a, b), out))
         return out
 
     monkeypatch.setattr(groups_module, "semidirect_product", recorded)
@@ -1082,7 +1082,7 @@ def test_center_and_products_match_full_table_forms(monkeypatch):
     # the byte budget at its minimum: one acting element per block of the fill
     monkeypatch.setattr(groups_module, "BLOCK_BYTES", 1)
     for spec, g in made:
-        assert np.array_equal(original(spec).table, g.table)
+        assert np.array_equal(original(*spec).table, g.table)
 
 
 def test_semidirect_build_peaks_near_its_table():
@@ -1133,21 +1133,23 @@ def test_coset_minima_match_full_copies(block, monkeypatch):
 
 def reference_action_check(spec):
     """Per h the permutation check and then the automorphism check, then
-    the homomorphism check pair by pair. The first message, or None."""
-    nk, nh = spec.kernel.order, spec.acting.order
-    act = np.asarray(spec.action, dtype=np.int64)
+    the homomorphism check pair by pair, for spec = (kernel, acting,
+    action). The first message, or None."""
+    kernel, acting, action = spec
+    nk, nh = kernel.order, acting.order
+    act = np.asarray(action, dtype=np.int64)
     if act.shape != (nh, nk):
         return "action table has wrong shape"
     if not np.array_equal(act[0], np.arange(nk)):
         return "identity must act trivially"
-    tk = spec.kernel.table
+    tk = kernel.table
     for h in range(nh):
         ph = act[h]
         if not np.array_equal(np.sort(ph), np.arange(nk)):
             return f"action of {h} is not a permutation"
         if not np.array_equal(ph[tk], tk[np.ix_(ph, ph)]):
             return f"action of {h} is not an automorphism"
-    th = spec.acting.table
+    th = acting.table
     for h1 in range(nh):
         for h2 in range(nh):
             if not np.array_equal(act[th[h1, h2]], act[h1][act[h2]]):
@@ -1208,32 +1210,32 @@ def test_action_check_matches_pair_loop(block, monkeypatch):
     made = []
     original = groups_module.semidirect_product
 
-    def recorded(spec, name=None):
-        made.append(spec)
-        return original(spec, name=name)
+    def recorded(kernel, acting, action, name=None):
+        made.append((kernel, acting, action))
+        return original(kernel, acting, action, name=name)
 
     monkeypatch.setattr(groups_module, "semidirect_product", recorded)
     monkeypatch.setattr(families_module, "semidirect_product", recorded)
     for s in ACTION_SPECS:
         parse_family(s)
     made.append(identity_action_spec(parse_family("AGL(1,4)"), parse_family("cyclic(5)")))
-    specs = [spec for spec in made if spec.acting.order > 2 and spec.kernel.order > 2]
+    specs = [spec for spec in made if spec[1].order > 2 and spec[0].order > 2]
     assert len(specs) > len(ACTION_SPECS)
     rng = np.random.default_rng(1414)
     seen = Counter()
     for spec in specs:
-        valid = np.array(spec.action)
+        valid = np.array(spec[2])
         assert reference_action_check(spec) is None
-        assert np.array_equal(spec.validate(), valid)
+        assert np.array_equal(_checked_action(*spec), valid)
         for t in corrupted_actions(valid, rng, per_kind=4):
-            bad = dataclasses.replace(spec, action=t)
+            bad = (*spec[:2], t)
             want = reference_action_check(bad)
             seen[want.split(" is not ")[-1] if want else want] += 1
             if want is None:
-                assert np.array_equal(bad.validate(), t)
+                assert np.array_equal(_checked_action(*bad), t)
                 continue
             with pytest.raises(UnsupportedInputError) as err:
-                bad.validate()
+                _checked_action(*bad)
             assert str(err.value) == want
     assert set(seen) >= {"identity must act trivially", "a permutation",
                          "an automorphism", "a homomorphism"}

@@ -43,7 +43,7 @@ class TestSylowSplit:
         assert not ctx.reduced
 
     def test_nonabelian_complement_flagged(self):
-        g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
+        g = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
         ctx = examine_sylow_split(g, 5)
         assert not ctx.flags["complement_abelian"]
         assert not ctx.reduced
@@ -301,13 +301,13 @@ class TestReduceToCore:
         assert applied == []
 
     def test_strips_coprime_direct_factor(self):
-        g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(3)"))
+        g = direct_product(parse_family("sl2(3)"), parse_family("cyclic(3)"))
         core, steps = reduce_to_core(examine_sylow_split(g, 2))
         assert core.order == 24
         assert any(s["step"] == "quotient_by_coprime_core" for s in steps)
 
     def test_splits_central_p_factor(self):
-        g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(2)"))
+        g = direct_product(parse_family("sl2(3)"), parse_family("cyclic(2)"))
         core, steps = reduce_to_core(examine_sylow_split(g, 2))
         assert core.order == 24
         assert any(s["step"] == "central_split" for s in steps)
@@ -318,7 +318,7 @@ class TestReduceToCore:
         assert core.order in (4, 12)  # coprime core strips the 3-part
 
     def test_nonabelian_complement_out_of_scope(self):
-        g, _, _ = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
+        g = direct_product(parse_family("sl2(3)"), parse_family("cyclic(5)"))
         with pytest.raises(InapplicableError):
             reduce_to_core(examine_sylow_split(g, 5))
 
@@ -345,7 +345,7 @@ def test_affine_model_comparison():
     assert _matches_affine_model(parse_family("dihedral(6)"), (4,)) == (False, "isomorphism")
     assert _matches_affine_model(parse_family("sym(4)"), (4,)) == (False, "order")
     assert _matches_affine_model(parse_family("agl(1,4)"), ()) == (False, "order")
-    pair, _, _ = direct_product(parse_family("agl(1,3)"), parse_family("agl(1,4)"))
+    pair = direct_product(parse_family("agl(1,3)"), parse_family("agl(1,4)"))
     assert _matches_affine_model(pair, (3, 4)) == (True, "isomorphism")
     assert _matches_affine_model(parse_family("cyclic(702)"), (27,)) == (False, "isomorphism")
 

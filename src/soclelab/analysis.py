@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from .errors import ConsistencyError, InapplicableError, UnsupportedInputError
-from .fplin import P_LIMIT, is_prime
+from .fplin import check_prime
 from .groups import FiniteGroup, prime_factors
 from .structure import (AnalysisContext, check_annihilator_reduction,
                         check_quotient_decomposition, characterize_socle_ideal,
@@ -65,8 +65,7 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
     also run the structural checks."""
     if theorems not in ("none", "auto", "all"):
         raise UnsupportedInputError(f"unknown theorems mode {theorems!r}")
-    if p >= P_LIMIT or not is_prime(p):
-        raise UnsupportedInputError(f"p = {p} is not a prime below 2**16")
+    check_prime(p)
 
     t0 = time.perf_counter()
     failures: list[str] = []

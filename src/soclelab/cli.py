@@ -246,12 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     a = subs.add_parser("analyze", help="analyze one group at one prime")
     a.add_argument("source", help="family spec or group table file")
     _add_common(a)
+    a.set_defaults(func=cmd_analyze)
 
     v = subs.add_parser("verify",
                         help="run the same checks as analyze "
                              "(--theorems auto)")
     v.add_argument("source", help="family spec or group table file")
     _add_common(v, with_theorems=False)
+    v.set_defaults(func=cmd_analyze, theorems="all")
 
     s = subs.add_parser("scan", help="analyze many groups, one row per "
                                      "(group, prime)")
@@ -259,35 +261,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family specs, table files, or directories of table "
                         "files; the built-in catalog when omitted")
     _add_common(s)
+    s.set_defaults(func=cmd_scan)
 
     c = subs.add_parser("construct", help="build a group and write its table")
     c.add_argument("spec", help="family spec")
     c.add_argument("--out", default=None, help="output path (default stdout)")
     c.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                    help=f"refuse groups larger than this (default {DEFAULT_MAX_ORDER})")
+    c.set_defaults(func=cmd_construct)
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "verify":
-            args.theorems = "all"
-            return cmd_analyze(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "construct":
-            return cmd_construct(args)
+        return args.func(args)
     except UnsupportedInputError as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
     except ConsistencyError as e:
         sys.stderr.write(f"consistency failure: {e}\n")
         return 2
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

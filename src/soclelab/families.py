@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import UnsupportedInputError
 from .fplin import binary_power
-from .groups import (FiniteGroup, WordTree, block_rows, central_product,
-                     direct_product, semidirect_product, table_dtype)
+from .groups import (FiniteGroup, WordTree, block_rows, central_product, direct_product,
+                     prime_factors, semidirect_product, table_dtype)
 
 DEFAULT_MAX_ORDER = 2000
 
@@ -339,16 +339,15 @@ def q8q8_diag_c3() -> FiniteGroup:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            d = 0
-            while q % p == 0:
-                q //= p
-                d += 1
-            if q != 1:
-                raise UnsupportedInputError("parameter must be a prime power")
-            return p, d
-    raise UnsupportedInputError("parameter must be a prime power >= 2")
+    primes = prime_factors(q)
+    if not primes:
+        raise UnsupportedInputError("parameter must be a prime power >= 2")
+    if len(primes) > 1:
+        raise UnsupportedInputError("parameter must be a prime power")
+    p, d = primes[0], 1
+    while p ** d < q:
+        d += 1
+    return p, d
 
 
 # -- family-spec parsing ------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UnsupportedInputError
 from .families import DEFAULT_MAX_ORDER, parse_family, permutation_group
-from .fplin import P_LIMIT, is_prime
+from .fplin import check_prime
 from .groups import FiniteGroup, block_rows, semidirect_product, table_dtype
 
 
@@ -130,10 +130,10 @@ def _parse_cayley(lines, head, max_order, name):
             p_hint = int(head[2])
         except ValueError:
             _fail(1, 1, "prime hint is not an integer")
-        if p_hint >= P_LIMIT:
-            _fail(1, 1, f"{p_hint} is not a prime below 2**16")
-        if not is_prime(p_hint):
-            _fail(1, 1, f"{p_hint} is not prime")
+        try:
+            check_prime(p_hint)
+        except UnsupportedInputError as ex:
+            _fail(1, 1, str(ex))
     if n < 1:
         _fail(1, 1, "order must be positive")
     if n > max_order:

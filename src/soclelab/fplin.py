@@ -7,23 +7,27 @@ iff their stored arrays are equal.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-_PRIME_CACHE: dict[int, bool] = {}
+from .errors import UnsupportedInputError
+
 P_LIMIT = 1 << 16  # p stays below it, so int64 sums of residue products are exact
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    n = int(n)
-    if n not in _PRIME_CACHE:
-        _PRIME_CACHE[n] = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-    return _PRIME_CACHE[n]
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 def check_prime(p) -> int:
+    """p as an int if it is a prime below P_LIMIT; the bound goes first."""
     p = int(p)
-    if p >= P_LIMIT or not is_prime(p):
-        raise ValueError(f"p must be a prime below 2**16, got {p}")
+    if p >= P_LIMIT:
+        raise UnsupportedInputError(f"{p} is not a prime below 2**16")
+    if not is_prime(p):
+        raise UnsupportedInputError(f"{p} is not prime")
     return p
 
 

@@ -186,16 +186,12 @@ class FiniteGroup:
     def element_order(self, x: int) -> int:
         return int(self.element_orders()[x])
 
-    def exponent_factor(self, x: int, p: int) -> tuple[int, int]:
-        """(p-part, p'-part) of the order of x."""
+    def element_p_part(self, x: int, p: int) -> int:
+        """x^e, where x has order pa m with pa a power of p and m prime to p,
+        and e = 1 mod pa, e = 0 mod m; the identity when pa = 1."""
         o = self.element_order(x)
         pa = int_p_part(o, p)
-        return pa, o // pa
-
-    def element_p_part(self, x: int, p: int) -> int:
-        pa, m = self.exponent_factor(x, p)
-        if pa == 1:
-            return 0
+        m = o // pa
         return self.power(x, m * pow(m, -1, pa))
 
     # -- generation and closure ------------------------------------------
@@ -207,8 +203,7 @@ class FiniteGroup:
         Dimino's algorithm; each kept one grows the closure to a fixed point
         under right multiplication by all kept generators.
         """
-        seen = np.zeros(self.order, dtype=bool)
-        seen[0] = True
+        seen = self.mask([0])
         kept: list[int] = []
         for g in sorted({int(x) for x in gens} - {0}):
             if not seen[g]:
@@ -242,8 +237,7 @@ class FiniteGroup:
         the smallest element not yet generated, until all are. Each one
         grows the closure of those before it."""
         inside = self.mask(elems)
-        have = np.zeros(self.order, dtype=bool)
-        have[0] = True
+        have = self.mask([0])
         gens: list[int] = []
         while (rest := np.flatnonzero(inside & ~have)).size:
             self._grow(have, gens, int(rest[0]))
@@ -263,17 +257,8 @@ class FiniteGroup:
         """Raise unless the sorted distinct elements form a subgroup."""
         if 0 not in elems:
             raise UnsupportedInputError("subgroup must contain the identity")
-        if not self._closed(elems):
+        if not self.is_subgroup(elems):
             raise UnsupportedInputError("element set is not closed under the product")
-
-    def _closed(self, elems: np.ndarray) -> bool:
-        """Every product of two elements of elems lies in elems. The |K|^2
-        products are gathered a block of rows at a time, so that a block's
-        table cells and their bool lookup share BLOCK_BYTES."""
-        mask, t = self.mask(elems), self.table
-        step = block_rows(elems.size * (t.itemsize + 1))
-        return all(mask[t[np.ix_(elems[lo:lo + step], elems)]].all()
-                   for lo in range(0, elems.size, step))
 
     # -- element sets ----------------------------------------------------
     # A set of elements is a sorted array of distinct indices, so two sets
@@ -395,18 +380,17 @@ class FiniteGroup:
         while (m := orders % (pp * p) == 0).any():
             pp[m] *= p
         # seed with the p-part of the first element of maximal p-part order
-        s = self.subgroup_closure([self.element_p_part(int(pp.argmax()), p)])
+        seen, kept = self.mask([0]), []
+        self._grow(seen, kept, self.element_p_part(int(pp.argmax()), p))
         # extend by the first p-element c outside s normalizing s: then
         # s<c> is a p-group, as s is normal in it and c has p-power order
-        mask = np.zeros(n, dtype=bool)
-        while s.size < pk:
-            mask[s] = True
-            for c in (~mask & (pp == orders)).nonzero()[0]:
-                if mask[t[t[c, s], inv[c]]].all():
+        while (s := np.flatnonzero(seen)).size < pk:
+            for c in (~seen & (pp == orders)).nonzero()[0]:
+                if seen[t[t[c, s], inv[c]]].all():
                     break
             else:
                 raise ConsistencyError("Sylow ascent found no extension")
-            s = self.subgroup_closure(list(s) + [c])
+            self._grow(seen, kept, int(c))
         return s
 
     @memoized
@@ -425,15 +409,16 @@ class FiniteGroup:
         orders = self.element_orders()
         pprime = [x for x in range(1, self.order) if int(orders[x]) % p != 0]
         pprime.sort(key=lambda x: (-int(orders[x]), x))
-        cur = np.array([0], dtype=np.int64)
+        seen, kept = self.mask([0]), []
         for y in pprime:
-            if cur.size == m:
+            if np.count_nonzero(seen) == m:
                 break
-            if y not in cur:
-                new = self.subgroup_closure(list(cur) + [y])
-                if new.size % p:
-                    cur = new
-        return cur if cur.size == m else None
+            if not seen[y]:
+                trial, more = seen.copy(), list(kept)
+                self._grow(trial, more, y)
+                if np.count_nonzero(trial) % p:
+                    seen, kept = trial, more
+        return np.flatnonzero(seen) if np.count_nonzero(seen) == m else None
 
     # -- cores and residuals ----------------------------------------------
 
@@ -443,15 +428,14 @@ class FiniteGroup:
         classes whose normal closure holds only p'-elements, since a normal
         subgroup lies in the core iff all its elements are p'-elements."""
         good = self.element_orders() % p != 0
-        inside = np.zeros(self.order, dtype=bool)
-        inside[0] = True
+        inside = self.mask([0])
         for x in (int(c[0]) for c in self.conjugacy_classes()):
             if not inside[x] and good[x]:
                 nc = self.normal_closure([x])
                 if good[nc].all():
                     inside[nc] = True
         core = np.flatnonzero(inside)
-        if not self._closed(core):
+        if not self.is_subgroup(core):
             raise ConsistencyError("core classes are not closed under the product")
         core.flags.writeable = False
         return core

@@ -165,6 +165,8 @@ def test_theorems_none_skips_stages(capsys):
 def test_analyze_unsupported_exit_code(capsys):
     assert cli.run(["analyze", "nosuch(2)"]) == 3
     assert cli.run(["analyze", "cyclic(4)", "--p", "6"]) == 3
+    # the same check and text as a Cayley header's prime hint
+    assert "error: 6 is not prime" in capsys.readouterr().err
     assert cli.run(["analyze", "cyclic(5000)"]) == 3
 
 

@@ -680,6 +680,81 @@ def test_sylow_ascent_raises_without_extension():
         g.sylow_subgroup(2)
 
 
+# -- the ascents that re-closed element lists, kept as references -------------
+
+def list_sylow(g, p):
+    """The Sylow ascent that re-closed list(s) + [c] at each step, with a
+    second membership mask beside s."""
+    pk = int_p_part(g.order, p)
+    if pk == 1:
+        return np.array([0], dtype=np.int64)
+    orders, t, inv = g.element_orders(), g.table, g.inv
+    pp = np.ones(g.order, dtype=np.int64)
+    while (m := orders % (pp * p) == 0).any():
+        pp[m] *= p
+    s = g.subgroup_closure([g.element_p_part(int(pp.argmax()), p)])
+    mask = np.zeros(g.order, dtype=bool)
+    while s.size < pk:
+        mask[s] = True
+        c = next(c for c in (~mask & (pp == orders)).nonzero()[0]
+                 if mask[t[t[c, s], inv[c]]].all())
+        s = g.subgroup_closure(list(s) + [c])
+    return s
+
+
+def list_hall(g, p):
+    """The Hall pass that scanned y not in cur and re-closed list(cur) + [y]."""
+    m = g.order // list_sylow(g, p).size
+    orders = g.element_orders()
+    pprime = [x for x in range(1, g.order) if int(orders[x]) % p != 0]
+    pprime.sort(key=lambda x: (-int(orders[x]), x))
+    cur = np.array([0], dtype=np.int64)
+    for y in pprime:
+        if cur.size == m:
+            break
+        if y not in cur:
+            new = g.subgroup_closure(list(cur) + [y])
+            if new.size % p:
+                cur = new
+    return cur if cur.size == m else None
+
+
+def products_core(g, p):
+    """The p'-core whose closure was checked on all |K|^2 products."""
+    good = g.element_orders() % p != 0
+    inside = g.mask([0])
+    for x in (int(c[0]) for c in g.conjugacy_classes()):
+        if not inside[x] and good[x]:
+            nc = g.normal_closure([x])
+            if good[nc].all():
+                inside[nc] = True
+    core = np.flatnonzero(inside)
+    assert inside[g.table[np.ix_(core, core)]].all()
+    return core
+
+
+def ascent_pairs():
+    for spec, g in catalog_groups():
+        for p in prime_factors(g.order):
+            yield pytest.param(g, p, id=f"{spec}-{p}")
+    for p in (2, 3, 5):
+        yield pytest.param("witness", p, id=f"witness-{p}")
+
+
+@pytest.mark.parametrize("g,p", ascent_pairs())
+def test_grown_ascents_match_the_list_ascents(g, p, witness_group):
+    """sylow_subgroup, hall_complement and p_prime_core grow one mask with
+    _grow; the sets and their greedy choices are those of the ascents that
+    re-closed whole element lists."""
+    g = witness_group if g == "witness" else g
+    assert_same_elems(g.sylow_subgroup(p), list_sylow(g, p))
+    got, want = g.hall_complement(p), list_hall(g, p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same_elems(got, want)
+    assert_same_elems(g.p_prime_core(p), products_core(g, p))
+
+
 # -- normal subgroups from classes, against the element-wise references ------
 
 def reference_normal_closure(g, seed, conjugators=None):
@@ -861,8 +936,9 @@ def test_sub_generators_rejects_a_non_subgroup():
 
 @pytest.mark.parametrize("block", [None, 1])
 def test_subgroup_check_rejects_what_is_not_a_subgroup(block, monkeypatch):
-    """The closure test walks blocks of rows; at the minimum budget each
-    row is a block of its own."""
+    """The subgroup test is is_subgroup: the set is a subgroup iff its
+    closure adds nothing. At the minimum block budget every blockwise loop
+    that quotient runs takes one row at a time."""
     if block:
         monkeypatch.setattr(groups_module, "BLOCK_BYTES", block)
     g = parse_family("sym(4)")

@@ -57,6 +57,11 @@ def memoized(method):
     return cached
 
 
+def _scalar(elems):
+    """An int for a 0-d result, else the array."""
+    return int(elems) if np.ndim(elems) == 0 else elems
+
+
 def int_p_part(n: int, p: int) -> int:
     k = 1
     while n % p == 0:
@@ -75,7 +80,7 @@ class FiniteGroup:
     Pass a copy to keep a writeable array.
     """
 
-    def __init__(self, table, name: str | None = None, check: bool = True):
+    def __init__(self, table, name: str | None = None):
         t = np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise UnsupportedInputError("multiplication table must be square")
@@ -89,22 +94,22 @@ class FiniteGroup:
         self.order = n
         self.name = name or f"group_of_order_{n}"
         self._memo: dict = {}
-        self.inv = self._build_inverses(check)
-        if check:
-            self._check_axioms()
+        self.inv = self._build_inverses()
+        self._check_axioms()
         self.table.flags.writeable = False
         self.inv.flags.writeable = False
 
     # -- validation ----------------------------------------------------
 
-    def _build_inverses(self, check: bool) -> np.ndarray:
-        """inv[x] is the position of the first 0 in row x. With check, 0
-        must be a two-sided identity and inv[x] a two-sided inverse of x."""
+    def _build_inverses(self) -> np.ndarray:
+        """inv[x] is the position of the first 0 in row x, checked to be a
+        two-sided inverse of x, after 0 is checked to be a two-sided
+        identity."""
         t, ar = self.table, np.arange(self.order)
-        if check and (not np.array_equal(t[0], ar) or not np.array_equal(t[:, 0], ar)):
+        if not np.array_equal(t[0], ar) or not np.array_equal(t[:, 0], ar):
             raise UnsupportedInputError("element 0 is not a two-sided identity")
         inv = np.argmin(t, axis=1).astype(t.dtype)
-        if check and not ((t[ar, inv] == 0).all() and (t[inv, ar] == 0).all()):
+        if not ((t[ar, inv] == 0).all() and (t[inv, ar] == 0).all()):
             self._check_latin()
             raise UnsupportedInputError("left and right inverses differ")
         return inv
@@ -148,6 +153,8 @@ class FiniteGroup:
                         f"associativity fails at generator {s}")
 
     # -- elementary operations ------------------------------------------
+    # conj, commutator and power broadcast over arrays of elements, as
+    # numpy indexing does, and return an int when every element is one.
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -155,18 +162,22 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conj(self, g: int, x: int) -> int:
+    def conj(self, g, x):
         """g x g^-1."""
-        return int(self.table[self.table[g, x], self.inv[g]])
+        return _scalar(self.table[self.table[g, x], self.inv[g]])
 
-    def commutator(self, a: int, b: int) -> int:
+    def commutator(self, a, b):
         """a b a^-1 b^-1."""
-        return int(self.table[self.table[a, b], self.table[self.inv[a], self.inv[b]]])
+        t, inv = self.table, self.inv
+        return _scalar(t[t[a, b], t[inv[a], inv[b]]])
 
-    def power(self, x: int, k: int) -> int:
+    def power(self, x, k: int):
+        """x^k, by squaring."""
+        x = np.asarray(x)
         if k < 0:
-            x, k = int(self.inv[x]), -k
-        return binary_power(int(x), k, self.mul, lambda: 0)
+            x, k = self.inv[x], -k
+        return _scalar(binary_power(x, k, lambda a, b: self.table[a, b],
+                                    lambda: np.zeros_like(x)))
 
     @memoized
     def element_orders(self) -> np.ndarray:
@@ -205,7 +216,7 @@ class FiniteGroup:
         """
         seen = self.mask([0])
         kept: list[int] = []
-        for g in sorted({int(x) for x in gens} - {0}):
+        for g in self.element_set(gens).tolist():
             if not seen[g]:
                 self._grow(seen, kept, g)
         return np.flatnonzero(seen)
@@ -280,13 +291,10 @@ class FiniteGroup:
 
     def commute(self, a, b) -> bool:
         """Every element of a commutes with every element of b."""
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        return bool((self.table[np.ix_(a, b)] == self.table[np.ix_(b, a)].T).all())
+        a = self.element_set(a)
+        return self.centralizer(b, within=a).size == a.size
 
     # -- conjugacy -------------------------------------------------------
-
-    def conjugation_perm(self, g: int) -> np.ndarray:
-        return self.table[self.table[g], self.inv[g]]
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """The classes as read-only sorted int64 arrays, by size and then
@@ -304,11 +312,11 @@ class FiniteGroup:
         drops to the smallest label of its images under the generators'
         conjugations and their inverses, and then to its own label's label,
         until no label changes."""
-        gens = self.generators()
-        perms = [self.conjugation_perm(g) for g in gens + [int(self.inv[g]) for g in gens]]
+        gens = np.asarray(self.generators(), dtype=np.int64)
         label = np.arange(self.order)
+        perms = self.conj(np.concatenate([gens, self.inv[gens]])[:, None], label)
         while True:
-            low = reduce(np.minimum, (label[pm] for pm in perms), label)
+            low = reduce(np.minimum, label[perms], label)
             low = low[low]
             if np.array_equal(low, label):
                 break
@@ -332,14 +340,12 @@ class FiniteGroup:
         return self.centralizer(self.generators())
 
     def centralizer(self, elems, within=None) -> np.ndarray:
+        """The sorted elements of within (default: the group) that commute
+        with every element of elems; only the rows of within are compared."""
         elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
-        a = self.table[:, elems]
-        b = self.table[elems, :].T
-        mask = (a == b).all(axis=1)
-        out = np.flatnonzero(mask)
-        if within is not None:
-            out = out[self.mask(within)[out]]
-        return out
+        rows = np.arange(self.order) if within is None else self.element_set(within)
+        t, col = self.table, rows[:, None]
+        return rows[(t[col, elems] == t[elems, col]).all(axis=1)]
 
     @memoized
     def derived_subgroup(self) -> np.ndarray:
@@ -351,8 +357,7 @@ class FiniteGroup:
         [x, ab] = [x, a] a[x, b]a^-1, and H modulo it is abelian."""
         h = np.asarray(elems, dtype=np.int64)
         x = np.asarray(self.sub_generators(h), dtype=np.int64)[:, None]
-        t, inv = self.table, self.inv
-        return self.subgroup_closure(t[t[x, h], t[inv[x], inv[h]]].ravel())
+        return self.subgroup_closure(self.commutator(x, h).ravel())
 
     @memoized
     def second_derived(self) -> np.ndarray:
@@ -375,8 +380,7 @@ class FiniteGroup:
         if pk == 1:
             return np.array([0], dtype=np.int64)
         orders = self.element_orders()
-        t, inv, n = self.table, self.inv, self.order
-        pp = np.ones(n, dtype=np.int64)  # p-part of each element order
+        pp = np.ones(self.order, dtype=np.int64)  # p-part of each element order
         while (m := orders % (pp * p) == 0).any():
             pp[m] *= p
         # seed with the p-part of the first element of maximal p-part order
@@ -386,7 +390,7 @@ class FiniteGroup:
         # s<c> is a p-group, as s is normal in it and c has p-power order
         while (s := np.flatnonzero(seen)).size < pk:
             for c in (~seen & (pp == orders)).nonzero()[0]:
-                if seen[t[t[c, s], inv[c]]].all():
+                if seen[self.conj(c, s)].all():
                     break
             else:
                 raise ConsistencyError("Sylow ascent found no extension")
@@ -454,9 +458,9 @@ class FiniteGroup:
                                    for lo in range(0, h.size, step)))
 
     def is_normal(self, elems) -> bool:
-        elems = np.asarray(elems)
-        mask, t, inv = self.mask(elems), self.table, self.inv
-        return all(mask[t[t[g, elems], inv[g]]].all() for g in self.generators())
+        """The generators' conjugates of elems lie in elems."""
+        gens = np.asarray(self.generators(), dtype=np.int64)[:, None]
+        return bool(self.mask(elems)[self.conj(gens, np.asarray(elems))].all())
 
     def quotient(self, kernel_elems) -> "QuotientMap":
         k = self.element_set(kernel_elems)
@@ -471,8 +475,7 @@ class FiniteGroup:
         qtable = proj.astype(table_dtype(reps.size))[self.table[np.ix_(reps, reps)]]
         q = FiniteGroup(qtable, name=f"{self.name}_mod_{k.size}")
         proj.flags.writeable = False
-        reps.flags.writeable = False
-        return QuotientMap(parent=self, kernel=k, group=q, proj=proj, section=reps)
+        return QuotientMap(kernel=k, group=q, proj=proj)
 
     def subgroup_as_group(self, elems, name: str | None = None):
         """Reindexed copy of a subgroup. Returns (group, parent_elements)."""
@@ -481,9 +484,7 @@ class FiniteGroup:
         pos = np.zeros(self.order, dtype=table_dtype(elems.size))
         pos[elems] = np.arange(elems.size)
         sub_table = pos[self.table[np.ix_(elems, elems)]]
-        g = FiniteGroup(sub_table, name=name or f"{self.name}_sub{elems.size}",
-                        check=False)
-        return g, elems
+        return FiniteGroup(sub_table, name=name or f"{self.name}_sub{elems.size}"), elems
 
     # -- predicates ----------------------------------------------------------
 
@@ -511,11 +512,9 @@ class FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class QuotientMap:
-    parent: FiniteGroup
     kernel: np.ndarray
     group: FiniteGroup
     proj: np.ndarray       # parent element -> quotient element
-    section: np.ndarray    # quotient element -> smallest parent preimage
 
     def preimage_of_set(self, qelems) -> np.ndarray:
         return np.flatnonzero(self.group.mask(qelems)[self.proj])
@@ -588,8 +587,8 @@ def _few_generators(g: FiniteGroup) -> list[int]:
 
 def _words(g: FiniteGroup, x, y) -> np.ndarray:
     """x y, x y^-1, x^2 y, x y^2 and [x, y] = x y x^-1 y^-1; y may be an array."""
-    t, inv, xy = g.table, g.inv, g.table[x, y]
-    return np.stack([xy, t[x, inv[y]], t[t[x, x], y], t[x, t[y, y]], t[xy, t[inv[x], inv[y]]]])
+    t, inv = g.table, g.inv
+    return np.stack([t[x, y], t[x, inv[y]], t[t[x, x], y], t[x, t[y, y]], g.commutator(x, y)])
 
 
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> np.ndarray | None:

@@ -166,19 +166,9 @@ def _set_product(g: FiniteGroup, sets) -> np.ndarray:
     return out
 
 
-def _conj_orbit(g: FiniteGroup, h: int, x: int) -> set[int]:
-    """The orbit of x under conjugation by the powers of h. Conjugation is a
-    permutation, so the walk returns to x."""
-    orbit, cur = {x}, g.conj(h, x)
-    while cur != x:
-        orbit.add(cur)
-        cur = g.conj(h, cur)
-    return orbit
-
-
-def _fixes_set(q: FiniteGroup, hb: int, elems: np.ndarray) -> bool:
-    perm = q.conjugation_perm(hb)
-    return bool((perm[elems] == elems).all())
+def _orbit(g: FiniteGroup, h: int, x: int) -> np.ndarray:
+    """The orbit of x under conjugation by the powers of h, sorted."""
+    return g.element_set(g.conj(g.subgroup_closure([h]), x))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +263,7 @@ def _averaging_projector(q: FiniteGroup, p: int, basis: list[int],
     # e_{pivots[i]} -> target.basis[i], every other axis -> 0
     p0 = np.zeros((k, k), dtype=np.int64)
     p0[list(target.pivots)] = target.basis
-    mats = {h: coord[q.conjugation_perm(h)[basis]].reshape(k, k) for h in actors}
+    mats = {h: coord[q.conj(h, basis)].reshape(k, k) for h in actors}
     acc = np.zeros((k, k), dtype=np.int64)
     for h in actors:
         acc += mats[h] @ p0 % p @ mats[q.inverse(h)] % p
@@ -356,8 +346,7 @@ def _power_preimage(ctx: AnalysisContext, qm: QuotientMap) -> np.ndarray:
     subgroup only when the derived subgroup has class at most two. Checked
     to be normal and to cover G' together with Z(G')."""
     g, p = ctx.group, ctx.p
-    dropped = np.array([x for x in ctx.derived
-                        if qm.proj[g.power(int(x), p)] == 0], dtype=np.int64)
+    dropped = ctx.derived[qm.proj[g.power(ctx.derived, p)] == 0]
     if not g.is_subgroup(dropped) or not g.is_normal(dropped):
         _conditional_fail(ctx, "p-th power preimage set is not a normal subgroup")
     if not np.array_equal(_set_product(g, [dropped, ctx.derived_center]), ctx.derived):
@@ -387,8 +376,7 @@ def _factor_span(ctx: AnalysisContext, qm: QuotientMap, dropped) -> np.ndarray:
     tspan = mbar[~(coord[mbar] @ proj % p).any(axis=1)]
     if not q.is_subgroup(tspan) or not q.is_normal(tspan):
         raise ConsistencyError("factor span is not a normal subgroup")
-    tmask = q.mask(tspan)
-    if not all(tmask[q.conjugation_perm(h)[tspan]].all() for h in actors):
+    if not q.mask(tspan)[q.conj(np.asarray(actors)[:, None], tspan)].all():
         raise ConsistencyError("factor span is not stable under the complement")
     return tspan
 
@@ -397,18 +385,15 @@ def _multiplies(q: FiniteGroup, qm: QuotientMap, h: int,
                 factors: list[np.ndarray], i: int) -> bool:
     """The image of h cycles the nonidentity part of factor i and
     centralizes every other factor."""
-    hb = int(qm.proj[h])
-    nontriv = [int(t) for t in factors[i] if t]
-    return (bool(nontriv) and _conj_orbit(q, hb, nontriv[0]) == set(nontriv)
-            and all(_fixes_set(q, hb, other)
-                    for j, other in enumerate(factors) if j != i))
+    hb, nontriv = int(qm.proj[h]), factors[i][1:]  # a factor starts at 0
+    return (nontriv.size > 0 and np.array_equal(_orbit(q, hb, nontriv[0]), nontriv)
+            and all(q.commute(other, hb) for j, other in enumerate(factors) if j != i))
 
 
 def _find_multiplier(q: FiniteGroup, qm: QuotientMap, comp,
                      factors: list[np.ndarray], i: int) -> int | None:
     """Smallest nontrivial complement element that multiplies factor i."""
-    return next((h for h in sorted(int(x) for x in comp)
-                 if h and _multiplies(q, qm, h, factors, i)), None)
+    return next((h for h in comp[1:].tolist() if _multiplies(q, qm, h, factors, i)), None)
 
 
 def _cofactor_fixers(ctx: AnalysisContext, cofactor: np.ndarray) -> list[int]:
@@ -460,33 +445,26 @@ def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
 def _multiplier_checks(ctx: AnalysisContext, dec: QuotientDecomposition) -> dict:
     """The multipliers act as promised; with the pointwise stabilizer of
     the span they generate H, and each multiplier generates the quotient of
-    H by the stabilizer of its factor. All False when a multiplier is
-    missing."""
+    H by the stabilizer of its factor: with that stabilizer it generates H,
+    which is abelian. All False when a multiplier is missing."""
     names = ("multipliers_exist", "multipliers_act_as_promised",
              "complement_generated", "multiplier_spans_action_quotient")
     if any(m is None for m in dec.multipliers):
         return dict.fromkeys(names, False)
     g, q, qm, comp = ctx.group, dec.quotient, dec.qmap, ctx.complement
+    images = qm.proj[comp]
 
-    def stabilizer(elems) -> np.ndarray:
-        """Complement elements whose image centralizes elems."""
-        return np.array([h for h in comp if _fixes_set(q, int(qm.proj[h]), elems)],
-                        dtype=np.int64)
+    def generates_with_stabilizer(ms, elems) -> bool:
+        """ms and the complement elements whose image centralizes elems
+        generate H."""
+        stab = comp[q.mask(q.centralizer(elems, within=images))[images]]
+        return np.array_equal(g.subgroup_closure(np.append(stab, ms)), comp)
 
-    def spans_action_quotient(m: int, stab: np.ndarray) -> bool:
-        """The first power of m inside stab is the |H : stab|-th."""
-        inside, k, cur = g.mask(stab), 1, m
-        while not inside[cur]:
-            cur, k = g.mul(cur, m), k + 1
-        return k == len(comp) // stab.size
-
-    gens = [int(m) for m in dec.multipliers] + stabilizer(dec.factor_span).tolist()
     return dict(zip(names, (
         True,
         all(_multiplies(q, qm, m, dec.factors, i) for i, m in enumerate(dec.multipliers)),
-        np.array_equal(g.subgroup_closure(gens), comp),
-        all(spans_action_quotient(int(m), stabilizer(f))
-            for m, f in zip(dec.multipliers, dec.factors)))))
+        generates_with_stabilizer(dec.multipliers, dec.factor_span),
+        all(generates_with_stabilizer(m, f) for m, f in zip(dec.multipliers, dec.factors)))))
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +601,7 @@ def _factor_seed(ctx: AnalysisContext, i: int,
     seed = int(outside[0])
     e = dec.multipliers[i]
     if e is not None:
-        full = np.array([0] + sorted(_conj_orbit(g, int(e), seed)), dtype=np.int64)
-        if not np.array_equal(full, u_set):
+        if not np.array_equal(np.append(0, _orbit(g, int(e), seed)), u_set):
             raise ConsistencyError(
                 "translate set is not one multiplier orbit plus the identity")
     return u_set, seed
@@ -677,7 +654,7 @@ def build_nonideal_witness(ctx: AnalysisContext) -> dict:
         },
         "commutator_core_order": int(core.size),
         "second_derived_order": int(second.size),
-        "support_classes": sorted(support),
+        "support_classes": support.tolist(),
         "nonzero_coefficients": int(np.count_nonzero(avec)),
         "vector": [int(v) for v in avec],
         "checks": {
@@ -696,12 +673,12 @@ def _commutator_core(ctx: AnalysisContext, g1: int, e1: int) -> np.ndarray:
     vanishes on it (InapplicableError)."""
     g = ctx.group
     second = g.second_derived()
-    core = g.element_set([g.commutator(int(a), g1) for a in ctx.derived])
+    core = g.element_set(g.commutator(ctx.derived, g1))
     if not g.is_subgroup(core) or not g.mask(second)[core].all():
         raise ConsistencyError("commutator core is not a subgroup of G''")
-    # e1 cycles the |Q'| - 1 = |H| nontrivial elements of Q', so it generates H
-    alt = g.subgroup_closure([g.commutator(g.conj(g.power(e1, m), g1), g1)
-                              for m in range(len(ctx.complement))])
+    # e1 cycles the |Q'| - 1 = |H| nontrivial elements of Q', so it generates
+    # H, and the conjugates of g1 under H are its <e1>-orbit
+    alt = g.subgroup_closure(g.commutator(_orbit(g, e1, g1), g1))
     if not np.array_equal(alt, core):
         raise ConsistencyError("commutator core has two inequivalent descriptions")
 
@@ -732,16 +709,14 @@ def _witness_vector(ctx: AnalysisContext, g1: int, core: np.ndarray):
     if func_rows.shape[0] == 0:
         raise ConsistencyError("no functional vanishes on a proper core")
     alpha = func_rows[0]
-    assigned: dict[int, int] = {}
-    for cid, val in zip(g.class_index_of()[g.table[g1, second]].tolist(),
-                        (coord[second] @ alpha % p).tolist()):
-        if assigned.setdefault(cid, val) != val:
-            raise ConsistencyError("coefficient is not constant on a class")
-    support = [cid for cid, val in assigned.items() if val]
-    if not support:
-        raise ConsistencyError("functional vanishes on every coset coefficient")
+    cids, vals = g.class_index_of()[g.table[g1, second]], coord[second] @ alpha % p
     values = ctx.alg.zero()
-    values[support] = [assigned[cid] for cid in support]
+    values[cids] = vals
+    if not np.array_equal(values[cids], vals):
+        raise ConsistencyError("coefficient is not constant on a class")
+    support = np.flatnonzero(values)
+    if not support.size:
+        raise ConsistencyError("functional vanishes on every coset coefficient")
     return basis, alpha, values[g.class_index_of()], support
 
 
@@ -784,8 +759,7 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
         **_component_checks(ctx, part_groups, parts),
         **_seed_checks(ctx, dec, seeds),
         "components_commute_pairwise": _pairwise(g.commute, parts),
-        "components_generate": int(g.subgroup_closure(
-            sorted({int(x) for part in parts for x in part})).size) == g.order,
+        "components_generate": g.subgroup_closure(np.concatenate([[0], *parts])).size == g.order,
         "derived_covered_by_translates": np.array_equal(
             _set_product(g, [g.second_derived()] + [u for u, _ in seeded]), ctx.derived),
         **_split_multiplier_checks(ctx, dec),
@@ -974,9 +948,8 @@ def _split_off_fixed_points(g: FiniteGroup, p: int, syl, comp, v0: bool,
         return g, log
 
     commute = g.commute(fixed, resid)
-    gen = g.subgroup_closure(sorted({int(x) for x in fixed}
-                                    | {int(x) for x in resid}))
-    if commute and int(gen.size) == g.order:
+    gen = g.subgroup_closure(np.concatenate([fixed, resid]))
+    if commute and gen.size == g.order:
         fixed_grp, _ = g.subgroup_as_group(fixed, name=f"{g.name}.fixed")
         core, _ = g.subgroup_as_group(resid, name=f"{g.name}.core")
         vf, vc = _ideal_verdict(fixed_grp, p), _ideal_verdict(core, p)

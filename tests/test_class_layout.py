@@ -14,15 +14,15 @@ import pytest
 from soclelab.algebra import CenterAlgebra
 from soclelab.catalog import catalog_groups
 from soclelab.fplin import Subspace
-from soclelab.formats import format_cayley, parse_group_text
-from soclelab.groups import FiniteGroup, prime_factors
+from soclelab.formats import parse_group_text
+from soclelab.groups import prime_factors
 
 
 def bfs_classes(g):
     """Reference: one breadth-first orbit per class under the generators'
     conjugations. Returns (classes, class index of each element)."""
     n = g.order
-    perms = [g.conjugation_perm(x) for x in g.generators()]
+    perms = [g.table[g.table[x], g.inv[x]] for x in g.generators()]
     cls_of = np.full(n, -1, dtype=np.int64)
     raw: list[list[int]] = []
     for x in range(n):
@@ -90,7 +90,8 @@ def relabeled(g, seed):
     perm = np.random.default_rng(seed).permutation(g.order)
     table = np.empty_like(t)
     table[np.ix_(perm, perm)] = perm[t]
-    return parse_group_text(format_cayley(FiniteGroup(table, check=False)))[0]
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+    return parse_group_text(f"cayley {g.order}\n" + rows)[0]
 
 
 def assert_classes_match(g):

@@ -1,5 +1,7 @@
 """Structural checks: decomposition, characterization, splitting, reduction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -457,3 +459,204 @@ def test_projector_and_span_match_inverting_references(monkeypatch):
             assert np.array_equal(span[1], reference_span(q, pp, basis, want))
             pairs += 1
     assert pairs == 21
+
+
+# -- the former per-element walks of the structure layer, kept as references --
+
+def reference_conj_orbit(g, h, x):
+    """The former orbit walk: conjugate by h until x comes back."""
+    orbit, cur = {x}, g.mul(g.mul(h, x), g.inverse(h))
+    while cur != x:
+        orbit.add(cur)
+        cur = g.mul(g.mul(h, cur), g.inverse(h))
+    return orbit
+
+
+def reference_fixes(q, hb, elems):
+    """The former fixed-set test: hb commutes with every element of elems."""
+    return all(q.mul(hb, x) == q.mul(x, hb) for x in np.asarray(elems).tolist())
+
+
+def reference_multiplies(q, qm, h, factors, i):
+    hb = int(qm.proj[h])
+    nontriv = [int(t) for t in factors[i] if t]
+    return (bool(nontriv) and reference_conj_orbit(q, hb, nontriv[0]) == set(nontriv)
+            and all(reference_fixes(q, hb, other)
+                    for j, other in enumerate(factors) if j != i))
+
+
+def reference_multiplier_checks(ctx, dec):
+    """The former checks: the stabilizer as a loop over H, and the action
+    quotient as the walk to the first power of m inside the stabilizer."""
+    names = ("multipliers_exist", "multipliers_act_as_promised",
+             "complement_generated", "multiplier_spans_action_quotient")
+    if any(m is None for m in dec.multipliers):
+        return dict.fromkeys(names, False)
+    g, q, qm, comp = ctx.group, dec.quotient, dec.qmap, ctx.complement
+
+    def stabilizer(elems):
+        return np.array([h for h in comp if reference_fixes(q, int(qm.proj[h]), elems)],
+                        dtype=np.int64)
+
+    def spans_action_quotient(m, stab):
+        inside, k, cur = g.mask(stab), 1, m
+        while not inside[cur]:
+            cur, k = g.mul(cur, m), k + 1
+        return k == len(comp) // stab.size
+
+    gens = [int(m) for m in dec.multipliers] + stabilizer(dec.factor_span).tolist()
+    return dict(zip(names, (
+        True,
+        all(reference_multiplies(q, qm, m, dec.factors, i)
+            for i, m in enumerate(dec.multipliers)),
+        np.array_equal(g.subgroup_closure(gens), comp),
+        all(spans_action_quotient(int(m), stabilizer(f))
+            for m, f in zip(dec.multipliers, dec.factors)))))
+
+
+def reference_power_preimage(ctx, qm):
+    """The former filter: the derived elements whose p-th power maps to 1."""
+    g = ctx.group
+    return np.array([x for x in ctx.derived if qm.proj[g.power(int(x), ctx.p)] == 0],
+                    dtype=np.int64)
+
+
+def reference_core_lists(ctx, g1, e1):
+    """The former two lists of _commutator_core: [a, g1] for a in G', and
+    [e1^m g1 e1^-m, g1] for the |H| exponents m."""
+    g = ctx.group
+    return ([g.commutator(int(a), g1) for a in ctx.derived],
+            [g.commutator(g.conj(g.power(e1, m), g1), g1)
+             for m in range(len(ctx.complement))])
+
+
+def reference_witness_vector(ctx, g1, core):
+    """The former vector: class values collected in a dict, one element of
+    the coset g1 G'' at a time."""
+    g, p = ctx.group, ctx.p
+    second = g.second_derived()
+    basis, coord = structure._elementary_coords(g, second, p)
+    alpha = Subspace(p, len(basis), kernel_basis(coord[core], p)).basis[0]
+    assigned = {}
+    for cid, val in zip(g.class_index_of()[g.table[g1, second]].tolist(),
+                        (coord[second] @ alpha % p).tolist()):
+        if assigned.setdefault(cid, val) != val:
+            raise ConsistencyError("coefficient is not constant on a class")
+    support = [cid for cid, val in assigned.items() if val]
+    values = ctx.alg.zero()
+    values[support] = [assigned[cid] for cid in support]
+    return basis, alpha, values[g.class_index_of()], support
+
+
+WALK_EXTRA_SPECS = ("twisted_affine(2,3,1)", "twisted_affine(2,4,1)")
+
+
+@pytest.fixture(scope="module")
+def reduced_contexts():
+    """The context of every reduced (group, p) row of the catalog, and of
+    the two twisted affine groups at p = 2, on groups of this module's own."""
+    rows = [(g, p) for _, g in catalog_groups() for p in prime_factors(g.order)]
+    rows += [(parse_family(s, max_order=4000), 2) for s in WALK_EXTRA_SPECS]
+    out = [ctx for g, p in rows if (ctx := examine_sylow_split(g, p)).reduced]
+    assert len(out) == 20
+    return out
+
+
+def decompositions(contexts):
+    """(ctx, decomposition) for each context whose decomposition succeeds."""
+    for ctx in contexts:
+        try:
+            yield ctx, ctx.decomposition()
+        except (ConsistencyError, InapplicableError):
+            pass
+
+
+def test_power_preimage_matches_filter(reduced_contexts):
+    compared = 0
+    for ctx in reduced_contexts:
+        qm = ctx.group.second_derived_quotient()
+        want = reference_power_preimage(ctx, qm)
+        assert np.array_equal(structure._power_preimage(ctx, qm), want)
+        compared += 1
+    assert compared == 20
+
+
+def test_orbits_and_multiplies_match_walks(reduced_contexts):
+    """The orbit of every derived image element under every complement
+    image, and the multiplier test of every complement element on every
+    factor, against the former walks."""
+    multiplies = set()
+    for ctx, dec in decompositions(reduced_contexts):
+        q, qm = dec.quotient, dec.qmap
+        for hb in qm.proj[ctx.complement].tolist():
+            for x in dec.derived_image.tolist():
+                want = sorted(reference_conj_orbit(q, hb, x))
+                assert structure._orbit(q, hb, x).tolist() == want
+        for i in range(dec.n):
+            for h in ctx.complement.tolist():
+                want = reference_multiplies(q, qm, h, dec.factors, i)
+                assert structure._multiplies(q, qm, h, dec.factors, i) == want
+                multiplies.add(want)
+    assert multiplies == {True, False}
+
+
+def test_multiplier_checks_match_walks(reduced_contexts):
+    """_multiplier_checks against the stabilizer loop and the power walk,
+    on each decomposition and on copies with one multiplier replaced by
+    each other complement element or by None."""
+    seen = set()
+    for ctx, dec in decompositions(reduced_contexts):
+        variants = [dec]
+        for i in range(dec.n):
+            for h in [None] + ctx.complement[1:].tolist():
+                mults = list(dec.multipliers)
+                mults[i] = h
+                variants.append(dataclasses.replace(dec, multipliers=mults))
+        for d in variants:
+            want = reference_multiplier_checks(ctx, d)
+            assert structure._multiplier_checks(ctx, d) == want
+            seen.update(want.items())
+    assert {(name, ok) for name in ("multipliers_act_as_promised",
+                                    "multiplier_spans_action_quotient")
+            for ok in (True, False)} <= seen
+
+
+def test_commutator_core_matches_lists(reduced_contexts):
+    """For each factor's seed g1 and multiplier e1: the orbit of g1 under
+    e1 against the walk, and the commutator core against the two former
+    lists, on cores returned and on cores that fill G''."""
+    outcomes = []
+    for ctx, dec in decompositions(reduced_contexts):
+        g = ctx.group
+        for i in range(dec.n):
+            if dec.fixers[i] is None or dec.multipliers[i] is None:
+                continue
+            _, g1 = structure._factor_seed(ctx, i)
+            e1 = int(dec.multipliers[i])
+            assert structure._orbit(g, e1, g1).tolist() == sorted(
+                reference_conj_orbit(g, e1, g1))
+            by_derived, by_powers = reference_core_lists(ctx, g1, e1)
+            want = g.subgroup_closure(by_derived)
+            assert np.array_equal(g.element_set(by_derived), want)
+            assert np.array_equal(g.subgroup_closure(by_powers), want)
+            try:
+                core = structure._commutator_core(ctx, g1, e1)
+            except InapplicableError:
+                assert np.array_equal(want, g.second_derived())
+                outcomes.append("fills")
+                continue
+            assert np.array_equal(core, want)
+            outcomes.append("core")
+    assert sorted(outcomes) == ["core", "fills", "fills", "fills", "fills"]
+
+
+def test_witness_vector_matches_dict(witness_group):
+    ctx = examine_sylow_split(witness_group, 2)
+    dec = ctx.decomposition()
+    _, g1 = structure._factor_seed(ctx, 0)
+    core = structure._commutator_core(ctx, g1, int(dec.multipliers[0]))
+    basis, alpha, vec, support = structure._witness_vector(ctx, g1, core)
+    want = reference_witness_vector(ctx, g1, core)
+    assert basis == want[0] and np.array_equal(alpha, want[1])
+    assert vec.dtype == np.int64 and np.array_equal(vec, want[2])
+    assert support.tolist() == sorted(want[3])

@@ -105,9 +105,14 @@ class CenterAlgebra:
         return out % self.p
 
     def power(self, u, e: int) -> np.ndarray:
-        """u^e, squaring from the top bit down: e = 2 takes one multiply."""
-        return binary_power(np.asarray(u, dtype=np.int64) % self.p, e,
-                            self.multiply, self.identity_vec)
+        """u^e, squaring from the top bit down: e = 2 takes one multiply. A
+        stack of rows is powered block_rows(64 k) rows at a time, which
+        bounds the index arrays of the stacked multiply."""
+        u = np.asarray(u, dtype=np.int64) % self.p
+        if u.ndim == 2 and len(u) > (step := block_rows(64 * self.k)):
+            return np.concatenate([self.power(u[lo:lo + step], e)
+                                   for lo in range(0, len(u), step)])
+        return binary_power(u, e, self.multiply, self.identity_vec)
 
     def annihilator(self, vectors) -> Subspace:
         """Subspace of the center killing every given central vector, one
@@ -123,9 +128,7 @@ class CenterAlgebra:
 
     def power_map_matrix(self) -> np.ndarray:
         """Matrix of x -> x^p (F_p-linear since the center is commutative)."""
-        unit, step = np.eye(self.k, dtype=np.int64), block_rows(64 * self.k)
-        return np.concatenate([self.power(unit[lo:lo + step], self.p)
-                               for lo in range(0, self.k, step)]).T
+        return self.power(np.eye(self.k, dtype=np.int64), self.p).T
 
     @memoized
     def jacobson_radical(self) -> Subspace:

@@ -208,18 +208,19 @@ class FiniteGroup:
     # -- generation and closure ------------------------------------------
 
     def subgroup_closure(self, gens) -> np.ndarray:
-        """Sorted elements of the subgroup generated by gens.
+        """Sorted elements of the subgroup generated by gens."""
+        return np.flatnonzero(self._closure(gens)[0])
 
-        Generators already in the closure add nothing and are skipped, as in
-        Dimino's algorithm; each kept one grows the closure to a fixed point
-        under right multiplication by all kept generators.
-        """
-        seen = self.mask([0])
+    def _closure(self, gens) -> tuple[np.ndarray, list[int]]:
+        """(mask, kept): while a generator lies outside the closure, keep the
+        smallest such one and grow the closure by it to a fixed point under
+        right multiplication by all kept ones. Generators already inside
+        add nothing and are skipped, as in Dimino's algorithm."""
+        want, seen = self.mask(gens), self.mask([0])
         kept: list[int] = []
-        for g in self.element_set(gens).tolist():
-            if not seen[g]:
-                self._grow(seen, kept, g)
-        return np.flatnonzero(seen)
+        while (rest := np.flatnonzero(want & ~seen)).size:
+            self._grow(seen, kept, int(rest[0]))
+        return seen, kept
 
     def _grow(self, seen: np.ndarray, kept: list[int], g: int) -> None:
         """Append g to kept and grow the closure marked in seen, in place,
@@ -245,16 +246,11 @@ class FiniteGroup:
 
     def sub_generators(self, elems) -> list[int]:
         """Greedy small generating set of a subgroup given by its elements:
-        the smallest element not yet generated, until all are. Each one
-        grows the closure of those before it."""
-        inside = self.mask(elems)
-        have = self.mask([0])
-        gens: list[int] = []
-        while (rest := np.flatnonzero(inside & ~have)).size:
-            self._grow(have, gens, int(rest[0]))
-            if (have & ~inside).any():
-                raise UnsupportedInputError("element set is not a subgroup")
-        return gens
+        the smallest element not yet generated, until all are."""
+        seen, kept = self._closure(elems)
+        if (seen & ~self.mask(elems)).any():
+            raise UnsupportedInputError("element set is not a subgroup")
+        return kept
 
     def normal_closure(self, seed) -> np.ndarray:
         """Smallest normal subgroup containing seed: the subgroup generated

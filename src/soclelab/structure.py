@@ -131,39 +131,42 @@ def _elementary_coords(g: FiniteGroup, elems, p: int):
     basis powers meet every element of elems exactly once, which a
     nonabelian group of exponent p can pass as well (extraspecial(27,+)).
     """
-    dom = np.sort(np.atleast_1d(np.asarray(elems, dtype=np.int64)))
+    dom = g.element_set(elems)
     if dom[0] != 0:
         raise ConsistencyError("coordinate domain must contain the identity")
-    inside = g.mask(dom)
-    basis: list[int] = []
-    # span[i] = b_0^rows[i, 0] b_1^rows[i, 1] ... over the basis so far
-    span, rows = np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
-    spanned = g.mask(span)
-    for x in dom.tolist():
-        if spanned[x]:
-            continue
+    inside, basis, cyclic = g.mask(dom), [], []
+    # the span is the product of the cyclic groups [b^0, ..., b^(p-1)], so
+    # a product's factor positions are its exponents over the basis
+    span, rows = dom[:1], np.zeros((1, 0), dtype=np.int64)
+    while (rest := dom[~g.mask(span)[dom]]).size:
+        x = int(rest[0])
         if g.power(x, p) != 0:
             raise ConsistencyError("coordinate domain is not of exponent p")
         basis.append(x)
-        span = g.table[np.ix_(span, [g.power(x, k) for k in range(p)])].ravel()
-        rows = np.hstack([np.repeat(rows, p, axis=0),
-                          np.tile(np.arange(p, dtype=np.int64), len(rows))[:, None]])
-        spanned = g.mask(span)
-        if not inside[span].all() or np.count_nonzero(spanned) != span.size:
+        cyclic.append([g.power(x, k) for k in range(p)])
+        span, rows, direct = _product(g, cyclic)
+        if not inside[span].all() or not direct:
             raise ConsistencyError("coordinate domain is not elementary abelian")
-    if span.size != dom.size:
-        raise ConsistencyError("coordinate domain is not elementary abelian")
     coord = np.full((g.order, len(basis)), -1, dtype=np.int64)
     coord[span] = rows
     return basis, coord
 
 
-def _set_product(g: FiniteGroup, sets) -> np.ndarray:
-    """The element set {s_1 s_2 ... s_m : s_i in sets[i]}."""
-    out = np.array([0], dtype=np.int64)
-    for s in sets:
-        out = g.element_set(g.table[np.ix_(out, s)])
-    return out
+def _product(g: FiniteGroup, sets) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The products s_1 s_2 ... s_m with s_i in sets[i], as (elems, coords,
+    direct): elems their sorted element set, coords[r, i] the position in
+    sets[i] of the i-th factor of the first product giving elems[r] (the
+    last set varies fastest), direct that no product repeats."""
+    elems, coords, direct = np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64), True
+    for s in map(np.asarray, sets):
+        prod = g.table[elems[:, None], s].ravel().astype(np.int64)
+        # an element's first tuple extends the first tuple of its prefix, so
+        # the first products, kept in tuple order, are all the next set needs
+        first = np.sort(np.unique(prod, return_index=True)[1])
+        direct = direct and first.size == prod.size
+        elems, coords = prod[first], np.column_stack([coords[first // s.size], first % s.size])
+    order = np.argsort(elems)
+    return elems[order], coords[order], direct
 
 
 def _orbit(g: FiniteGroup, h: int, x: int) -> np.ndarray:
@@ -219,6 +222,7 @@ class QuotientDecomposition:
                     central_image inside derived_image
     factors         minimal normal subgroups of Q whose product is
                     factor_span, sorted by (size, elements)
+    factor_components  row r: factor_span[r]'s component's position in each factor
     multipliers     per factor: an element of the complement H (as an index
                     into G) whose image generates a cyclic group acting
                     transitively on the nonidentity part of that factor and
@@ -240,7 +244,7 @@ class QuotientDecomposition:
     multipliers: list[int | None]
     cofactors: list[np.ndarray]
     fixers: list[int | None]
-    factor_components: dict = field(repr=False, default_factory=dict)
+    factor_components: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -282,8 +286,8 @@ def _conditional_fail(ctx: AnalysisContext, msg: str):
 
 def _splits(q: FiniteGroup, span, central_im, der_im) -> bool:
     """The derived image is the direct product of span and the central image."""
-    return (np.count_nonzero(q.mask(span)[central_im]) == 1
-            and np.array_equal(_set_product(q, [span, central_im]), der_im))
+    elems, _, direct = _product(q, [span, central_im])
+    return direct and np.array_equal(elems, der_im)
 
 
 def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposition:
@@ -318,18 +322,12 @@ def decompose_second_derived_quotient(ctx: AnalysisContext) -> QuotientDecomposi
         _conditional_fail(
             ctx, "minimal factors of the span are not independent "
             f"({len(factors)} factors, size product {sizes}, span {tspan.size})")
-    # record per-element factor components while checking the product is direct
-    components: dict[int, tuple] = {0: ()}
-    for f in factors:
-        nxt = {q.mul(e, int(t)): parts + (int(t),)
-               for e, parts in components.items() for t in f}
-        if len(nxt) != len(components) * f.size:
-            raise ConsistencyError("factor product collides")
-        components = nxt
-    if set(components) != set(tspan.tolist()):
+    covered, components, direct = _product(q, factors)
+    if not direct:
+        raise ConsistencyError("factor product collides")
+    if not np.array_equal(covered, tspan):
         raise ConsistencyError("factor product does not cover the span")
-    cofactors = [qm.preimage_of_set(_set_product(q, factors[:i] + factors[i + 1:]
-                                                 + [central_im]))
+    cofactors = [qm.preimage_of_set(_product(q, [*factors[:i], *factors[i + 1:], central_im])[0])
                  for i in range(len(factors))]
     return QuotientDecomposition(
         qmap=qm, quotient=q, derived_image=der_im,
@@ -349,7 +347,7 @@ def _power_preimage(ctx: AnalysisContext, qm: QuotientMap) -> np.ndarray:
     dropped = ctx.derived[qm.proj[g.power(ctx.derived, p)] == 0]
     if not g.is_subgroup(dropped) or not g.is_normal(dropped):
         _conditional_fail(ctx, "p-th power preimage set is not a normal subgroup")
-    if not np.array_equal(_set_product(g, [dropped, ctx.derived_center]), ctx.derived):
+    if not np.array_equal(_product(g, [dropped, ctx.derived_center])[0], ctx.derived):
         _conditional_fail(
             ctx, "derived subgroup is not covered by the p-th power set and the center")
     return dropped
@@ -433,12 +431,13 @@ def check_quotient_decomposition(ctx: AnalysisContext) -> dict:
     checks["fixer_class_is_factor_translate"] = checks["cofactor_fixers_exist"] and all(
         np.array_equal(np.sort(q.table[f, hb]), qclasses[int(qcls[hb])])
         for f, hb in zip(dec.factors, (int(qm.proj[h]) for h in dec.fixers)))
-    # the factors an element has a nontrivial component in name its class,
-    # one to one
-    pairs = {(int(qcls[e]), tuple(int(t) != 0 for t in parts))
-             for e, parts in dec.factor_components.items()}
-    checks["support_pattern_matches_conjugacy"] = (
-        len(pairs) == len({c for c, _ in pairs}) == len({pat for _, pat in pairs}))
+    # the factors an element has a nontrivial component in (position 0 is
+    # the identity) name its class, one to one
+    cls = qcls[dec.factor_span].astype(np.int64)
+    pattern = (dec.factor_components != 0) @ (1 << np.arange(dec.n))
+    distinct = [np.unique(a, return_counts=True)[1].size
+                for a in (cls << dec.n | pattern, cls, pattern)]
+    checks["support_pattern_matches_conjugacy"] = len(set(distinct)) == 1
     return _verified(checks, "quotient decomposition")
 
 
@@ -761,7 +760,7 @@ def split_into_central_factors(ctx: AnalysisContext) -> dict:
         "components_commute_pairwise": _pairwise(g.commute, parts),
         "components_generate": g.subgroup_closure(np.concatenate([[0], *parts])).size == g.order,
         "derived_covered_by_translates": np.array_equal(
-            _set_product(g, [g.second_derived()] + [u for u, _ in seeded]), ctx.derived),
+            _product(g, [g.second_derived()] + [u for u, _ in seeded])[0], ctx.derived),
         **_split_multiplier_checks(ctx, dec),
         "quotient_is_affine_product": affine,
         "factor_preimages_commute": _pairwise(g.commute, pres),

@@ -964,6 +964,56 @@ def test_normal_closure_is_one_subgroup_closure(monkeypatch):
         assert len(calls) == 1
 
 
+# -- the former greedy loops of the closure, kept as references --------------
+
+def former_closure_kept(g, gens):
+    """The former subgroup_closure loop: walk the sorted generators and
+    grow by each one not yet in the closure."""
+    seen, kept = g.mask([0]), []
+    for x in g.element_set(gens).tolist():
+        if not seen[x]:
+            g._grow(seen, kept, x)
+    return seen, kept
+
+
+def former_sub_generators(g, elems):
+    """The former sub_generators loop: grow by the smallest element not yet
+    generated, and stop as soon as the closure leaves the set."""
+    inside, have, gens = g.mask(elems), g.mask([0]), []
+    while (rest := np.flatnonzero(inside & ~have)).size:
+        g._grow(have, gens, int(rest[0]))
+        if (have & ~inside).any():
+            raise UnsupportedInputError("element set is not a subgroup")
+    return gens
+
+
+def test_closure_matches_the_former_loops():
+    """sub_generators on the derived subgroup, center and Sylow subgroups of
+    every catalog group, and the closure of seeded generator sets, against
+    the former loops; a set that is not a subgroup fails in both."""
+    rng = np.random.default_rng(2711)
+    compared = rejected = 0
+    for _, g in catalog_groups():
+        subgroups = [g.derived_subgroup(), g.center()]
+        subgroups += [g.sylow_subgroup(p) for p in prime_factors(g.order)]
+        for h in subgroups:
+            assert g.sub_generators(h) == former_sub_generators(g, h)
+            compared += 1
+        for size in (1, 3, 20):
+            gens = rng.integers(0, g.order, size=size)
+            seen, kept = g._closure(gens)
+            want_seen, want_kept = former_closure_kept(g, gens)
+            assert np.array_equal(seen, want_seen) and kept == want_kept
+            assert np.array_equal(g.subgroup_closure(gens), np.flatnonzero(want_seen))
+        odd = np.array([0, g.order - 1, g.order - 2])
+        if not g.is_subgroup(odd):
+            for run in (g.sub_generators, lambda e: former_sub_generators(g, e)):
+                with pytest.raises(UnsupportedInputError, match="not a subgroup"):
+                    run(odd)
+            rejected += 1
+    assert (compared, rejected) == (176, 44)
+
+
 def test_sub_generators_rejects_a_non_subgroup():
     g = parse_family("sym(4)")
     three = g.sylow_subgroup(3)

@@ -1,6 +1,8 @@
 """Structural checks: decomposition, characterization, splitting, reduction."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -88,9 +90,9 @@ class TestQuotientDecomposition:
     def test_support_pattern_check_runs_and_names_itself(self):
         ctx = setup_context("central(sl2(3),sl2(3))", 2)
         dec = ctx.decomposition()
-        nonzero = next(e for e, parts in dec.factor_components.items()
-                       if any(parts))
-        dec.factor_components[0] = dec.factor_components[nonzero]
+        # row 0 is the identity: give it the pattern of a nontrivial element
+        comps = dec.factor_components
+        comps[0] = comps[np.flatnonzero(comps.any(axis=1))[0]]
         with pytest.raises(ConsistencyError,
                            match="support_pattern_matches_conjugacy"):
             check_quotient_decomposition(ctx)
@@ -660,3 +662,158 @@ def test_witness_vector_matches_dict(witness_group):
     assert basis == want[0] and np.array_equal(alpha, want[1])
     assert vec.dtype == np.int64 and np.array_equal(vec, want[2])
     assert support.tolist() == sorted(want[3])
+
+
+# -- the former product loops of the structure layer, kept as references --
+
+def reference_product(g, sets):
+    """Every product in itertools.product order (the last set fastest),
+    keeping the first tuple of positions that gives each element."""
+    first, count = {}, 0
+    for combo in itertools.product(*(range(len(s)) for s in sets)):
+        e = 0
+        for s, i in zip(sets, combo):
+            e = g.mul(e, int(s[i]))
+        first.setdefault(e, list(combo))
+        count += 1
+    elems = sorted(first)
+    return elems, [first[e] for e in elems], count == len(elems)
+
+
+def test_product_matches_itertools():
+    """_product on catalog subgroups, subsets that are not subgroups (and
+    may miss the identity), overlapping products and no sets at all."""
+    rng = np.random.default_rng(9173)
+    seen = set()
+    for _, g in catalog_groups():
+        der, cen = g.derived_subgroup(), g.center()
+        syl = [g.sylow_subgroup(p) for p in prime_factors(g.order)]
+        subset = g.element_set(rng.integers(0, g.order, size=4))
+        for sets in ([], [der], syl, [der, cen], [cen, cen], [subset, der],
+                     [subset, subset, cen]):
+            if math.prod(len(s) for s in sets) > 1500:
+                continue
+            elems, coords, direct = structure._product(g, sets)
+            want_elems, want_coords, want_direct = reference_product(g, sets)
+            assert elems.dtype == np.int64 and elems.tolist() == want_elems
+            assert coords.dtype == np.int64
+            assert coords.shape == (len(want_elems), len(sets))
+            assert coords.tolist() == want_coords and direct == want_direct
+            seen.add((len(sets), direct))
+    assert {(0, True), (1, True), (2, True), (2, False), (3, False)} <= seen
+
+
+def former_elementary_coords(g, elems, p):
+    """The former walk of _elementary_coords: every element of the domain
+    in turn, skipping those the basis so far already spans."""
+    dom = np.sort(np.atleast_1d(np.asarray(elems, dtype=np.int64)))
+    if dom[0] != 0:
+        raise ConsistencyError("coordinate domain must contain the identity")
+    inside = g.mask(dom)
+    basis = []
+    span, rows = np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    spanned = g.mask(span)
+    for x in dom.tolist():
+        if spanned[x]:
+            continue
+        if g.power(x, p) != 0:
+            raise ConsistencyError("coordinate domain is not of exponent p")
+        basis.append(x)
+        span = g.table[np.ix_(span, [g.power(x, k) for k in range(p)])].ravel()
+        rows = np.hstack([np.repeat(rows, p, axis=0),
+                          np.tile(np.arange(p, dtype=np.int64), len(rows))[:, None]])
+        spanned = g.mask(span)
+        if not inside[span].all() or np.count_nonzero(spanned) != span.size:
+            raise ConsistencyError("coordinate domain is not elementary abelian")
+    if span.size != dom.size:
+        raise ConsistencyError("coordinate domain is not elementary abelian")
+    coord = np.full((g.order, len(basis)), -1, dtype=np.int64)
+    coord[span] = rows
+    return basis, coord
+
+
+def test_elementary_coords_match_the_element_walk(reduced_contexts, witness_group):
+    """On G', G'' and the image in G/G'' of the p-th power preimage (the
+    domain _factor_span reads) of every reduced context, and on G'' of the
+    witness group with and without its last element: the same basis and
+    coordinates, or the same error."""
+    def outcome(coords, g, dom, p):
+        try:
+            basis, coord = coords(g, dom, p)
+        except ConsistencyError as err:
+            return str(err)
+        return basis, coord.tolist()
+
+    second = witness_group.second_derived()
+    cases = [(witness_group, second, 2), (witness_group, second[:-1], 2)]
+    for ctx in reduced_contexts:
+        qm = ctx.group.second_derived_quotient()
+        cases += [(ctx.group, dom, ctx.p) for dom in (ctx.derived, ctx.group.second_derived())]
+        try:
+            dropped = structure._power_preimage(ctx, qm)
+        except (ConsistencyError, InapplicableError):
+            continue
+        cases.append((qm.group, qm.group.element_set(qm.proj[dropped]), ctx.p))
+    kinds = set()
+    for g, dom, p in cases:
+        want = outcome(former_elementary_coords, g, dom, p)
+        assert outcome(structure._elementary_coords, g, dom, p) == want
+        kinds.add(want if isinstance(want, str) else len(want[0]) > 0)
+    assert kinds == {True, False, "coordinate domain is not of exponent p",
+                     "coordinate domain is not elementary abelian"}
+
+
+def former_components(q, factors):
+    """The former components dict: element -> its component in each
+    factor, one q.mul per (element, factor element) pair."""
+    components = {0: ()}
+    for f in factors:
+        nxt = {q.mul(e, int(t)): parts + (int(t),)
+               for e, parts in components.items() for t in f}
+        if len(nxt) != len(components) * f.size:
+            raise ConsistencyError("factor product collides")
+        components = nxt
+    return components
+
+
+def former_support_pattern(q, components):
+    """The former support-pattern check, over (class, pattern) sets."""
+    qcls = q.class_index_of()
+    pairs = {(int(qcls[e]), tuple(int(t) != 0 for t in parts))
+             for e, parts in components.items()}
+    return len(pairs) == len({c for c, _ in pairs}) == len({pat for _, pat in pairs})
+
+
+def support_pattern_check(ctx):
+    try:
+        return check_quotient_decomposition(ctx)["support_pattern_matches_conjugacy"]
+    except ConsistencyError as err:
+        return "support_pattern_matches_conjugacy" not in str(err)
+
+
+def test_factor_components_match_the_dict(reduced_contexts, witness_group):
+    """factor_components against the dict, row by row of the span, and the
+    support-pattern check against the set count, on every decomposition
+    and with the identity given the pattern of a nontrivial element."""
+    checked = set()
+    contexts = reduced_contexts + [examine_sylow_split(witness_group, 2)]
+    for ctx, dec in decompositions(contexts):
+        q, comps = dec.quotient, dec.factor_components
+        want = former_components(q, dec.factors)
+        assert sorted(want) == dec.factor_span.tolist()
+        assert comps.dtype == np.int64 and comps.shape == (dec.factor_span.size, dec.n)
+        assert [[int(f[i]) for f, i in zip(dec.factors, row)] for row in comps.tolist()] == [
+            list(want[e]) for e in dec.factor_span.tolist()]
+        ok = support_pattern_check(ctx)
+        assert ok == former_support_pattern(q, want)
+        checked.add(ok)
+        if dec.n:
+            saved, nontrivial = comps.copy(), int(np.flatnonzero(comps.any(axis=1))[0])
+            comps[0] = comps[nontrivial]
+            want[0] = want[int(dec.factor_span[nontrivial])]
+            try:
+                assert support_pattern_check(ctx) == former_support_pattern(q, want) == False
+            finally:
+                comps[:] = saved
+            checked.add("mutated")
+    assert checked == {True, "mutated"}

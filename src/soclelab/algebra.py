@@ -108,11 +108,11 @@ class CenterAlgebra:
         """u^e, squaring from the top bit down: e = 2 takes one multiply. A
         stack of rows is powered block_rows(64 k) rows at a time, which
         bounds the index arrays of the stacked multiply."""
-        u = np.asarray(u, dtype=np.int64) % self.p
+        u = np.asarray(u, dtype=np.int64)
         if u.ndim == 2 and len(u) > (step := block_rows(64 * self.k)):
             return np.concatenate([self.power(u[lo:lo + step], e)
                                    for lo in range(0, len(u), step)])
-        return binary_power(u, e, self.multiply, self.identity_vec)
+        return binary_power(u % self.p, e, self.multiply, self.identity_vec)
 
     def annihilator(self, vectors) -> Subspace:
         """Subspace of the center killing every given central vector, one

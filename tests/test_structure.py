@@ -785,6 +785,8 @@ def former_support_pattern(q, components):
 
 
 def support_pattern_check(ctx):
+    """The support-pattern check of check_quotient_decomposition, read from
+    its result or from the names in its error."""
     try:
         return check_quotient_decomposition(ctx)["support_pattern_matches_conjugacy"]
     except ConsistencyError as err:
@@ -812,7 +814,8 @@ def test_factor_components_match_the_dict(reduced_contexts, witness_group):
             comps[0] = comps[nontrivial]
             want[0] = want[int(dec.factor_span[nontrivial])]
             try:
-                assert support_pattern_check(ctx) == former_support_pattern(q, want) == False
+                assert not support_pattern_check(ctx)
+                assert not former_support_pattern(q, want)
             finally:
                 comps[:] = saved
             checked.add("mutated")

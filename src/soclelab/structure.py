@@ -159,12 +159,13 @@ def _product(g: FiniteGroup, sets) -> tuple[np.ndarray, np.ndarray, bool]:
     last set varies fastest), direct that no product repeats."""
     elems, coords, direct = np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64), True
     for s in map(np.asarray, sets):
-        prod = g.table[elems[:, None], s].ravel().astype(np.int64)
+        prod = g.table[elems[:, None], s].ravel()
         # an element's first tuple extends the first tuple of its prefix, so
         # the first products, kept in tuple order, are all the next set needs
         first = np.sort(np.unique(prod, return_index=True)[1])
         direct = direct and first.size == prod.size
-        elems, coords = prod[first], np.column_stack([coords[first // s.size], first % s.size])
+        elems = prod[first].astype(np.int64)
+        coords = np.column_stack([coords[first // s.size], first % s.size])
     order = np.argsort(elems)
     return elems[order], coords[order], direct
 

@@ -796,7 +796,7 @@ def support_pattern_check(ctx):
 def test_factor_components_match_the_dict(reduced_contexts, witness_group):
     """factor_components against the dict, row by row of the span, and the
     support-pattern check against the set count, on every decomposition
-    and with the identity given the pattern of a nontrivial element."""
+    and on two mutated copies of its components."""
     checked = set()
     contexts = reduced_contexts + [examine_sylow_split(witness_group, 2)]
     for ctx, dec in decompositions(contexts):
@@ -809,14 +809,22 @@ def test_factor_components_match_the_dict(reduced_contexts, witness_group):
         ok = support_pattern_check(ctx)
         assert ok == former_support_pattern(q, want)
         checked.add(ok)
-        if dec.n:
-            saved, nontrivial = comps.copy(), int(np.flatnonzero(comps.any(axis=1))[0])
-            comps[0] = comps[nontrivial]
-            want[0] = want[int(dec.factor_span[nontrivial])]
+        if not dec.n:
+            continue
+        # the identity takes the pattern of a nontrivial element; then an
+        # element whose class holds two span elements takes the identity's,
+        # which keeps the numbers of classes and of patterns
+        cls = q.class_index_of()[dec.factor_span]
+        shared = np.flatnonzero(np.bincount(cls)[cls] > 1)
+        for dst, src in [(0, int(np.flatnonzero(comps.any(axis=1))[0])), (int(shared[0]), 0)]:
+            saved, before = comps.copy(), dict(want)
+            comps[dst] = comps[src]
+            want[int(dec.factor_span[dst])] = want[int(dec.factor_span[src])]
             try:
                 assert not support_pattern_check(ctx)
                 assert not former_support_pattern(q, want)
             finally:
                 comps[:] = saved
-            checked.add("mutated")
+            want = before
+        checked.add("mutated")
     assert checked == {True, "mutated"}

@@ -107,12 +107,14 @@ class CenterAlgebra:
     def power(self, u, e: int) -> np.ndarray:
         """u^e, squaring from the top bit down: e = 2 takes one multiply. A
         stack of rows is powered block_rows(64 k) rows at a time, which
-        bounds the index arrays of the stacked multiply."""
+        bounds the index arrays of the stacked multiply. u^0 is the identity
+        in u's shape."""
         u = np.asarray(u, dtype=np.int64)
         if u.ndim == 2 and len(u) > (step := block_rows(64 * self.k)):
             return np.concatenate([self.power(u[lo:lo + step], e)
                                    for lo in range(0, len(u), step)])
-        return binary_power(u % self.p, e, self.multiply, self.identity_vec)
+        return binary_power(u % self.p, e, self.multiply,
+                            lambda: np.broadcast_to(self.identity_vec(), u.shape).copy())
 
     def annihilator(self, vectors) -> Subspace:
         """Subspace of the center killing every given central vector, one
@@ -144,8 +146,6 @@ class CenterAlgebra:
         # applied by multiply to a basis of each image, reach 0
         image = rad
         for _ in range(m):
-            if not image.dim:
-                break
             image = Subspace(p, k, self.power(image.basis, p))
         if image.dim:
             raise ConsistencyError("radical vector is not nilpotent")
@@ -162,10 +162,7 @@ class CenterAlgebra:
     def radical_span_from_classes(self) -> Subspace:
         """Span of the predicted radical basis: the radical vector of each
         nontrivial class."""
-        if self.k == 1:
-            return Subspace(self.p, self.k)
-        return Subspace(self.p, self.k,
-                        np.array([self.radical_vec(j) for j in range(1, self.k)]))
+        return Subspace(self.p, self.k, [self.radical_vec(j) for j in range(1, self.k)])
 
     @memoized
     def socle(self) -> Subspace:
@@ -183,7 +180,7 @@ class CenterAlgebra:
         pair (class of u, class of g^-1 u) agrees with that, checked once per
         distinct pair."""
         basis, cls_of, k = center_subspace.basis, self.cls_of, self.k
-        pivots, t, inv = list(center_subspace.pivots), self.group.table, self.group.inv
+        t, inv = self.group.table, self.group.inv
         for g in self.group.generators():
             moved_from = cls_of[t[inv[g]]]  # class of g^-1 u, for each u
             coeffs = basis[:, moved_from[self.reps]]
@@ -192,8 +189,7 @@ class CenterAlgebra:
             target, source = np.divmod(pairs[distinct], k)
             if not np.array_equal(basis[:, source], coeffs[:, target]):
                 return False
-            # the basis is in RREF: a row lies in its span iff its pivot entries rebuild it
-            if not np.array_equal(coeffs, coeffs[:, pivots] @ basis % self.p):
+            if not center_subspace.contains_vector(coeffs):
                 return False
         return True
 

@@ -93,7 +93,8 @@ def _scan_table(result: dict) -> str:
     s = result["summary"]
     lines.append("")
     lines.append(f"rows={s['rows']} ideal={s['ideal']} non_ideal={s['non_ideal']} "
-                 f"inapplicable={s['inapplicable']} witnesses={s['witnesses']} "
+                 f"errors={s['errors']} inapplicable={s['inapplicable']} "
+                 f"witnesses={s['witnesses']} "
                  f"consistency_failures={s['consistency_failures']}")
     return "\n".join(lines) + "\n"
 
@@ -186,8 +187,9 @@ def cmd_scan(args) -> int:
     n_ideal = sum(1 for r in rows if r["ideal"] and r["ideal"]["direct"] is True)
     n_non = sum(1 for r in rows
                 if r["ideal"] and r["ideal"]["direct"] is False)
-    n_inapp = sum(1 for r in rows
-                  if not r["ideal"] or r["ideal"]["direct"] is None)
+    n_err = sum(1 for r in rows if r["status"] == "error")
+    n_inapp = sum(1 for r in rows if r["status"] != "error"
+                  and (not r["ideal"] or r["ideal"]["direct"] is None))
     n_wit = sum(1 for r in rows if r["witness"] is not None)
     n_fail = sum(len(r["consistency_failures"]) for r in rows)
 
@@ -199,6 +201,7 @@ def cmd_scan(args) -> int:
             "rows": len(rows),
             "ideal": n_ideal,
             "non_ideal": n_non,
+            "errors": n_err,
             "inapplicable": n_inapp,
             "witnesses": n_wit,
             "consistency_failures": n_fail,

@@ -120,19 +120,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def reduce(self, v) -> np.ndarray:
-        """Residual of v after elimination against the basis."""
-        w = residues(self.p, v)
-        if w.shape != (self.ambient,):
-            raise ValueError("vector of ambient length expected")
-        w = w.copy()
-        for i, c in enumerate(self.pivots):
-            if w[c]:
-                w = (w - w[c] * self.basis[i]) % self.p
-        return w
-
     def contains_vector(self, v) -> bool:
-        return not self.reduce(v).any()
+        """v, or every row of a stack v, lies in the span: in RREF a row
+        lies there iff its pivot entries times the basis rebuild it."""
+        w = residues(self.p, v)
+        if w.ndim not in (1, 2) or w.shape[-1] != self.ambient:
+            raise ValueError("vector of ambient length expected")
+        return bool(np.array_equal(w, w[..., list(self.pivots)] @ self.basis % self.p))
 
     def __eq__(self, other):
         return (
@@ -146,12 +140,8 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         # kernel of the concatenation: coefficient rows (x, y) with
         # x @ A + y @ B = 0 give intersection vectors x @ A = -(y @ B)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.p, self.ambient)
         stacked = np.vstack([self.basis, other.basis])
         coeffs = kernel_basis(stacked.T, self.p)
-        if coeffs.shape[0] == 0:
-            return Subspace(self.p, self.ambient)
         vecs = (coeffs[:, : self.dim] @ self.basis) % self.p
         return Subspace(self.p, self.ambient, vecs)
 

@@ -373,8 +373,6 @@ class FiniteGroup:
     @memoized
     def sylow_subgroup(self, p: int) -> np.ndarray:
         pk = int_p_part(self.order, p)
-        if pk == 1:
-            return np.array([0], dtype=np.int64)
         orders = self.element_orders()
         pp = np.ones(self.order, dtype=np.int64)  # p-part of each element order
         while (m := orders % (pp * p) == 0).any():
@@ -407,10 +405,9 @@ class FiniteGroup:
         """
         m = self.order // self.sylow_subgroup(p).size
         orders = self.element_orders()
-        pprime = [x for x in range(1, self.order) if int(orders[x]) % p != 0]
-        pprime.sort(key=lambda x: (-int(orders[x]), x))
+        pprime = np.flatnonzero(orders % p)[1:]  # [1:] drops the identity
         seen, kept = self.mask([0]), []
-        for y in pprime:
+        for y in pprime[np.argsort(-orders[pprime], kind="stable")].tolist():
             if np.count_nonzero(seen) == m:
                 break
             if not seen[y]:

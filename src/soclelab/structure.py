@@ -99,7 +99,7 @@ class AnalysisContext:
 def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
     der = g.derived_subgroup()
     syl = g.sylow_subgroup(p)
-    sylow_normal = syl.size == g.order or g.is_normal(syl)
+    sylow_normal = g.is_normal(syl)
     complement = g.hall_complement(p) if sylow_normal else None
     zd = g.sub_center(der)
     second = g.second_derived()

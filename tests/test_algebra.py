@@ -268,7 +268,7 @@ def test_verdicts_known_values():
 
 
 def test_semisimple_prime_gives_zero_radical():
-    for spec, p in [("sym(3)", 5), ("q8", 3), ("sl2(3)", 5)]:
+    for spec, p in [("sym(3)", 5), ("q8", 3), ("sl2(3)", 5), ("cyclic(5)", 2)]:
         alg = CenterAlgebra(parse_family(spec), p)
         d = alg.dims()
         assert d["radical"] == 0
@@ -499,6 +499,24 @@ def test_power_two_is_one_multiply(monkeypatch):
     monkeypatch.setattr(alg, "multiply", lambda u, v: calls.append(1) or real(u, v))
     alg.power(alg.class_sum_vec(3), 2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec, p", [("sl2(3)", 2), ("dihedral(5)", 5)])
+def test_power_zero_of_a_stack_is_an_identity_stack(spec, p):
+    """u^0 takes u's shape: a (d, k) stack gives d identity rows, also
+    when the stack is powered in several blocks of block_rows(64 k) rows."""
+    alg = CenterAlgebra(parse_family(spec), p)
+    for d in (3, groups_module.block_rows(64 * alg.k) + 2):
+        stack = np.arange(d * alg.k, dtype=np.int64).reshape(d, alg.k)
+        want = np.tile(alg.identity_vec(), (d, 1))
+        assert np.array_equal(alg.power(stack, 0), want)
+
+
+def test_radical_of_the_trivial_group():
+    """One class: no radical vectors, an empty span, a zero radical."""
+    alg = CenterAlgebra(parse_family("cyclic(1)"), 2)
+    assert alg.radical_span_from_classes() == Subspace(2, 1)
+    assert alg.jacobson_radical() == Subspace(2, 1)
 
 
 def test_nilpotence_check_catches_a_wrong_power_map(monkeypatch):

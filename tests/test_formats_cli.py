@@ -283,7 +283,8 @@ def test_scan_row_error_continues(capsys, tmp_path):
     assert r["rows"][0]["status"] == "error"
     assert "line" in r["rows"][0]["error"]
     assert r["rows"][1]["ideal"]["direct"] is True
-    assert r["summary"]["inapplicable"] == 1
+    assert r["summary"]["errors"] == 1
+    assert r["summary"]["inapplicable"] == 0
 
     # rows follow the sources, an error row in its source's place
     code, out = run_cli(capsys, "scan", "sym(3)", str(bad), "q8")

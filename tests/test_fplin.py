@@ -106,6 +106,9 @@ def test_zero_and_full_subspace():
     assert not z.contains_vector([1, 0, 0])
     f = Subspace(2, 3, np.eye(3, dtype=np.int64))
     assert f.dim == 3
+    rows = np.array([[0, 0, 0], [1, 0, 1], [2, -2, 4]])
+    assert f.contains_vector(rows) and not z.contains_vector(rows)
+    assert z.contains_vector(rows[[0, 2]])  # even entries vanish mod 2
 
 
 # -- the column loop and the re-reducing kernel, kept as references ----------
@@ -194,3 +197,59 @@ def test_kernel_basis_is_a_free_column_basis(p):
         assert Subspace(p, ncol, k).dim == k.shape[0]  # independent rows
         want = reference_kernel_basis(a, p)
         assert np.array_equal(Subspace(p, ncol, k).basis, want)
+
+
+# -- the elimination loop of the former Subspace.reduce, kept as a reference --
+
+def reference_residual(s, v):
+    """Residual of v after eliminating it against the RREF basis, one pivot
+    at a time."""
+    w = np.asarray(v, dtype=np.int64) % s.p
+    for i, c in enumerate(s.pivots):
+        if w[c]:
+            w = (w - w[c] * s.basis[i]) % s.p
+    return w
+
+
+def membership_cases(p, rng):
+    """Subspaces from the seeded matrices, the zero subspace and the full
+    space, each with members, random vectors and entries outside 0..p-1."""
+    spaces = [Subspace(p, a.shape[1], a) for a in seeded_matrices(p, rng)]
+    spaces += [Subspace(p, 5), Subspace(p, 5, np.eye(5, dtype=np.int64))]
+    for s in spaces:
+        n = s.ambient
+        members = rng.integers(-p, 2 * p, size=(4, s.dim)) @ s.basis
+        vectors = np.vstack([members, rng.integers(-p, 2 * p, size=(4, n)),
+                             np.zeros((1, n), dtype=np.int64)])
+        yield s, vectors
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_contains_vector_matches_elimination(p):
+    rng = np.random.default_rng(3000 + p)
+    for s, vectors in membership_cases(p, rng):
+        inside = [not reference_residual(s, v).any() for v in vectors]
+        assert [s.contains_vector(v) for v in vectors] == inside
+        # a stack holds iff every row does, an empty stack always
+        assert s.contains_vector(vectors) is all(inside)
+        assert s.contains_vector(vectors[np.array(inside, dtype=bool)]) is True
+        assert s.contains_vector(vectors[:0]) is True
+
+
+@pytest.mark.parametrize("bad", [[1, 0, 0], np.zeros((2, 5), dtype=np.int64),
+                                 np.zeros((1, 2, 4), dtype=np.int64), 1])
+def test_contains_vector_rejects_a_wrong_length(bad):
+    for s in (Subspace(2, 4), Subspace(2, 4, [[1, 1, 0, 0]])):
+        with pytest.raises(ValueError, match="vector of ambient length expected"):
+            s.contains_vector(bad)
+
+
+def test_intersect_with_zero_or_disjoint_span_is_zero():
+    p = 5
+    z = Subspace(p, 4)
+    a = Subspace(p, 4, [[1, 2, 0, 0], [0, 0, 1, 3]])
+    b = Subspace(p, 4, [[0, 1, 0, 0], [0, 0, 0, 1]])
+    assert a.intersect(b).dim == 0  # a holds no nonzero vector of b
+    for x, y in [(z, a), (a, z), (z, z), (a, b), (b, a)]:
+        got = x.intersect(y)
+        assert got == Subspace(p, 4) and got.basis.shape == (0, 4)

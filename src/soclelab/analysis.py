@@ -1,19 +1,17 @@
 """One group, one prime, one report.
 
-analyze_group runs every computation the package offers on a single
-(group, prime) pair and folds the results into a plain dict that
-serializes to stable JSON: dimensions, the two ideal verdicts, shape
-flags, and one sub-report per structural theorem check. All of them
-share one AnalysisContext, so the center algebra and the decomposition of
-G/G'' are built at most once per report. Checks whose preconditions fail
-are reported as inapplicable, never as errors; a falsified verification
-lands in consistency_failures, each distinct text once, and the caller
-decides how loudly to fail.
+analyze_group runs a table of stages on one AnalysisContext, so the center
+algebra and the decomposition of G/G'' are built once per report, and
+folds their results into a plain dict that serializes to stable JSON. A
+section whose stage raises ConsistencyError takes its row's fixed value; a
+structural check is passed, failed, or inapplicable (an unmet precondition,
+never an error). Each failure text is listed once in consistency_failures,
+and the caller decides how loudly to fail. timing.stages times each stage.
 """
 
 from __future__ import annotations
 
-import time
+from time import perf_counter as clock
 
 from .errors import ConsistencyError, InapplicableError, UnsupportedInputError
 from .fplin import check_prime
@@ -32,6 +30,40 @@ def default_prime(group: FiniteGroup) -> int:
     der = group.derived_subgroup()
     base = der.size if der.size > 1 else group.order
     return (prime_factors(base) or [2])[0]
+
+
+def _socle_blocks(ctx: AnalysisContext) -> list | None:
+    """Socle dimension per coset of a normal Sylow subgroup. A socle that
+    does not split along the cosets is a failure only on the reduced shape
+    with an ideal socle (a failed verdict raises its own text again)."""
+    if not ctx.sylow_normal:
+        return None
+    try:
+        return [list(b) for b in ctx.alg.socle_coset_decomposition(ctx.sylow)]
+    except ConsistencyError:
+        if ctx.reduced and ctx.ideal:
+            raise
+        return None
+
+
+def _shape(ctx: AnalysisContext) -> dict:
+    frobenius = ctx.group.is_frobenius_with_kernel(ctx.derived)
+    return {**ctx.flags, "sylow_normal": ctx.sylow_normal, "reduced": ctx.reduced,
+            "frobenius_with_derived_kernel": frobenius}
+
+
+def _radical_basis_match(ctx: AnalysisContext) -> bool | None:
+    """The radical vectors of the nontrivial classes span the radical, on
+    the reduced shape; null elsewhere and when the radical itself fails."""
+    if not ctx.reduced:
+        return None
+    try:
+        rad = ctx.alg.jacobson_radical()
+    except ConsistencyError:
+        return None
+    if ctx.alg.radical_span_from_classes() != rad:
+        raise ConsistencyError("predicted radical basis does not span the nilradical")
+    return True
 
 
 def _quotient_decomposition(ctx: AnalysisContext) -> dict:
@@ -60,80 +92,46 @@ def _reduction(ctx: AnalysisContext) -> dict:
 
 def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
                   theorems: str = "auto") -> dict:
-    """Full analysis of one group at one prime. theorems: "none" computes
-    only dimensions and the ideal verdicts; "auto" and its synonym "all"
-    also run the structural checks."""
+    """Full analysis of one group at one prime. theorems: "none" runs only
+    the sections; "auto" and its synonym "all" also run the checks."""
     if theorems not in ("none", "auto", "all"):
         raise UnsupportedInputError(f"unknown theorems mode {theorems!r}")
     check_prime(p)
 
-    t0 = time.perf_counter()
-    failures: list[str] = []
+    t0 = clock()
     ctx = examine_sylow_split(group, p)
-    alg = ctx.alg
+    stages = [["context", round(clock() - t0, 6)]]
+    failures: list[str] = []
+    report = {"schema_version": SCHEMA_VERSION, "p": int(p), "theorems": {},
+              "group": {"descriptor": group.name if descriptor is None else descriptor,
+                        "order": int(group.order), "class_count": int(ctx.alg.k)}}
 
-    try:
-        direct, criterion = alg.socle_ideal_verdict()
-        ideal = {"direct": direct, "criterion": criterion}
-    except ConsistencyError as e:
-        failures.append(str(e))
-        ideal = {"direct": None, "criterion": None}
-        direct = None
-
-    try:
-        dims = {k: int(v) for k, v in alg.dims().items()}
-    except ConsistencyError as e:
-        failures.append(str(e))
-        dims = {"center": int(alg.k), "radical": None, "socle": None}
-    blocks = None
-    if ctx.sylow_normal:
+    # built per call: a caller who rebinds a function in its module is seen
+    sections = (("ideal", lambda c: dict(zip(("direct", "criterion"),
+                                             c.alg.socle_ideal_verdict())),
+                 {"direct": None, "criterion": None}),
+                ("dims", lambda c: c.alg.dims(),
+                 {"center": ctx.alg.k, "radical": None, "socle": None}),
+                ("socle_blocks", _socle_blocks, None),
+                ("shape", _shape, None),
+                ("radical_basis_match", _radical_basis_match, False))
+    for key, stage, on_failure in sections:
+        start = clock()
         try:
-            blocks = [[int(r), int(d)]
-                      for r, d in alg.socle_coset_decomposition(ctx.sylow)]
+            report[key] = stage(ctx)
         except ConsistencyError as e:
-            if direct and ctx.reduced:
-                failures.append(str(e))
+            failures.append(str(e))
+            report[key] = on_failure
+        stages.append([key, round(clock() - start, 6)])
 
-    shape = {k: bool(v) for k, v in ctx.flags.items()}
-    shape["sylow_normal"] = ctx.sylow_normal
-    shape["reduced"] = bool(ctx.reduced)
-    shape["frobenius_with_derived_kernel"] = bool(
-        group.is_frobenius_with_kernel(ctx.derived))
-
-    radical_basis_match = None
-    if ctx.reduced and dims["radical"] is not None:
-        radical_basis_match = bool(
-            alg.radical_span_from_classes() == alg.jacobson_radical())
-        if not radical_basis_match:
-            failures.append(
-                "predicted radical basis does not span the nilradical")
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "group": {
-            "descriptor": descriptor if descriptor is not None else group.name,
-            "order": int(group.order),
-            "class_count": int(alg.k),
-        },
-        "p": int(p),
-        "dims": dims,
-        "socle_blocks": blocks,
-        "ideal": ideal,
-        "shape": shape,
-        "radical_basis_match": radical_basis_match,
-        "theorems": {},
-        "consistency_failures": failures,
-    }
-
-    # built per call, so that a caller who rebinds a check in its module
-    # (a tracer, a test) is seen; unmet preconditions make a check
-    # inapplicable, a falsified verification makes it failed
     checks = (("quotient_decomposition", _quotient_decomposition),
               ("ideal_characterization", characterize_socle_ideal),
               ("central_split", split_into_central_factors),
               ("annihilator_reduction", check_annihilator_reduction),
               ("reduction", _reduction))
-    for name, check in checks if theorems != "none" and direct is not None else ():
+    run_checks = theorems != "none" and report["ideal"]["direct"] is not None
+    for name, check in checks if run_checks else ():
+        start = clock()
         try:
             report["theorems"][name] = {"status": "passed", **check(ctx)}
         except InapplicableError as e:
@@ -141,7 +139,8 @@ def analyze_group(group: FiniteGroup, p: int, descriptor: str | None = None,
         except ConsistencyError as e:
             failures.append(str(e))
             report["theorems"][name] = {"status": "failed", "reason": str(e)}
+        stages.append([name, round(clock() - start, 6)])
 
     report["consistency_failures"] = list(dict.fromkeys(failures))
-    report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
+    report["timing"] = {"seconds": round(clock() - t0, 6), "stages": stages}
     return report

@@ -72,7 +72,8 @@ def _report_table(r: dict) -> str:
             lines.append(f"  - {msg}")
     else:
         lines.append("consistency failures: none")
-    lines.append(f"time     {r['timing']['seconds']:.3f}s")
+    stage, seconds = max(r["timing"]["stages"], key=lambda s: s[1])
+    lines.append(f"time     {r['timing']['seconds']:.3f}s, slowest {stage} {seconds:.3f}s")
     return "\n".join(lines) + "\n"
 
 

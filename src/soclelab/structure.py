@@ -48,9 +48,8 @@ class AnalysisContext:
 
     flags keys:
       derived_is_sylow          G' is a Sylow p-subgroup of G
-      complement_abelian        a coprime complement to the Sylow subgroup
-                                exists and is abelian (False when no
-                                complement was found)
+      complement_abelian        the Sylow subgroup is normal and its
+                                coprime complement is abelian
       pprime_core_trivial       the largest normal p'-subgroup is trivial
       derived_center_is_second_derived   Z(G') = G''
     """
@@ -61,7 +60,7 @@ class AnalysisContext:
     derived_center: np.ndarray      # Z(G')
     sylow: np.ndarray
     sylow_normal: bool
-    complement: np.ndarray | None
+    complement: np.ndarray | None   # None iff the Sylow subgroup is not normal
     flags: dict
     alg: CenterAlgebra
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -101,6 +100,8 @@ def examine_sylow_split(g: FiniteGroup, p: int) -> AnalysisContext:
     syl = g.sylow_subgroup(p)
     sylow_normal = g.is_normal(syl)
     complement = g.hall_complement(p) if sylow_normal else None
+    if sylow_normal and complement is None:  # Schur-Zassenhaus: one exists
+        raise ConsistencyError("no complement to the normal Sylow subgroup")
     zd = g.sub_center(der)
     second = g.second_derived()
     flags = {
@@ -902,8 +903,6 @@ def reduce_to_core(ctx: AnalysisContext) -> tuple[FiniteGroup, list[dict]]:
     """
     if not ctx.sylow_normal:
         raise InapplicableError("reduction needs a normal Sylow subgroup")
-    if ctx.complement is None:
-        raise InapplicableError("reduction needs a complement to the Sylow subgroup")
     if not ctx.flags["complement_abelian"]:
         # the coprime-core equivalence is only claimed for abelian complements
         raise InapplicableError("reduction needs an abelian complement")

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from soclelab import cli, formats
 from soclelab import groups as groups_module
 from soclelab.algebra import CenterAlgebra
+from soclelab.analysis import analyze_group
 from soclelab.errors import ConsistencyError, UnsupportedInputError
 from soclelab.families import DEFAULT_MAX_ORDER, parse_family
+from soclelab.fplin import Subspace
 from soclelab.formats import (build_group, format_cayley, load_group_file,
                               parse_group_text, write_cayley)
 from soclelab.groups import FiniteGroup, groups_isomorphic, table_dtype
@@ -136,6 +138,10 @@ def test_analyze_table(capsys):
     assert code == 0
     assert "center=7 radical=6 socle=3" in out
     assert "consistency failures: none" in out
+    code, out = run_cli(capsys, "analyze", "sym(4)", "--p", "2", "--format", "table")
+    assert code == 0
+    assert ("check    quotient_decomposition: inapplicable  "
+            "(group does not have the reduced shape)") in out
 
 
 def test_analyze_default_prime(capsys):
@@ -154,12 +160,35 @@ def test_verify_forces_all_checks(capsys):
     assert r["theorems"]["quotient_decomposition"]["status"] == "passed"
 
 
+SECTION_STAGES = ["context", "ideal", "dims", "socle_blocks", "shape",
+                  "radical_basis_match"]
+CHECK_STAGES = ["quotient_decomposition", "ideal_characterization",
+                "central_split", "annihilator_reduction", "reduction"]
+
+
 def test_theorems_none_skips_stages(capsys):
     code, out = run_cli(capsys, "analyze", "sl2(3)", "--theorems", "none")
     r = json.loads(out)
     assert code == 0
     assert r["theorems"] == {}
     assert r["dims"]["socle"] == 3
+    assert [name for name, _ in r["timing"]["stages"]] == SECTION_STAGES
+
+
+def test_timing_lists_every_stage_in_order(capsys):
+    """The set-up of the context, the sections, then each check that ran;
+    the stages account for no more than the whole analysis took."""
+    code, out = run_cli(capsys, "analyze", "SL2(3)", "--p", "2")
+    assert code == 0
+    timing = json.loads(out)["timing"]
+    assert [name for name, _ in timing["stages"]] == SECTION_STAGES + CHECK_STAGES
+    assert all(seconds >= 0 for _, seconds in timing["stages"])
+    assert sum(seconds for _, seconds in timing["stages"]) <= timing["seconds"] + 1e-5
+    code, out = run_cli(capsys, "analyze", "SL2(3)", "--p", "2", "--format", "table")
+    time_line = [line for line in out.splitlines() if line.startswith("time ")]
+    assert len(time_line) == 1
+    slowest = time_line[0].split(", slowest ")[1].split()[0]
+    assert slowest in SECTION_STAGES + CHECK_STAGES
 
 
 def test_analyze_unsupported_exit_code(capsys):
@@ -203,6 +232,7 @@ def test_radical_consistency_failure_exits_2(fmt, capsys, monkeypatch):
         assert r["consistency_failures"] == ["radical broke"]
         assert r["dims"] == {"center": 7, "radical": None, "socle": None}
         assert r["ideal"] == {"direct": None, "criterion": None}
+        assert r["radical_basis_match"] is None  # SL2(3) at p = 2 is reduced
     else:
         assert "dims     center=7 radical=- socle=-" in out
         assert out.count("radical broke") == 1
@@ -215,6 +245,50 @@ def test_radical_consistency_failure_exits_2(fmt, capsys, monkeypatch):
         assert r["summary"]["consistency_failures"] == 2
     else:
         assert "consistency_failures=2" in out
+
+
+def test_socle_split_failure_counts_on_the_reduced_ideal_shape(capsys, monkeypatch):
+    """A socle that does not split along the Sylow cosets is a failure on
+    the reduced shape with an ideal socle; elsewhere the blocks are null and
+    nothing is listed."""
+    monkeypatch.setattr(CenterAlgebra, "socle_coset_decomposition",
+                        raise_consistency("blocks broke"))
+    code, out = run_cli(capsys, "analyze", "SL2(3)", "--p", "2")
+    assert code == 2
+    r = json.loads(out)
+    assert r["consistency_failures"] == ["blocks broke"]
+    assert r["socle_blocks"] is None
+    assert r["ideal"] == {"direct": True, "criterion": True}
+    # not reduced, and reduced with a socle that is not an ideal
+    for spec, reduced in (("cyclic(6)", False), ("twisted_affine(2,3,1)", True)):
+        r = analyze_group(parse_family(spec), 2)
+        assert r["shape"]["sylow_normal"] and r["shape"]["reduced"] is reduced
+        assert r["consistency_failures"] == []
+        assert r["socle_blocks"] is None
+
+
+def test_radical_basis_mismatch_is_false_and_listed_once(capsys, monkeypatch):
+    """Predicted radical vectors that span more than the radical."""
+    monkeypatch.setattr(CenterAlgebra, "radical_span_from_classes",
+                        lambda self: Subspace(self.p, self.k, np.eye(self.k, dtype=np.int64)))
+    code, out = run_cli(capsys, "analyze", "SL2(3)", "--p", "2")
+    assert code == 2
+    r = json.loads(out)
+    assert r["radical_basis_match"] is False
+    assert r["consistency_failures"] == [
+        "predicted radical basis does not span the nilradical"]
+    assert r["dims"] == {"center": 7, "radical": 6, "socle": 3}
+
+
+def test_normal_sylow_without_a_complement_exits_2(capsys, monkeypatch):
+    """Schur-Zassenhaus: a normal Sylow subgroup has a complement, so a
+    search that finds none is a consistency failure, before any report."""
+    monkeypatch.setattr(FiniteGroup, "hall_complement", lambda self, p: None)
+    assert cli.run(["analyze", "SL2(3)", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "consistency failure: no complement to the normal Sylow subgroup\n")
 
 
 def test_consistency_failure_outside_the_report_exits_2(capsys, monkeypatch):
@@ -268,10 +342,20 @@ def test_scan_explicit_specs(capsys):
     assert r["summary"]["consistency_failures"] == 0
 
 
-def test_scan_per_group_primes(capsys):
+def test_scan_per_group_primes(capsys, tmp_path):
     code, out = run_cli(capsys, "scan", "sl2(3)")
     r = json.loads(out)
     assert [row["p"] for row in r["rows"]] == [2, 3]
+    # order 6 has primes 2 and 3; a table file's prime hint leaves one row,
+    # and --p overrides the hint
+    path = tmp_path / "c6.cay"
+    write_cayley(parse_family("cyclic(6)"), str(path))
+    path.write_text(path.read_text().replace("cayley 6\n", "cayley 6 3\n", 1))
+    code, out = run_cli(capsys, "scan", str(path))
+    assert code == 0
+    assert [row["p"] for row in json.loads(out)["rows"]] == [3]
+    code, out = run_cli(capsys, "scan", str(path), "--p", "2")
+    assert [row["p"] for row in json.loads(out)["rows"]] == [2]
 
 
 def test_scan_row_error_continues(capsys, tmp_path):
@@ -293,6 +377,14 @@ def test_scan_row_error_continues(capsys, tmp_path):
     assert [(row["source"], row["p"], row["status"]) for row in r["rows"]] == [
         ("sym(3)", 2, "ok"), ("sym(3)", 3, "ok"), (str(bad), None, "error"),
         ("q8", 2, "ok")]
+
+    # an analysis refused as input, at a p that is not prime
+    code, out = run_cli(capsys, "scan", "cyclic(2)", "--p", "4")
+    assert code == 0
+    r = json.loads(out)
+    assert [(row["status"], row["p"]) for row in r["rows"]] == [("error", 4)]
+    assert "4 is not prime" in r["rows"][0]["error"]
+    assert r["summary"]["errors"] == 1
 
 
 def test_scan_directory(capsys, tmp_path):
@@ -388,6 +480,10 @@ def test_scan_table_output(capsys):
     code, out = run_cli(capsys, "scan", "q8", "--p", "2", "--format", "table")
     assert code == 0
     assert "consistency_failures=0" in out
+    code, out = run_cli(capsys, "scan", "nosuch(1)", "q8", "--format", "table")
+    assert code == 0
+    assert "\n    error: " in out
+    assert "errors=1 inapplicable=0" in out
 
 
 def test_prime_at_or_above_2_16_is_an_input_error(capsys, tmp_path):

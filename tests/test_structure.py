@@ -12,7 +12,7 @@ from soclelab.algebra import CenterAlgebra
 from soclelab.analysis import analyze_group
 from soclelab.catalog import catalog_groups
 from soclelab.errors import ConsistencyError, InapplicableError
-from soclelab.families import parse_family
+from soclelab.families import cyclic_extension, extraspecial, parse_family
 from soclelab.fplin import Subspace, kernel_basis, rref
 from soclelab.groups import FiniteGroup, direct_product, prime_factors
 from soclelab.structure import (_matches_affine_model, build_nonideal_witness,
@@ -156,6 +156,22 @@ class TestCharacterization:
         assert not ch["has_fixer"]
         assert ch["predicted"] is False and ch["direct"] is False
         assert ch["witness"] is None  # witness construction needs a fixer
+
+    def test_witness_note_names_both_missing_conditions(self, witness_group):
+        """The kernel of the witness group (the elements 15a) and the element
+        3 generate a subgroup of order 1280 whose quotient is not the affine
+        model and that has no fixer: the note gives both reasons."""
+        g = witness_group
+        gens = np.r_[np.arange(0, g.order, 15), 3]
+        sub, _ = g.subgroup_as_group(g.subgroup_closure(gens))
+        assert sub.order == 1280
+        ch = characterize_socle_ideal(examine_sylow_split(sub, 2))
+        assert not ch["affine_match"] and not ch["has_fixer"]
+        assert ch["predicted"] is False and ch["direct"] is False
+        assert ch["witness"] is None
+        assert ch["notes"] == [
+            "witness construction inapplicable: quotient is not the affine "
+            "model; no complement element centralizes G''"]
 
     def test_non_camina_kernel_gets_witness(self, witness_group):
         ctx = examine_sylow_split(witness_group, 2)
@@ -329,6 +345,20 @@ class TestReduceToCore:
     def test_no_normal_sylow_out_of_scope(self):
         with pytest.raises(InapplicableError):
             reduce_to_core(examine_sylow_split(parse_family("sym(4)"), 2))
+
+    def test_no_split_over_the_p_residual(self):
+        """heisenberg(3) x| C_2, acting by (a, b, c) -> (-a, b, -c) on the
+        labels 9a + 3b + c: at p = 3 the socle is not an ideal and the group
+        is not the central product of the fixed points and the p-residual."""
+        a, b, c = np.indices((3, 3, 3)).reshape(3, 27)
+        g = cyclic_extension(extraspecial(27, "+"), (-a % 3) * 9 + b * 3 + (-c % 3),
+                             2, "heisenberg(3):C2")
+        r = analyze_group(g, 3)
+        assert g.order == 54 and r["ideal"]["direct"] is False
+        assert r["theorems"]["reduction"] == {
+            "status": "passed", "core_order": 54,
+            "steps": [{"step": "central_split", "applied": False,
+                       "reason": "group does not split over the p-residual"}]}
 
 
 def test_verdicts_invariant_under_reduction_steps():
